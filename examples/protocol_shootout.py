@@ -6,9 +6,9 @@ rate-paced TCP-SACK, and prints energy per delivered bit and per-flow
 goodput for each — a scaled-down regeneration of the paper's Figure 9.
 
 The per-seed runs execute on a pluggable backend: ``--backend process``
-(the default) fans out over a persistent process pool, ``--backend
-serial`` (or ``--workers 0``) runs in-process, and ``--backend thread``
-uses the thread pool.  ``--seeds N`` scales the replication; ``--paper``
+(the default) fans out over a persistent process pool, and ``--backend
+serial`` (or ``--workers 0``) runs in-process.  ``--seeds N`` scales the
+replication; ``--paper``
 uses the paper's replication count (:data:`PAPER_LINEAR` seeds per
 cell).  The printed rows are bit-identical for every backend and worker
 count.
@@ -39,9 +39,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count (default: one per CPU core; 0 or 1 = serial)")
-    parser.add_argument("--backend", choices=sorted(set(BACKENDS) - {"async"}), default=None,
-                        help="executor backend (default: the shared persistent process pool; "
-                             "'async' is an API stub and not runnable)")
+    parser.add_argument("--backend", choices=sorted(BACKENDS), default=None,
+                        help="executor backend (default: the shared persistent process pool)")
     parser.add_argument("--seeds", type=int, default=None,
                         help=f"independent replications per cell (default: {SMOKE_LINEAR})")
     parser.add_argument("--paper", action="store_true",

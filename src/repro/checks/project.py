@@ -31,7 +31,7 @@ project-rule findings are as stable as per-file ones.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -63,10 +63,6 @@ class Definition:
     node: ast.AST
     kind: str  # "function" | "async" | "class"
     params: Tuple[str, ...] = ()
-
-    @property
-    def is_async(self) -> bool:
-        return self.kind == "async"
 
 
 @dataclass
@@ -153,32 +149,6 @@ class Project:
                     return self.resolve_symbol(candidate, seen)
             return dotted
         return dotted
-
-    def callees_of(self, caller: str) -> Set[str]:
-        return self.call_graph.get(caller, set())
-
-    def reachable_from(self, roots: Sequence[str], within_modules: Optional[Set[str]] = None) -> Set[str]:
-        """Transitive closure over the call graph, optionally fenced.
-
-        ``within_modules`` keeps the walk inside a module set (callees
-        defined elsewhere terminate the branch) — what ASY001 uses to
-        scan only the concurrency layer it owns.
-        """
-        reached: Set[str] = set()
-        frontier = [root for root in roots if root in self.definitions]
-        while frontier:
-            current = frontier.pop()
-            if current in reached:
-                continue
-            reached.add(current)
-            for callee in self.call_graph.get(current, ()):  # repro: allow[DET002] set feeds a worklist whose final closure is order-independent
-                definition = self.definitions.get(callee)
-                if definition is None:
-                    continue
-                if within_modules is not None and definition.module not in within_modules:
-                    continue
-                frontier.append(callee)
-        return reached
 
     # -- import edges ----------------------------------------------------------------------
 

@@ -1,204 +1,28 @@
 """Concurrency contracts for the scheduler/backends layer.
 
-ASY001 (whole-program): nothing reachable from an ``async def`` in
-``repro.experiments.scheduler`` / ``repro.experiments.backends`` may
-block the event loop — no ``time.sleep``, no direct
-``multiprocessing.connection.wait``/``select`` calls, no unguarded
-``Connection.recv()`` and no unbounded ``Process.join()``.  The
-AsyncScheduler's dispatch loop multiplexes every worker from a single
-coroutine; one blocking call there stalls retry timers, backpressure
-and heartbeats for the whole fleet, which shows up as flaky timeout
-tests rather than an obvious failure.  Reachability comes from the
-project call graph, so a blocking call hidden two helpers deep is
-still found.
-
-ASY002 (per-file): every ``Pipe``/``Process``/executor resource
-acquired inside a function in those modules must be closed/joined on
-all exception paths, or handed off (stored on ``self``, passed to a
-constructor, returned).  Leaked pipes keep worker processes alive past
-scheduler shutdown and exhaust file descriptors over a long sweep.
+ASY002 (per-file): every ``Pipe``/``Process``/``Popen``/``Thread`` resource
+acquired inside a function in ``repro.experiments.scheduler`` /
+``repro.experiments.backends`` must be closed/joined on all exception
+paths, or handed off (stored on ``self``, passed to a constructor,
+returned).  Leaked pipes keep worker processes alive past scheduler
+shutdown and exhaust file descriptors over a long sweep.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Set, Tuple
 
-from repro.checks.astutil import ImportMap, call_name
+from repro.checks.astutil import call_name
 from repro.checks.findings import Finding
-from repro.checks.project import Project
-from repro.checks.registry import ProjectRule, Rule, register
+from repro.checks.registry import Rule, register
 from repro.checks.source import ModuleSource
 
-#: The concurrency layer both rules scope themselves to.
+#: The concurrency layer ASY002 scopes itself to.
 _CONCURRENCY_MODULES = ("repro.experiments.scheduler", "repro.experiments.backends")
 
-#: Dotted call targets that block the calling thread outright.
-_BLOCKING_CALLS = {
-    "time.sleep": "time.sleep blocks the event loop; use asyncio.sleep or run_in_executor",
-    "multiprocessing.connection.wait": (
-        "multiprocessing.connection.wait blocks the event loop; route it "
-        "through loop.run_in_executor"
-    ),
-    "select.select": "select.select blocks the event loop; use run_in_executor",
-    "selectors.DefaultSelector.select": "a blocking selector call stalls the event loop",
-}
-
-#: Receiver-name fragments that identify a process/thread handle.
-_PROCESS_HINTS = ("process", "proc", "thread", "worker")
-
-
-def _receiver_key(node: ast.expr) -> str:
-    """A stable identity for a receiver expression (``worker.conn`` …)."""
-    return ast.dump(node)
-
-
-def _attr_chain(node: ast.expr) -> List[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    parts.reverse()
-    return parts
-
-
-@register
-class AsyncBlockingRule(ProjectRule):
-    """ASY001: no blocking calls reachable from the async dispatch loop."""
-
-    id = "ASY001"
-    summary = "no blocking I/O, time.sleep or unbounded join reachable from async code in the scheduler layer"
-    rationale = (
-        "AsyncScheduler multiplexes every worker from one coroutine; a "
-        "single blocking call in anything it awaits stalls retries, "
-        "backpressure and heartbeats fleet-wide. The contract is "
-        "checked transitively over the project call graph because the "
-        "blocking call is never in the async def itself — it hides in a "
-        "sync helper two frames down."
-    )
-    packages = _CONCURRENCY_MODULES
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        scope_modules = {
-            name
-            for name in project.modules
-            if any(name == m or name.startswith(m + ".") for m in _CONCURRENCY_MODULES)
-        }
-        if not scope_modules:
-            return
-        roots = [
-            fq
-            for fq, definition in sorted(project.definitions.items())
-            if definition.is_async and definition.module in scope_modules
-        ]
-        reachable = project.reachable_from(roots, within_modules=scope_modules)
-        for fq in sorted(reachable):
-            definition = project.definitions[fq]
-            if definition.kind == "class":
-                continue
-            source = project.modules[definition.module]
-            imap = project.import_maps[definition.module]
-            yield from self._scan_function(source, imap, fq, definition.node)
-
-    def _scan_function(
-        self, source: ModuleSource, imap: ImportMap, fq: str, func: ast.AST
-    ) -> Iterator[Finding]:
-        body = getattr(func, "body", [])
-        for stmt in body:
-            yield from self._scan(source, imap, fq, stmt, guards=frozenset())
-
-    def _scan(
-        self,
-        source: ModuleSource,
-        imap: ImportMap,
-        fq: str,
-        node: ast.AST,
-        guards: "frozenset[str]",
-    ) -> Iterator[Finding]:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            return  # nested defs are separate call-graph nodes
-        if isinstance(node, ast.Call):
-            yield from self._check_call(source, imap, fq, node, guards)
-        child_guards = guards
-        if isinstance(node, (ast.While, ast.If)):
-            child_guards = guards | self._poll_guards(node.test)
-            for sub in ast.walk(node.test):
-                if isinstance(sub, ast.Call):
-                    yield from self._check_call(source, imap, fq, sub, guards)
-            for stmt in node.body:
-                yield from self._scan(source, imap, fq, stmt, child_guards)
-            for stmt in node.orelse:
-                yield from self._scan(source, imap, fq, stmt, guards)
-            return
-        for child in ast.iter_child_nodes(node):
-            yield from self._scan(source, imap, fq, child, child_guards)
-
-    @staticmethod
-    def _poll_guards(test: ast.expr) -> Set[str]:
-        """Receivers whose ``.poll()`` result gates the guarded body."""
-        guards: Set[str] = set()
-        for node in ast.walk(test):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "poll"
-            ):
-                guards.add(_receiver_key(node.func.value))
-        return guards
-
-    def _check_call(
-        self,
-        source: ModuleSource,
-        imap: ImportMap,
-        fq: str,
-        call: ast.Call,
-        guards: "frozenset[str] | Set[str]",
-    ) -> Iterator[Finding]:
-        resolved = imap.resolve(call.func)
-        if resolved is not None and resolved in _BLOCKING_CALLS:
-            yield self.finding(
-                source.path,
-                call.lineno,
-                call.col_offset,
-                f"{_BLOCKING_CALLS[resolved]} (reachable from async code via {fq})",
-            )
-            return
-        if not isinstance(call.func, ast.Attribute):
-            return
-        attr = call.func.attr
-        if attr == "recv":
-            if _receiver_key(call.func.value) not in guards:
-                yield self.finding(
-                    source.path,
-                    call.lineno,
-                    call.col_offset,
-                    "Connection.recv() without a poll() guard can block the "
-                    f"dispatch loop (reachable from async code via {fq}); guard "
-                    "with .poll() or move the read to an executor",
-                )
-        elif attr == "join":
-            chain = [part.lower() for part in _attr_chain(call.func.value)]
-            is_process = any(hint in part for part in chain for hint in _PROCESS_HINTS)
-            has_timeout = bool(call.args) or any(kw.arg == "timeout" for kw in call.keywords)
-            if is_process and not has_timeout:
-                yield self.finding(
-                    source.path,
-                    call.lineno,
-                    call.col_offset,
-                    "unbounded .join() on a process/thread handle can block the "
-                    f"dispatch loop (reachable from async code via {fq}); pass a "
-                    "timeout or join in an executor",
-                )
-
-
-# --- ASY002 ------------------------------------------------------------------------------------
-
 #: Constructors whose result owns an OS resource needing release.
-_RESOURCE_CTORS = frozenset(
-    {"Pipe", "Process", "Popen", "Thread", "ProcessPoolExecutor", "ThreadPoolExecutor"}
-)
+_RESOURCE_CTORS = frozenset({"Pipe", "Process", "Popen", "Thread"})
 
 #: Method names that release such a resource.
 _RELEASE_METHODS = frozenset({"close", "terminate", "kill", "join", "shutdown"})
@@ -209,7 +33,7 @@ class ResourceLifecycleRule(Rule):
     """ASY002: acquired Connection/Process resources are released on all paths."""
 
     id = "ASY002"
-    summary = "Pipe/Process/executor resources acquired in the scheduler layer are closed/joined on all exception paths"
+    summary = "Pipe/Process/Thread resources acquired in the scheduler layer are closed/joined on all exception paths"
     rationale = (
         "The dispatch loop acquires pipes and worker processes in bulk; "
         "one leaked Connection keeps its worker alive past shutdown and "

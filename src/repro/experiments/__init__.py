@@ -8,10 +8,10 @@
 * :mod:`repro.experiments.runner` — runs scenarios, replicates them over
   seeds and aggregates with confidence intervals;
 * :mod:`repro.experiments.backends` — pluggable executor backends
-  (:class:`SerialBackend`, the persistent shared :class:`ProcessBackend`
-  pool, :class:`ThreadBackend`, and :class:`AsyncBackend`, the asyncio
-  scheduler with backpressure, work stealing and retry over a pool of
-  worker processes — ``docs/distributed.md``);
+  (:class:`SerialBackend`, and the persistent shared
+  :class:`ProcessBackend` pool, whose scheduler adds backpressure, work
+  stealing and retry over local or remote worker processes —
+  ``docs/distributed.md``; ``AsyncBackend`` is its deprecated alias);
 * :mod:`repro.experiments.parallel` — :class:`ParallelRunner` fans
   replications and parameter sweeps out over a backend, returning
   picklable :class:`ScenarioRecord` summaries (bit-identical aggregates
@@ -85,7 +85,6 @@ from repro.experiments.backends import (
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     close_shared_backends,
     make_backend,
     resolve_backend,
@@ -135,8 +134,7 @@ __all__ = [
     "ExecutorBackend",
     "SerialBackend",
     "ProcessBackend",
-    "ThreadBackend",
-    "AsyncBackend",
+    "AsyncBackend",  # deprecated alias of ProcessBackend, removed in the next release
     "make_backend",
     "resolve_backend",
     "shared_backend",

@@ -16,25 +16,21 @@ execution strategy into a first-class object:
 * :class:`SerialBackend` — runs everything in the calling process, no
   pool at all.  Byte-for-byte the historical ``workers=1`` semantics
   that the reproducibility tests pin.
-* :class:`ProcessBackend` — a **persistent**, lazily-started process
-  pool.  The pool is created on first use and then reused across figure
-  calls (the same worker PIDs serve every call), amortising fork cost
-  over a whole paper run.  Closed via :meth:`~ExecutorBackend.close`,
-  ``with``-block exit, or the module's ``atexit`` hook.
-* :class:`ThreadBackend` — the same lifecycle on a thread pool.  The
-  simulator is pure Python, so threads serialise on the GIL and this
-  backend exists mainly to pin the API (and the bit-identity invariant)
-  for executors that share the caller's address space.
-* :class:`AsyncBackend` — an asyncio dispatcher over a pool of
-  persistent worker processes (:mod:`repro.experiments.scheduler`).
-  Cells are sharded across workers behind a bounded in-flight window
-  (backpressure against a slow consumer), stragglers are work-stolen
-  by idle workers, and crashed / raising / hung cells are retried with
-  capped exponential backoff before the batch fails loudly with
-  :class:`~repro.experiments.scheduler.AsyncCellError`.  Same ordered
-  ``map``/``imap`` contract, same bit-identical aggregates, for every
-  worker count.  See ``docs/distributed.md`` for the architecture and
+* :class:`ProcessBackend` — a **persistent**, lazily-started pool of
+  worker processes driven by :mod:`repro.experiments.scheduler`.  The
+  workers start on first use and are reused across figure calls (the
+  same worker PIDs serve every call), amortising fork cost over a whole
+  paper run.  Cells are sharded across workers behind a bounded
+  in-flight window (backpressure against a slow consumer), stragglers
+  are work-stolen by idle workers, and crashed / raising / hung cells
+  are retried with capped exponential backoff before the batch fails
+  loudly with :class:`~repro.experiments.scheduler.AsyncCellError`.
+  ``endpoint="tcp://host:port,..."`` swaps the local workers for remote
+  worker agents.  See ``docs/distributed.md`` for the architecture and
   every knob.
+* :data:`AsyncBackend` — deprecated alias of :class:`ProcessBackend`
+  (and ``"async"`` of ``"process"`` in :func:`make_backend`), kept for
+  one release.
 
 Module helpers:
 
@@ -49,10 +45,10 @@ Module helpers:
 * :func:`workers_from_env` — ``REPRO_WORKERS`` plumbing shared by the
   benchmark harness and the examples (``0`` means the serial backend).
 * :func:`async_workers_from_env` / :func:`async_retries_from_env` /
-  :func:`async_timeout_from_env` — the :class:`AsyncBackend` env seams
-  (``REPRO_ASYNC_WORKERS``, ``REPRO_ASYNC_RETRIES``,
-  ``REPRO_ASYNC_TIMEOUT``), applied when the corresponding constructor
-  argument is left unset.
+  :func:`async_timeout_from_env` / :func:`async_endpoint_from_env` —
+  the ``REPRO_ASYNC_*`` env seams, applied by
+  ``make_backend("process")``.  The :class:`ProcessBackend` constructor
+  and the shared pools read no environment.
 
 Every backend must preserve the harness invariant: because each
 simulation run is fully determined by its seed and results come back in
@@ -68,17 +64,12 @@ is a single drain of a single pool regardless of backend.
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
 import os
 import pickle
 import threading
-import weakref
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from types import TracebackType
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar
 
 from repro.experiments.remote import parse_endpoint
 from repro.experiments.scheduler import AsyncCellError, AsyncScheduler
@@ -89,8 +80,7 @@ __all__ = [
     "ExecutorBackend",
     "SerialBackend",
     "ProcessBackend",
-    "ThreadBackend",
-    "AsyncBackend",
+    "AsyncBackend",  # deprecated alias of ProcessBackend, removed in the next release
     "AsyncCellError",
     "BACKENDS",
     "make_backend",
@@ -123,10 +113,10 @@ def workers_from_env(default: Optional[int] = None) -> Optional[int]:
 
 
 def async_workers_from_env(default: Optional[int] = None) -> Optional[int]:
-    """Worker-process count for :class:`AsyncBackend` via ``REPRO_ASYNC_WORKERS``.
+    """Worker-process count for ``make_backend("process")`` via ``REPRO_ASYNC_WORKERS``.
 
     Unset (or empty) returns ``default``.  Unlike ``REPRO_WORKERS``
-    there is no serial-fallback zero: the async backend always runs its
+    there is no serial-fallback zero: a process backend always runs its
     scheduler, so the value must be >= 1.
     """
     value = os.environ.get("REPRO_ASYNC_WORKERS", "").strip()
@@ -139,7 +129,7 @@ def async_workers_from_env(default: Optional[int] = None) -> Optional[int]:
 
 
 def async_retries_from_env(default: int = 2) -> int:
-    """Retry budget for :class:`AsyncBackend` cells via ``REPRO_ASYNC_RETRIES``.
+    """Retry budget for ``make_backend("process")`` cells via ``REPRO_ASYNC_RETRIES``.
 
     The number of *additional* attempts a failed cell gets (crash,
     exception or timeout) before the batch fails with
@@ -156,7 +146,7 @@ def async_retries_from_env(default: int = 2) -> int:
 
 
 def async_timeout_from_env(default: Optional[float] = None) -> Optional[float]:
-    """Per-cell timeout (seconds) for :class:`AsyncBackend` via ``REPRO_ASYNC_TIMEOUT``.
+    """Per-cell timeout (seconds) for ``make_backend("process")`` via ``REPRO_ASYNC_TIMEOUT``.
 
     A cell running longer than this is killed (its worker is respawned)
     and retried.  ``0`` (or a negative value) disables the timeout;
@@ -172,7 +162,7 @@ def async_timeout_from_env(default: Optional[float] = None) -> Optional[float]:
 
 
 def async_endpoint_from_env(default: Optional[str] = None) -> Optional[str]:
-    """Remote worker endpoint for :class:`AsyncBackend` via ``REPRO_ASYNC_ENDPOINT``.
+    """Remote worker endpoint for ``make_backend("process")`` via ``REPRO_ASYNC_ENDPOINT``.
 
     A ``tcp://host:port[,host2:port2,...]`` list naming the worker
     agents the scheduler should connect to instead of spawning local
@@ -294,252 +284,30 @@ def _positive_workers(workers: Optional[int]) -> int:
     return workers
 
 
-#: Work inherited by forked workers when a payload cannot be pickled
-#: (e.g. a lambda builder).  Set immediately before the one-shot fork
-#: pool is created; children fork lazily on first submission and see it.
-#: _INHERITED_LOCK serialises concurrent fallback calls so one call's
-#: children cannot inherit another call's work.
-_INHERITED_WORK: Optional[Tuple[Callable[[Any], Any], Sequence[Any]]] = None
-_INHERITED_LOCK = threading.Lock()
+class ProcessBackend(ExecutorBackend):
+    """A persistent pool of worker processes behind one dispatch loop.
 
-
-def _run_inherited(index: int) -> Any:
-    work = _INHERITED_WORK
-    assert work is not None, "_run_inherited called outside a fallback window"
-    fn, items = work
-    return fn(items[index])
-
-
-#: Every live ProcessBackend, so the atexit hook can close stray pools.
-_LIVE_PROCESS_BACKENDS: "weakref.WeakSet[ProcessBackend]" = weakref.WeakSet()
-
-
-def _close_live_process_backends() -> None:
-    for backend in list(_LIVE_PROCESS_BACKENDS):
-        backend.close()
-
-
-atexit.register(_close_live_process_backends)
-
-
-class _PooledBackend(ExecutorBackend):
-    """Shared lifecycle for pool-owning backends: lazy start, reuse, restart.
-
-    Subclasses provide :meth:`_make_pool`; everything else — the
-    worker-count validation, the lock-guarded lazy start, idempotent
-    :meth:`close` and lazy restart after it — lives here once, so
-    process, thread and future pooled backends cannot drift apart.
-    """
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = _positive_workers(workers)
-        #: The underlying executor; typed loosely because process and
-        #: thread pools share no useful ancestor beyond ``Executor``.
-        self._pool: Optional[Any] = None
-        self._lock = threading.Lock()
-
-    def _make_pool(self) -> Any:
-        raise NotImplementedError
-
-    @property
-    def is_running(self) -> bool:
-        return self._pool is not None
-
-    def _ensure_pool(self) -> Any:
-        with self._lock:
-            if self._pool is None:
-                self._pool = self._make_pool()
-            return self._pool
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def map(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> List[_T]:
-        items = list(items)
-        self._record_submission(len(items))
-        if not items:
-            return []
-        return list(self._ensure_pool().map(fn, items))
-
-    def imap(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> Iterator[_T]:
-        """Stream results in submission order as workers complete them."""
-        items = list(items)
-        self._record_submission(len(items))
-        if not items:
-            return iter(())
-        # Executor.map already yields lazily and in order.
-        return iter(self._ensure_pool().map(fn, items))
-
-
-class ProcessBackend(_PooledBackend):
-    """A persistent, lazily-started process pool reused across calls.
-
-    The pool is created on the first :meth:`map` and kept alive until
-    :meth:`close` (or interpreter exit — an ``atexit`` hook closes every
-    stray backend), so a sequence of figure calls shares one set of
-    worker processes instead of forking a fresh pool per figure.
-
-    Payloads normally travel by pickle, which is what allows the pool to
-    outlive any single call.  On platforms with the ``fork`` start
-    method, unpicklable payloads (lambda or closure builders) still
-    work: they fall back to a one-shot forked pool whose children
-    inherit the work instead of unpickling it — correct, but without
-    pool reuse (the persistent pool is quiesced first).  On spawn-only
-    platforms such payloads raise.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        super().__init__(workers)
-        _LIVE_PROCESS_BACKENDS.add(self)
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        context = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        return ProcessPoolExecutor(max_workers=self.workers, mp_context=context)
-
-    def worker_pids(self) -> FrozenSet[int]:
-        """PIDs of the live pool processes (empty before first use / after close)."""
-        with self._lock:
-            if self._pool is None:
-                return frozenset()
-            return frozenset(self._pool._processes or ())
-
-    def map(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> List[_T]:
-        items = list(items)
-        self._record_submission(len(items))
-        return self._map_batch(fn, items)
-
-    def _map_batch(self, fn: Callable[[Any], _T], items: List[Any]) -> List[_T]:
-        """The :meth:`map` body, minus submission accounting (shared with imap recovery)."""
-        if not items:
-            return []
-        # Pre-flight the whole payload: falling back *after* the pool
-        # has started executing part of it would re-run work, and the
-        # payload (specs + seeds) is microseconds to pickle next to the
-        # simulations it describes.
-        try:
-            pickle.dumps((fn, items))
-        except Exception:
-            return self._map_inherited(fn, items)
-        try:
-            return list(self._ensure_pool().map(fn, items))
-        except BrokenProcessPool:
-            # A dead worker (OOM kill, crash) breaks the executor for
-            # good; a persistent pool must not stay poisoned for every
-            # later figure call.  Tasks are pure and seed-determined,
-            # so discarding the broken pool and re-running the batch on
-            # a fresh one is safe.  If the fresh pool breaks too, reset
-            # again so the *next* call still starts clean, and raise.
-            self.close()
-            try:
-                return list(self._ensure_pool().map(fn, items))
-            except BrokenProcessPool:
-                self.close()
-                raise
-
-    def imap(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> Iterator[_T]:
-        """Stream in order, with :meth:`map`'s recovery semantics.
-
-        Unpicklable payloads fall back to the one-shot forked pool
-        (delivered as one batch — fork children cannot stream).  A pool
-        broken mid-stream is discarded and the whole batch re-run via
-        :meth:`map`; tasks are pure and seed-determined, so the re-run
-        is bit-identical and only the not-yet-yielded tail is delivered.
-        """
-        items = list(items)
-        self._record_submission(len(items))
-
-        def generate() -> Iterator[_T]:
-            if not items:
-                return
-            try:
-                pickle.dumps((fn, items))
-            except Exception:
-                yield from self._map_inherited(fn, items)
-                return
-            yielded = 0
-            try:
-                # The for covers breakage at submission time (a worker
-                # died while the pool sat idle) and mid-stream alike.
-                for result in self._ensure_pool().map(fn, items):
-                    yield result
-                    yielded += 1
-            except BrokenProcessPool:
-                self.close()
-                yield from self._map_batch(fn, items)[yielded:]
-
-        return generate()
-
-    def _map_inherited(self, fn: Callable[[Any], _T], items: List[Any]) -> List[_T]:
-        """One-shot forked pool for unpicklable payloads (no pool reuse)."""
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise TypeError(
-                "the task payload is not picklable and this platform has no fork "
-                "start method; use a picklable builder such as ScenarioSpec"
-            )
-        # Forking while the persistent pool's manager/feeder threads are
-        # alive risks the classic fork-with-threads deadlock (a child
-        # inheriting a held queue lock).  Quiesce the pool first; it
-        # restarts lazily on the next picklable call.
-        self.close()
-        global _INHERITED_WORK
-        with _INHERITED_LOCK:
-            _INHERITED_WORK = (fn, items)
-            try:
-                context = multiprocessing.get_context("fork")
-                max_workers = min(self.workers, len(items))
-                with ProcessPoolExecutor(max_workers=max_workers, mp_context=context) as pool:
-                    return list(pool.map(_run_inherited, range(len(items))))
-            finally:
-                _INHERITED_WORK = None
-
-
-class ThreadBackend(_PooledBackend):
-    """A persistent thread pool with the same lifecycle as :class:`ProcessBackend`.
-
-    The simulator is pure Python, so threads serialise on the GIL and
-    this backend brings no speedup today.  It exists to pin the backend
-    API (lazy start, reuse, close/restart, ordered results,
-    bit-identical aggregates) for executors that share the caller's
-    address space — the template :class:`AsyncBackend`'s scheduler was
-    built against.
-    """
-
-    name = "thread"
-
-    def _make_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=self.workers,
-            thread_name_prefix="repro-backend",
-        )
-
-
-class AsyncBackend(ExecutorBackend):
-    """An asyncio dispatcher over a pool of persistent worker processes.
-
-    The distributed-execution backend from ROADMAP, implemented: one
-    dispatch coroutine (:class:`~repro.experiments.scheduler.AsyncScheduler`)
-    shards each batch across ``workers`` long-lived worker processes
-    behind a bounded in-flight ``window`` (backpressure against a slow
-    ``imap`` consumer), work-steals stragglers onto idle workers, and
-    retries crashed, raising or hung cells with capped exponential
-    backoff — respawning dead workers as it goes.  A cell that exhausts
+    One :class:`~repro.experiments.scheduler.AsyncScheduler` shards each
+    batch across ``workers`` long-lived worker processes behind a
+    bounded in-flight ``window`` (backpressure against a slow ``imap``
+    consumer), work-steals stragglers onto idle workers, and retries
+    crashed, raising or hung cells with capped exponential backoff —
+    respawning dead workers as it goes.  A cell that exhausts
     ``max_retries`` fails the whole batch with a
     :class:`~repro.experiments.scheduler.AsyncCellError` naming every
-    failed cell, so a result grid can never contain a silent hole.
+    failed cell, so a result grid can never contain a silent hole.  The
+    dispatch loop runs in the caller's thread as it consumes results;
+    one ``imap`` stream may be open at a time.
 
     The :class:`ExecutorBackend` contract is fully preserved: results
     come back in item order (``imap`` streams them as the submission
-    frontier completes), the pool starts lazily, :meth:`close` is
+    frontier completes), the workers start lazily on the first
+    :meth:`map` and are reused until :meth:`close`, :meth:`close` is
     idempotent with lazy restart, and aggregates are bit-identical to
     :class:`SerialBackend` for every worker count — retries and steals
     re-run pure seed-determined simulations, never reorder delivery.
+    Workers are daemon processes, so an interpreter that never closes
+    its backend still exits.
 
     ``endpoint`` switches the workers from local child processes to
     remote worker agents: ``"tcp://host:port[,host2:port2,...]"`` names
@@ -551,25 +319,25 @@ class AsyncBackend(ExecutorBackend):
     and respawn semantics — and bit-identical aggregates — are
     transport-agnostic.  ``workers`` defaults to one per address and
     must match the address count when given (each agent serves exactly
-    one scheduler connection).  Payloads must be picklable (there is no
-    fork-inherit fallback like :class:`ProcessBackend`'s): unpicklable
-    payloads raise :class:`TypeError` up front.
+    one scheduler connection); without an endpoint it defaults to
+    ``os.cpu_count()``.  Payloads must be picklable (workers are
+    separate processes): unpicklable payloads raise :class:`TypeError`
+    up front.
 
-    Constructor arguments left at ``None`` fall back to the env seams:
-    ``endpoint`` to ``REPRO_ASYNC_ENDPOINT`` (default: local workers),
-    ``workers`` to ``REPRO_ASYNC_WORKERS`` (then ``os.cpu_count()``),
-    ``max_retries`` to ``REPRO_ASYNC_RETRIES`` (default 2), and
-    ``task_timeout`` to ``REPRO_ASYNC_TIMEOUT`` (default: no timeout).
-    ``window`` defaults to ``2 * workers`` and is clamped to at least
-    ``workers``; ``steal_after`` is the straggler age (seconds) before
-    an idle worker duplicates it; ``connect_timeout`` bounds each remote
-    connection attempt.  ``stats`` exposes cumulative scheduler counters
-    (``retries``, ``steals``, ``respawns``, ``timeouts``, ``failures``)
-    for tests and diagnostics.  See ``docs/distributed.md`` for the full
-    architecture notes.
+    ``max_retries`` (default 2) is the number of extra attempts a failed
+    cell gets; ``task_timeout`` (default: none) kills and retries a cell
+    running longer than that many seconds.  ``window`` defaults to
+    ``2 * workers`` and is clamped to at least ``workers``;
+    ``steal_after`` is the straggler age (seconds) before an idle worker
+    duplicates it; ``connect_timeout`` bounds each remote connection
+    attempt.  The constructor reads no environment: the ``REPRO_ASYNC_*``
+    seams apply through ``make_backend("process")``.  ``stats`` exposes
+    cumulative scheduler counters (``retries``, ``steals``,
+    ``respawns``, ``timeouts``, ``failures``) for tests and diagnostics.
+    See ``docs/distributed.md`` for the full architecture notes.
     """
 
-    name = "async"
+    name = "process"
 
     def __init__(
         self,
@@ -577,15 +345,13 @@ class AsyncBackend(ExecutorBackend):
         workers: Optional[int] = None,
         *,
         window: Optional[int] = None,
-        max_retries: Optional[int] = None,
+        max_retries: int = 2,
         retry_base_delay: float = 0.05,
         retry_max_delay: float = 2.0,
         task_timeout: Optional[float] = None,
         steal_after: float = 0.25,
         connect_timeout: float = 5.0,
     ) -> None:
-        if endpoint is None:
-            endpoint = async_endpoint_from_env()
         self.endpoint = endpoint
         endpoints: Optional[List[Tuple[str, int]]] = None
         if endpoint is not None:
@@ -598,15 +364,9 @@ class AsyncBackend(ExecutorBackend):
                     f"address(es) in endpoint={endpoint!r}; each remote worker "
                     "agent serves exactly one scheduler connection"
                 )
-        if workers is None:
-            workers = async_workers_from_env()
         self.workers = _positive_workers(workers)
-        if max_retries is None:
-            max_retries = async_retries_from_env(2)
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if task_timeout is None:
-            task_timeout = async_timeout_from_env(None)
         if window is None:
             window = 2 * self.workers
         if window < 1:
@@ -652,34 +412,49 @@ class AsyncBackend(ExecutorBackend):
             pickle.dumps((fn, items))
         except Exception:
             raise TypeError(
-                "AsyncBackend payloads must be picklable (workers are separate "
+                "ProcessBackend payloads must be picklable (workers are separate "
                 "processes); use a picklable builder such as ScenarioSpec"
             ) from None
-        return self._scheduler.start(fn, items).results()
+        return self._scheduler.start(fn, items)
+
+
+#: Deprecated alias of :class:`ProcessBackend`, removed in the next release.
+AsyncBackend = ProcessBackend
 
 
 def _serial_factory(workers: Optional[int] = None) -> SerialBackend:
     if workers is not None and int(workers) > 1:
         raise ValueError(
             f"the serial backend runs in-process; workers={workers} conflicts "
-            "(use the process or thread backend for parallelism)"
+            "(use the process backend for parallelism)"
         )
     return SerialBackend()
+
+
+def _process_factory(workers: Optional[int] = None) -> ProcessBackend:
+    """A :class:`ProcessBackend` configured from the ``REPRO_ASYNC_*`` env seams."""
+    return ProcessBackend(
+        endpoint=async_endpoint_from_env(),
+        workers=async_workers_from_env() if workers is None else workers,
+        max_retries=async_retries_from_env(2),
+        task_timeout=async_timeout_from_env(None),
+    )
 
 
 #: Backend registry for CLI flags and configuration strings.
 BACKENDS: Dict[str, Callable[..., ExecutorBackend]] = {
     "serial": _serial_factory,
-    "process": ProcessBackend,
-    "thread": ThreadBackend,
-    "async": AsyncBackend,
+    "process": _process_factory,
 }
+
+#: Deprecated registry names, removed in the next release.
+_BACKEND_ALIASES = {"async": "process"}
 
 
 def make_backend(name: str, workers: Optional[int] = None) -> ExecutorBackend:
-    """Build a backend by registry name (``serial``/``process``/``thread``/``async``)."""
+    """Build a backend by registry name (``serial``/``process``)."""
     try:
-        factory = BACKENDS[name]
+        factory = BACKENDS[_BACKEND_ALIASES.get(name, name)]
     except KeyError:
         raise ValueError(f"unknown backend {name!r}; known: {sorted(BACKENDS)}") from None
     return factory(workers=workers)
@@ -697,9 +472,9 @@ def shared_backend(workers: Optional[int] = None) -> ProcessBackend:
     Backends are cached per worker count for the life of the process, so
     every figure call asking for the same parallelism reuses one pool.
     ``workers=None`` means ``os.cpu_count()``.  Shared backends must not
-    be closed by individual callers — :func:`close_shared_backends` (or
-    interpreter exit) tears them down; a closed shared backend restarts
-    lazily if used again.
+    be closed by individual callers — :func:`close_shared_backends` tears
+    them down (their daemon workers also die with the interpreter); a
+    closed shared backend restarts lazily if used again.
     """
     key = _positive_workers(workers)
     with _SHARED_LOCK:

@@ -27,8 +27,8 @@ bit-identical to a serial run:
   ``os.cpu_count()``) selects the **shared, persistent**
   :class:`~repro.experiments.backends.ProcessBackend` for that worker
   count, so consecutive figure calls reuse one pool instead of forking
-  a new one each; and ``backend=`` accepts any backend instance
-  (thread, or a future multi-machine backend) outright.  Because every
+  a new one each; and ``backend=`` accepts any backend instance (a
+  private or TCP-connected ``ProcessBackend``, say) outright.  Because every
   scenario is fully determined by its seed and results are collected in
   submission order, the aggregated output is bit-identical for every
   backend and worker count.  :meth:`ParallelRunner.run_grids` extends
@@ -49,10 +49,10 @@ Pickling contract: a :class:`ScenarioRecord` (and therefore everything
 workers send back) must survive ``pickle.dumps`` — plain dataclasses,
 enums, numbers, strings and containers thereof only.  Builders should
 be picklable too (a :class:`ScenarioSpec` or a module-level function),
-which is what lets a persistent pool outlive any single call; on
-platforms with the ``fork`` start method (Linux), unpicklable builders
-— lambdas and closures included — still work via a one-shot forked pool
-whose children inherit the task list instead of unpickling it.
+which is what lets a persistent pool outlive any single call.  A
+process backend rejects unpicklable builders — lambdas and closures
+included — with :class:`TypeError` before anything runs; the serial
+backend (``workers=0`` or ``1``) accepts any callable.
 """
 
 from __future__ import annotations

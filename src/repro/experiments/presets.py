@@ -407,9 +407,8 @@ def run_paper(
     attribution and the event-heap high-water mark.  The report covers
     the simulations executed *in this process* — all of them on the
     serial backend, only the trace figures when a worker pool runs the
-    metric figures (profile with ``workers=0`` for complete attribution;
-    the unsynchronised counters also make the thread backend's
-    concurrent runs unreliable to profile) — and is stored under
+    metric figures (profile with ``workers=0`` for complete
+    attribution) — and is stored under
     ``core_profile`` (with ``out_dir``) or summarised to stderr
     (without).  Expect roughly 2x wall-clock while profiling; results
     are unaffected.

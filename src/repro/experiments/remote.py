@@ -1,4 +1,4 @@
-"""The remote TCP worker transport behind :class:`~repro.experiments.backends.AsyncBackend`.
+"""The remote TCP worker transport behind :class:`~repro.experiments.backends.ProcessBackend`.
 
 This module takes the async scheduler beyond one machine.  It owns three
 things:
@@ -531,7 +531,7 @@ class WorkerAgent:
 
         agent = WorkerAgent("127.0.0.1", 0)   # port 0: ephemeral
         agent.start()                          # serve on a daemon thread
-        ... AsyncBackend(endpoint=f"tcp://127.0.0.1:{agent.port}") ...
+        ... ProcessBackend(endpoint=f"tcp://127.0.0.1:{agent.port}") ...
         agent.stop()
 
     or as a context manager (``with WorkerAgent(...) as agent:``).  The
@@ -723,7 +723,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.remote",
         description=(
-            "Standalone TCP worker agent for AsyncBackend(endpoint=...). "
+            "Standalone TCP worker agent for ProcessBackend(endpoint=...). "
             "Speaks the length-prefixed pickle protocol (see docs/distributed.md); "
             "run only on trusted networks."
         ),

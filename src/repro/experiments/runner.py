@@ -4,7 +4,7 @@ The paper averages its linear-topology results over twenty independent
 runs (and its random-topology results over ten) and reports 95%
 confidence intervals.  :func:`replicate` runs a scenario builder over a
 list of seeds — serially with ``workers=0`` or ``1`` (the default),
-returning live results, or fanned out over a process pool via
+returning live results, or fanned out over worker processes via
 :class:`~repro.experiments.parallel.ParallelRunner` for any other
 worker count — and :func:`average_metrics` / :func:`confidence_interval`
 aggregate the resulting metric values.  The aggregation helpers accept

@@ -1,7 +1,7 @@
-"""The asyncio dispatcher behind :class:`~repro.experiments.backends.AsyncBackend`.
+"""The dispatch loop behind :class:`~repro.experiments.backends.ProcessBackend`.
 
-This module is the scheduler half of the async backend: a pool of
-persistent workers driven by a single asyncio coroutine that shards a
+This module is the scheduler half of the process backend: a pool of
+persistent workers driven by one blocking dispatch loop that shards a
 batch of tasks across them.  Workers are
 :class:`~repro.experiments.remote.WorkerTransport` instances — local
 child processes (one duplex pipe each) by default, or connections to
@@ -36,12 +36,15 @@ this module owns the scheduling policy:
   its retries fails the batch with :class:`AsyncCellError` naming
   every failed cell — never a silent hole in a result grid.
 
-The dispatch coroutine multiplexes every transport's wait handles
-(pipes and process death sentinels locally, sockets remotely) through
-:func:`multiprocessing.connection.wait` on a single-thread executor, so
-one coroutine observes completions, crashes and deadlines without a
-thread per worker.  Results are delivered to the consuming thread
-through a queue, strictly in submission order.
+The loop runs in the consumer's own thread: :meth:`AsyncScheduler.start`
+returns a generator, and each ``next()`` fills idle workers, blocks in
+:func:`multiprocessing.connection.wait` on every transport's wait
+handles (pipes and process death sentinels locally, sockets remotely)
+for at most one tick, handles completions, crashes, deadlines and due
+retries, refills idle workers and yields the next result in submission
+order.  There is no dispatch thread, so workers are never forked from a
+second thread.  One stream may be open per scheduler at a time; opening
+another raises :class:`RuntimeError` naming the open one.
 
 Determinism: scheduling (stealing, retries, worker death) never
 reorders *delivery* — results are matched to submission slots by index
@@ -51,16 +54,12 @@ count, timing, or how many attempts a cell needed.
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import multiprocessing
 import pickle
-import queue
-import threading
+import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from multiprocessing.connection import wait as connection_wait
 from typing import (
     Any,
@@ -80,9 +79,9 @@ from repro.experiments.remote import LocalProcessTransport, TcpTransport, Worker
 __all__ = ["AsyncCellError", "AsyncScheduler", "CellFailure"]
 
 #: Upper bound on one selector wait; also the granularity of timeout,
-#: retry-due and consumer-progress checks.  Small enough that a stalled
-#: consumer or a due retry is noticed promptly, large enough that an
-#: idle scheduler costs nothing measurable.
+#: retry-due and straggler checks.  Small enough that a due retry is
+#: dispatched promptly, large enough that waiting costs nothing
+#: measurable.
 _TICK_SECONDS = 0.05
 
 #: How much of a failing item's repr() survives into error messages.
@@ -102,7 +101,7 @@ class CellFailure:
 class AsyncCellError(RuntimeError):
     """A batch failed: one or more cells exhausted their retries.
 
-    Raised by :meth:`AsyncBackend.map`/``imap`` instead of returning a
+    Raised by :meth:`ProcessBackend.map`/``imap`` instead of returning a
     grid with holes.  ``failures`` lists every cell known to have
     failed permanently when the batch was aborted, each with its item
     repr, attempt count and last error (a worker-side traceback, a
@@ -120,40 +119,6 @@ class AsyncCellError(RuntimeError):
         )
 
 
-class _Call:
-    """One in-flight batch: the result stream plus consumer feedback.
-
-    The dispatcher pushes ``("item", result)`` entries in submission
-    order, then one ``("done", None)`` or ``("error", exception)``.
-    ``consumed`` counts items the consumer has pulled — the dispatcher
-    reads it to enforce the in-flight window — and ``aborted`` is set
-    when the consumer abandons the stream so the dispatcher can stop.
-    """
-
-    def __init__(self) -> None:
-        self.queue: "queue.Queue[Tuple[str, Any]]" = queue.Queue()
-        self.consumed = 0
-        self.aborted = False
-        self.thread: Optional[threading.Thread] = None
-
-    def results(self) -> Iterator[Any]:
-        """Yield the batch's results in submission order; raise on failure."""
-        try:
-            while True:
-                kind, payload = self.queue.get()
-                if kind == "item":
-                    self.consumed += 1
-                    yield payload
-                elif kind == "done":
-                    return
-                else:
-                    raise payload
-        finally:
-            self.aborted = True
-            if self.thread is not None and not self.thread.is_alive():
-                self.thread.join()
-
-
 class AsyncScheduler:
     """Dispatch batches over persistent worker processes (see module docs).
 
@@ -163,8 +128,9 @@ class AsyncScheduler:
     (:class:`~repro.experiments.remote.LocalProcessTransport`);
     otherwise slots are :class:`~repro.experiments.remote.TcpTransport`
     connections assigned round-robin over the ``(host, port)`` list.
-    Batches are serialised by an internal lock — the backend's
-    ordered-delivery contract has no use for interleaved batches.
+    Batches run one at a time — the backend's ordered-delivery contract
+    has no use for interleaved batches, so a second stream opened while
+    one is still open raises instead of waiting on it.
     ``stats`` accumulates scheduling events (``retries``, ``steals``,
     ``respawns``, ``timeouts``, ``failures``) across the scheduler's
     lifetime, which is what the fault-injection tests assert against.
@@ -206,9 +172,8 @@ class AsyncScheduler:
         start_methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context("fork" if "fork" in start_methods else "spawn")
         self._workers: List[WorkerTransport] = []
-        self._io: Optional[ThreadPoolExecutor] = None
-        self._lifecycle_lock = threading.Lock()
-        self._call_lock = threading.Lock()
+        #: Description of the stream currently being consumed, if any.
+        self._open_stream: Optional[str] = None
         self._seq = 0
 
     # -- lifecycle --------------------------------------------------------------------
@@ -227,13 +192,10 @@ class AsyncScheduler:
         return frozenset(pid for pid in (w.pid for w in self._workers) if pid is not None)
 
     def close(self) -> None:
-        with self._lifecycle_lock:
-            workers, self._workers = self._workers, []
-            io, self._io = self._io, None
+        workers, self._workers = self._workers, []
+        self._open_stream = None
         for worker in workers:
             worker.terminate()
-        if io is not None:
-            io.shutdown(wait=False)
 
     def _spawn_worker(self, slot: int) -> WorkerTransport:
         if self.endpoints:
@@ -241,53 +203,49 @@ class AsyncScheduler:
             return TcpTransport(host, port, self.connect_timeout)
         return LocalProcessTransport(self._ctx)
 
-    def _ensure_started(self) -> ThreadPoolExecutor:
-        with self._lifecycle_lock:
-            while len(self._workers) < self.workers:
-                self._workers.append(self._spawn_worker(len(self._workers)))
-            if self._io is None:
-                self._io = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-async-io")
-            return self._io
-
-    # -- batch entry point ------------------------------------------------------------
-
-    def start(self, fn: Callable[[Any], Any], items: List[Any]) -> _Call:
-        """Run ``fn`` over ``items`` on the workers; returns the result stream."""
-        call = _Call()
-        thread = threading.Thread(
-            target=self._run_call, args=(call, fn, items), daemon=True, name="repro-async-dispatch"
-        )
-        call.thread = thread
-        thread.start()
-        return call
-
-    def _run_call(self, call: _Call, fn: Callable[[Any], Any], items: List[Any]) -> None:
-        with self._call_lock:
-            try:
-                asyncio.run(self._dispatch(call, fn, items))
-            except BaseException as exc:  # noqa: B036 - relayed to the consuming thread
-                call.queue.put(("error", exc))
-            else:
-                call.queue.put(("done", None))
+    def _replace(self, worker: WorkerTransport) -> None:
+        """Replace ``worker`` with a fresh transport of the same kind and address."""
+        self._workers.remove(worker)
+        replacement = worker.respawn()
+        worker.terminate()
+        self._workers.append(replacement)
+        self.stats["respawns"] += 1
 
     # -- the dispatcher ---------------------------------------------------------------
 
-    async def _dispatch(self, call: _Call, fn: Callable[[Any], Any], items: List[Any]) -> None:
-        loop = asyncio.get_running_loop()
-        io = self._ensure_started()
-        # A previous batch that ended early (fail-fast, or an imap
-        # consumer that abandoned the stream) can leave workers still
-        # chewing on its tasks; their eventual replies must not be
-        # mistaken for this batch's.  Replace them with fresh workers —
-        # their assignment state (and any straggling reply in flight)
-        # dies with the process or the connection.
-        with self._lifecycle_lock:
+    def start(self, fn: Callable[[Any], Any], items: List[Any]) -> Iterator[Any]:
+        """Run ``fn`` over ``items`` on the workers, yielding results in order.
+
+        The returned generator *is* the dispatch loop: nothing runs
+        until the first ``next()``, and each ``next()`` drives the
+        workers until the next result in submission order is ready.
+        Closing (or abandoning) the generator ends the batch; workers
+        still busy with its tasks are replaced at the next batch.
+        """
+        stream = f"imap({getattr(fn, '__qualname__', repr(fn))}, <{len(items)} items>)"
+        if self._open_stream is not None:
+            raise RuntimeError(
+                f"{self._open_stream} is still open on this backend; exhaust or "
+                f"close() it before starting {stream}"
+            )
+        self._open_stream = stream
+        try:
+            while len(self._workers) < self.workers:
+                self._workers.append(self._spawn_worker(len(self._workers)))
+            # A previous batch that ended early (fail-fast, or an imap
+            # consumer that abandoned the stream) can leave workers still
+            # chewing on its tasks; their eventual replies must not be
+            # mistaken for this batch's.  Replace them with fresh workers —
+            # their assignment state (and any straggling reply in flight)
+            # dies with the process or the connection.
             for worker in [w for w in self._workers if w.current is not None]:
-                self._workers.remove(worker)
-                replacement = worker.respawn()
-                worker.terminate()
-                self._workers.append(replacement)
-                self.stats["respawns"] += 1
+                self._replace(worker)
+            yield from self._dispatch(fn, items, stream)
+        finally:
+            if self._open_stream is stream:
+                self._open_stream = None
+
+    def _dispatch(self, fn: Callable[[Any], Any], items: List[Any], stream: str) -> Iterator[Any]:
         self._seq += 1
         token = self._seq
         fn_bytes = pickle.dumps(fn)
@@ -301,13 +259,7 @@ class AsyncScheduler:
         ready: Deque[int] = deque()
         retry_heap: List[Tuple[float, int]] = []
         next_fresh = 0
-        next_emit = 0
-
-        def emit_ready() -> None:
-            nonlocal next_emit
-            while next_emit in results:
-                call.queue.put(("item", results.pop(next_emit)))
-                next_emit += 1
+        consumed = 0
 
         def fail_attempt(index: int, error: str) -> None:
             """One assignment of ``index`` ended badly; retry or give up."""
@@ -330,7 +282,7 @@ class AsyncScheduler:
                     self.retry_max_delay,
                     self.retry_base_delay * (2 ** (attempts[index] - 1)),
                 )
-                heapq.heappush(retry_heap, (loop.time() + delay, index))
+                heapq.heappush(retry_heap, (time.monotonic() + delay, index))
                 self.stats["retries"] += 1
 
         def end_assignment(worker: WorkerTransport) -> Optional[int]:
@@ -344,12 +296,8 @@ class AsyncScheduler:
         def worker_died(worker: WorkerTransport, error: str) -> None:
             if worker not in self._workers:
                 return  # already handled via another path
-            self._workers.remove(worker)
             index = end_assignment(worker)
-            replacement = worker.respawn()
-            worker.terminate()
-            self._workers.append(replacement)
-            self.stats["respawns"] += 1
+            self._replace(worker)
             if index is not None:
                 fail_attempt(index, error)
 
@@ -370,14 +318,16 @@ class AsyncScheduler:
                     if ok:
                         resolved[index] = True
                         results[index] = payload
-                        emit_ready()
                     else:
                         fail_attempt(index, payload)
             except (EOFError, OSError):
                 worker_died(worker, "worker connection lost mid-result")
 
-        def dispatch_to_idle(now: float) -> None:
+        def dispatch_to_idle() -> None:
             nonlocal next_fresh
+            now = time.monotonic()
+            while retry_heap and retry_heap[0][0] <= now:
+                ready.append(heapq.heappop(retry_heap)[1])
             while True:
                 worker = next((w for w in self._workers if w.current is None), None)
                 if worker is None:
@@ -389,7 +339,7 @@ class AsyncScheduler:
                     if candidate not in resolved:
                         index = candidate
                         break
-                if index is None and next_fresh < total and next_fresh < call.consumed + self.window:
+                if index is None and next_fresh < total and next_fresh < consumed + self.window:
                     index = next_fresh
                     next_fresh += 1
                 if index is None:
@@ -420,18 +370,14 @@ class AsyncScheduler:
                 if stolen:
                     self.stats["steals"] += 1
 
-        while len(resolved) < total and not failures and not call.aborted:
-            now = loop.time()
-            while retry_heap and retry_heap[0][0] <= now:
-                ready.append(heapq.heappop(retry_heap)[1])
-            dispatch_to_idle(now)
+        def step(timeout: float) -> None:
+            """Fill idle workers, wait up to ``timeout``, handle what happened."""
+            dispatch_to_idle()
             wait_objects: List[Any] = []
             for w in self._workers:
                 wait_objects.extend(w.wait_handles())
-            await loop.run_in_executor(
-                io, partial(connection_wait, wait_objects, _TICK_SECONDS)
-            )
-            now = loop.time()
+            connection_wait(wait_objects, timeout)
+            now = time.monotonic()
             for worker in list(self._workers):
                 drain(worker)
             for worker in list(self._workers):
@@ -444,7 +390,7 @@ class AsyncScheduler:
                     if current is None or now - current[2] <= self.task_timeout:
                         continue
                     if worker.poll():
-                        continue  # result raced in; picked up next iteration
+                        continue  # result raced in; picked up next step
                     self.stats["timeouts"] += 1
                     # kill() is the transport's hard stop: SIGKILL for a
                     # local child, dropping the connection for a remote
@@ -454,6 +400,19 @@ class AsyncScheduler:
                         worker,
                         f"cell exceeded task_timeout={self.task_timeout:g}s and was killed",
                     )
+            if not failures:
+                dispatch_to_idle()
 
-        if failures:
-            raise AsyncCellError([failures[i] for i in sorted(failures)])
+        while consumed < total:
+            if self._open_stream is not stream:
+                raise RuntimeError(f"{stream} was cut off: the scheduler was closed mid-stream")
+            if not failures:
+                # Results already waiting still get one non-blocking step,
+                # so workers that finished meanwhile are refilled.
+                step(0.0 if consumed in results else _TICK_SECONDS)
+            if consumed in results:
+                result = results.pop(consumed)
+                consumed += 1
+                yield result
+            elif failures:
+                raise AsyncCellError([failures[i] for i in sorted(failures)])

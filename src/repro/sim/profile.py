@@ -30,9 +30,8 @@ Two consumers are wired in:
   the uniform events/sec line via the bench conftest helper.
 
 Note that worker *processes* of the process backend do not report into
-the parent's profiler, and the counters are not synchronised, so the
-thread backend's concurrent runs would race on them; profile with the
-serial backend (``workers=0``) for complete, correct attribution.
+the parent's profiler; profile with the serial backend (``workers=0``)
+for complete attribution.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Transports every AsyncBackend contract test must hold for.
+#: Transports every ProcessBackend contract test must hold for.
 ASYNC_TRANSPORTS = ("local", "tcp")
 
 
@@ -85,7 +85,7 @@ def stop_worker_agents(procs: List[subprocess.Popen]) -> None:
 
 
 class AsyncTransportHarness:
-    """Builds AsyncBackend instances over one transport, tracking agents."""
+    """Builds ProcessBackend instances over one transport, tracking agents."""
 
     def __init__(self, transport: str) -> None:
         self.transport = transport
@@ -96,13 +96,13 @@ class AsyncTransportHarness:
         return self.transport == "tcp"
 
     def backend(self, workers: int = 2, **kwargs):
-        from repro.experiments.backends import AsyncBackend
+        from repro.experiments.backends import ProcessBackend
 
         if not self.is_remote:
-            return AsyncBackend(workers=workers, **kwargs)
+            return ProcessBackend(workers=workers, **kwargs)
         procs, endpoint = launch_worker_agents(workers)
         self._procs.extend(procs)
-        return AsyncBackend(endpoint=endpoint, **kwargs)
+        return ProcessBackend(endpoint=endpoint, **kwargs)
 
     def close(self) -> None:
         stop_worker_agents(self._procs)

@@ -1,4 +1,4 @@
-"""Fault injection for the AsyncBackend scheduler — the cross-transport contract.
+"""Fault injection for the ProcessBackend scheduler — the cross-transport contract.
 
 Every failure mode the scheduler claims to survive is injected here for
 real: a worker SIGKILLed mid-cell, a cell that raises, a cell that
@@ -250,7 +250,7 @@ class TestBitIdentityAcrossWorkerCounts:
         for workers in worker_counts:
             with async_transport.backend(workers=workers) as backend:
                 assert ParallelRunner(backend=backend).run_grid(specs, seeds) == serial, (
-                    f"async workers={workers} diverged from serial"
+                    f"process workers={workers} diverged from serial"
                 )
 
 
@@ -346,12 +346,12 @@ def _drop_after_task(conn):
 
 class TestRemoteOnlyFaults:
     def _backend(self, endpoint, **kwargs):
-        from repro.experiments.backends import AsyncBackend
+        from repro.experiments.backends import ProcessBackend
 
         kwargs.setdefault("max_retries", 1)
         kwargs.setdefault("retry_base_delay", 0.01)
         kwargs.setdefault("connect_timeout", 0.5)
-        return AsyncBackend(endpoint=endpoint, **kwargs)
+        return ProcessBackend(endpoint=endpoint, **kwargs)
 
     def test_worker_that_never_says_hello_fails_the_handshake(self):
         with ScriptedPeer(_silent) as peer:

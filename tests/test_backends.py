@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.backends import (
+    BACKENDS,
     AsyncBackend,
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     async_endpoint_from_env,
     async_retries_from_env,
     async_timeout_from_env,
@@ -42,10 +42,6 @@ def _pid(_index):
 
 def _square(value):
     return value * value
-
-
-def _kill_worker(_value):  # pragma: no cover - runs (and dies) in a pool worker
-    os._exit(1)
 
 
 def _flaky_eval(arg):
@@ -96,24 +92,14 @@ class TestSerialBackend:
 
 class TestImapOrdering:
     def test_pooled_backends_stream_in_item_order(self):
-        with ProcessBackend(workers=2) as process, ThreadBackend(workers=2) as thread:
-            for backend in (SerialBackend(), process, thread):
+        with ProcessBackend(workers=2) as process:
+            for backend in (SerialBackend(), process):
                 assert list(backend.imap(_square, range(6))) == [v * v for v in range(6)]
                 assert list(backend.imap(_square, [])) == []
-        with AsyncBackend(workers=2) as scheduler:
-            assert list(scheduler.imap(_square, range(6))) == [v * v for v in range(6)]
-            assert list(scheduler.imap(_square, [])) == []
 
     def test_imap_matches_map(self):
         with ProcessBackend(workers=2) as backend:
             assert list(backend.imap(_square, range(5))) == backend.map(_square, range(5))
-
-    def test_process_imap_falls_back_for_unpicklable_payloads(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires the fork start method")
-        with ProcessBackend(workers=2) as backend:
-            doubler = lambda value: value * 2
-            assert list(backend.imap(doubler, [1, 2, 3])) == [2, 4, 6]
 
     def test_process_imap_recovers_from_a_pool_broken_between_batches(self):
         import signal
@@ -121,14 +107,38 @@ class TestImapOrdering:
         with ProcessBackend(workers=2) as backend:
             assert backend.map(_square, [1]) == [1]
             # A worker dies while the pool sits idle (the OOM-kill
-            # scenario).  Depending on timing the next submission
-            # raises BrokenProcessPool at submit or mid-stream; the
-            # streaming path must recover on a fresh pool either way
-            # and deliver the full, ordered batch.
+            # scenario).  The next batch notices the death, respawns
+            # the worker and delivers the full, ordered batch.
             os.kill(next(iter(backend.worker_pids())), signal.SIGKILL)
             assert list(backend.imap(_square, range(4))) == [0, 1, 4, 9]
             # The backend stays healthy for later batched calls too.
             assert backend.map(_square, [5]) == [25]
+
+    def test_second_open_stream_raises_naming_the_open_one(self):
+        # One stream at a time: opening another while the first is
+        # still open must fail fast rather than wait on it forever.
+        with ProcessBackend(workers=2) as backend:
+            first = backend.imap(abs, range(-20, 0))
+            assert next(first) == 20
+            with pytest.raises(RuntimeError, match=r"imap\(abs, <20 items>\) is still open"):
+                list(backend.imap(abs, range(-3, 0)))
+            # Finishing the first stream frees the backend again.
+            assert list(first) == list(range(19, 0, -1))
+            assert list(backend.imap(abs, range(-3, 0))) == [3, 2, 1]
+
+    def test_closing_the_stream_or_the_backend_ends_the_stream(self):
+        with ProcessBackend(workers=2) as backend:
+            first = backend.imap(_square, range(10))
+            assert next(first) == 0
+            first.close()
+            assert backend.map(_square, range(4)) == [0, 1, 4, 9]
+            second = backend.imap(_square, range(10))
+            assert next(second) == 0
+            backend.close()
+            with pytest.raises(RuntimeError, match="closed mid-stream"):
+                next(second)
+            assert backend.map(_square, [3]) == [9]  # restarts lazily
+
 
 class TestProcessBackendLifecycle:
     def test_pool_starts_lazily_and_is_reused(self):
@@ -180,7 +190,7 @@ class TestProcessBackendLifecycle:
 
     def test_atexit_cleanup_lets_the_interpreter_exit(self):
         # A child interpreter that uses a shared pool but never closes it
-        # must still exit promptly: the atexit hook closes stray pools.
+        # must still exit promptly: the workers are daemon processes.
         code = (
             "from repro.experiments.backends import shared_backend\n"
             "from tests.test_backends import _square\n"
@@ -202,83 +212,56 @@ class TestProcessBackendLifecycle:
         )
         assert completed.returncode == 0, completed.stderr
 
-    def test_broken_pool_self_heals(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        with ProcessBackend(workers=2) as backend:
-            with pytest.raises(BrokenProcessPool):
-                backend.map(_kill_worker, range(2))
-            # The broken executor must have been discarded, not cached...
-            assert not backend.is_running
-            # ...so the next call starts a fresh pool and succeeds.
-            assert backend.map(_square, [2, 3]) == [4, 9]
-
-    def test_fallback_quiesces_the_persistent_pool(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires the fork start method")
-        with ProcessBackend(workers=2) as backend:
-            backend.map(_square, [1, 2])
-            assert backend.is_running
-            # Unpicklable work forks a one-shot pool; the persistent
-            # pool is shut down first (fork-with-threads hazard)...
-            assert backend.map(lambda value: value + 1, [1, 2]) == [2, 3]
-            assert not backend.is_running
-            # ...and restarts lazily for picklable work.
-            assert backend.map(_square, [4, 5]) == [16, 25]
-            assert backend.is_running
-
-    def test_unpicklable_builder_falls_back_on_fork_platforms(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires the fork start method")
+    def test_unpicklable_builder_is_rejected_naming_scenario_spec(self):
         builder = lambda seed: ScenarioSpec("linear", SMALL_LINEAR)(seed)
-        with ProcessBackend(workers=2) as backend:
-            records = ParallelRunner(backend=backend).replicate(builder, [1, 2])
-            # The fallback uses a one-shot forked pool: correct results,
-            # but no persistent pool is started for unpicklable work.
-            assert [record.seed for record in records] == [1, 2]
-            assert not backend.is_running
-        serial = ParallelRunner(workers=1).replicate(builder, [1, 2])
-        assert records == serial
+        with pytest.raises(TypeError, match="ScenarioSpec"):
+            ParallelRunner(workers=2).replicate(builder, [1, 2])
 
-
-class TestThreadBackend:
-    def test_lifecycle_matches_process_backend(self):
-        backend = ThreadBackend(workers=2)
-        assert not backend.is_running
+    def test_close_shared_backends_reaps_every_worker(self):
+        # Reaped workers are what lets a caller account the pool's CPU
+        # time (resource.RUSAGE_CHILDREN) once the run is over.
+        close_shared_backends()
+        before = multiprocessing.active_children()
+        backend = resolve_backend(workers=2)
         assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert backend.is_running
-        backend.close()
-        assert not backend.is_running
-        assert backend.map(_square, [5]) == [25]
-        backend.close()
-
-    def test_threads_share_the_calling_process(self):
-        with ThreadBackend(workers=2) as backend:
-            assert set(backend.map(_pid, range(4))) == {os.getpid()}
+        pids = backend.worker_pids()
+        assert len(pids) == 2
+        close_shared_backends()
+        assert multiprocessing.active_children() == before
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)  # already reaped: no zombie left
 
 
 class TestAsyncBackend:
+    """The scheduler-backed ProcessBackend, and its deprecated alias."""
+
     def test_is_a_backend_and_carries_configuration(self):
-        backend = AsyncBackend(endpoint="tcp://scheduler:9999")
+        backend = ProcessBackend(endpoint="tcp://scheduler:9999")
         assert isinstance(backend, ExecutorBackend)
         assert backend.endpoint == "tcp://scheduler:9999"
         assert backend.workers == 1  # one connection per endpoint address
-        assert backend.name == "async"
+        assert backend.name == "process"
         backend.close()
 
+    def test_async_names_are_deprecated_aliases(self):
+        assert AsyncBackend is ProcessBackend
+        assert isinstance(make_backend("async", workers=2), ProcessBackend)
+        assert "async" not in BACKENDS
+
     def test_map_and_imap_agree(self):
-        with AsyncBackend(workers=2) as backend:
+        with ProcessBackend(workers=2) as backend:
             assert backend.map(_square, range(5)) == [v * v for v in range(5)]
             assert list(backend.imap(_square, range(5))) == backend.map(_square, range(5))
 
     def test_runs_in_worker_processes(self):
-        with AsyncBackend(workers=2) as backend:
+        with ProcessBackend(workers=2) as backend:
             pids = set(backend.map(_pid, range(8)))
             assert os.getpid() not in pids
             assert pids <= backend.worker_pids()
 
     def test_lifecycle_matches_process_backend(self):
-        backend = AsyncBackend(workers=2)
+        backend = ProcessBackend(workers=2)
         assert not backend.is_running
         assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
         assert backend.is_running
@@ -293,34 +276,40 @@ class TestAsyncBackend:
         backend.close()
 
     def test_unpicklable_payload_rejected_up_front(self):
-        with AsyncBackend(workers=2) as backend:
+        with ProcessBackend(workers=2) as backend:
             with pytest.raises(TypeError, match="picklable"):
                 backend.map(lambda value: value, [1])
         assert not backend.is_running
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
-            AsyncBackend(workers=0)
+            ProcessBackend(workers=0)
         with pytest.raises(ValueError):
-            AsyncBackend(workers=2, window=0)
+            ProcessBackend(workers=2, window=0)
         with pytest.raises(ValueError):
-            AsyncBackend(workers=2, max_retries=-1)
+            ProcessBackend(workers=2, max_retries=-1)
 
 
 class TestCrossBackendBitIdentity:
-    def test_serial_process_thread_async_agree_on_a_small_grid(self):
+    def test_serial_and_process_agree_on_a_small_grid(self):
         specs = [ScenarioSpec("linear", dict(SMALL_LINEAR, num_nodes=size)) for size in (3, 4)]
         seeds = [1, 2, 3]
         serial = ParallelRunner(backend=SerialBackend()).run_grid(specs, seeds)
         with ProcessBackend(workers=2) as backend:
             process = ParallelRunner(backend=backend).run_grid(specs, seeds)
-        with ThreadBackend(workers=2) as backend:
-            thread = ParallelRunner(backend=backend).run_grid(specs, seeds)
-        with AsyncBackend(workers=2) as backend:
-            scheduled = ParallelRunner(backend=backend).run_grid(specs, seeds)
         assert process == serial
-        assert thread == serial
-        assert scheduled == serial
+
+    def test_run_paper_matches_serial_at_every_worker_count(self):
+        # A linear metric figure plus a table: small enough to rerun per
+        # worker count, wide enough to cross scenario families.
+        from repro.experiments.presets import run_paper
+
+        figures = ["figure4b", "table2"]
+        reference = run_paper(figures=figures, seeds="smoke", workers=0)
+        for workers in (1, 2, 4):
+            with ProcessBackend(workers=workers) as backend:
+                rows = run_paper(figures=figures, seeds="smoke", backend=backend)
+            assert rows == reference, f"process workers={workers} diverged from serial"
 
 
 class TestTasksSubmitted:
@@ -328,8 +317,6 @@ class TestTasksSubmitted:
         backends = [
             SerialBackend(),
             ProcessBackend(workers=2),
-            ThreadBackend(workers=2),
-            AsyncBackend(workers=2),
         ]
         for backend in backends:
             with backend:
@@ -372,6 +359,23 @@ class TestResolveBackend:
         assert a is not c
         assert resolve_backend(workers=2) is a
 
+    def test_parallel_workers_resolve_to_a_process_backend(self):
+        assert isinstance(resolve_backend(workers=2), ProcessBackend)
+
+    def test_env_seams_do_not_reach_the_shared_pool(self, monkeypatch):
+        # REPRO_ASYNC_* configure make_backend("process"), never the
+        # pool that workers=N resolves to.
+        close_shared_backends()
+        monkeypatch.setenv("REPRO_ASYNC_ENDPOINT", "tcp://127.0.0.1:9")
+        monkeypatch.setenv("REPRO_ASYNC_WORKERS", "3")
+        backend = resolve_backend(workers=2)
+        try:
+            assert backend.workers == 2
+            assert backend.endpoint is None
+            assert backend.map(_pid, range(4)) and len(backend.worker_pids()) == 2
+        finally:
+            close_shared_backends()
+
     def test_close_shared_backends_forgets_the_cache(self):
         before = shared_backend(2)
         close_shared_backends()
@@ -384,8 +388,7 @@ class TestMakeBackend:
     def test_registry_names(self):
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("process", workers=2), ProcessBackend)
-        assert isinstance(make_backend("thread", workers=2), ThreadBackend)
-        assert isinstance(make_backend("async"), AsyncBackend)
+        assert set(BACKENDS) == {"serial", "process"}
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -426,7 +429,7 @@ class TestAsyncEnvSeams:
         assert async_workers_from_env(default=3) == 3
         monkeypatch.setenv("REPRO_ASYNC_WORKERS", "4")
         assert async_workers_from_env() == 4
-        assert AsyncBackend().workers == 4
+        assert make_backend("process").workers == 4
         monkeypatch.setenv("REPRO_ASYNC_WORKERS", "0")
         with pytest.raises(ValueError):
             async_workers_from_env()
@@ -455,14 +458,14 @@ class TestAsyncEnvSeams:
         assert async_endpoint_from_env(default="tcp://x:1") == "tcp://x:1"
         monkeypatch.setenv("REPRO_ASYNC_ENDPOINT", "tcp://127.0.0.1:9")
         assert async_endpoint_from_env() == "tcp://127.0.0.1:9"
-        backend = AsyncBackend()
+        backend = make_backend("process")
         assert backend.endpoint == "tcp://127.0.0.1:9"
         assert backend.workers == 1
         backend.close()
         # A malformed env endpoint fails at construction, not first use.
         monkeypatch.setenv("REPRO_ASYNC_ENDPOINT", "not-an-endpoint")
         with pytest.raises(ValueError):
-            AsyncBackend()
+            make_backend("process")
 
 
 class TestAsyncEndpointValidation:
@@ -483,16 +486,16 @@ class TestAsyncEndpointValidation:
     )
     def test_malformed_endpoints_rejected_up_front(self, endpoint):
         with pytest.raises(ValueError):
-            AsyncBackend(endpoint=endpoint)
+            ProcessBackend(endpoint=endpoint)
 
     def test_workers_default_to_one_per_address(self):
-        backend = AsyncBackend(endpoint="tcp://a:1,b:2,c:3")
+        backend = ProcessBackend(endpoint="tcp://a:1,b:2,c:3")
         assert backend.workers == 3
         backend.close()
 
     def test_worker_count_must_match_address_count(self):
         with pytest.raises(ValueError, match="does not match"):
-            AsyncBackend(endpoint="tcp://a:1,b:2", workers=3)
+            ProcessBackend(endpoint="tcp://a:1,b:2", workers=3)
 
 
 @st.composite
@@ -518,7 +521,7 @@ class TestAsyncPropertyBitIdentity:
         serial = SerialBackend().map(_flaky_eval, pure_items)
         with tempfile.TemporaryDirectory() as tmp:
             items = [(tmp, i, v, f) for i, (v, f) in enumerate(zip(values, fails))]
-            with AsyncBackend(workers=workers, max_retries=3, retry_base_delay=0.01) as backend:
+            with ProcessBackend(workers=workers, max_retries=3, retry_base_delay=0.01) as backend:
                 streamed = list(backend.imap(_flaky_eval, items))
         assert streamed == serial
         assert pickle.dumps(streamed) == pickle.dumps(serial)

@@ -7,7 +7,7 @@ tables, resolved import edges (relative levels, ``TYPE_CHECKING``
 guards), the alias-aware symbol index with re-export chains, and the
 best-effort call graph.  The layer DAG itself is checked for
 acyclicity — ARCH001 enforcing a cyclic contract would be a license to
-create import cycles.  ASY001/ASY002/EXC001 get the same
+create import cycles.  ASY002/EXC001 get the same
 fixture-per-behaviour treatment as the per-file rules in
 ``test_checks.py``.
 """
@@ -106,7 +106,7 @@ class TestProjectIndex:
         run = defs["repro.sim.fixture.Engine.run"]
         assert run.params == ("self", "steps")
         assert "repro.sim.fixture.Engine.run.<locals>.tick" in defs
-        assert defs["repro.sim.fixture.pump"].is_async
+        assert defs["repro.sim.fixture.pump"].kind == "async"
 
     def test_call_graph_covers_locals_imports_and_self_methods(self):
         project = make_project({
@@ -173,31 +173,6 @@ class TestProjectIndex:
         assert project.resolve_symbol("repro.sim.RandomStreams") == "repro.sim.random.RandomStreams"
         # Externals come back unchanged.
         assert project.resolve_symbol("time.sleep") == "time.sleep"
-
-    def test_reachable_from_respects_the_module_fence(self):
-        project = make_project({
-            "src/repro/experiments/scheduler.py": """\
-                from repro.experiments.helpers import outside
-
-                async def dispatch():
-                    inside()
-
-                def inside():
-                    outside()
-                """,
-            "src/repro/experiments/helpers.py": """\
-                def outside():
-                    pass
-                """,
-        })
-        fenced = project.reachable_from(
-            ["repro.experiments.scheduler.dispatch"],
-            within_modules={"repro.experiments.scheduler"},
-        )
-        assert "repro.experiments.scheduler.inside" in fenced
-        assert "repro.experiments.helpers.outside" not in fenced
-        unfenced = project.reachable_from(["repro.experiments.scheduler.dispatch"])
-        assert "repro.experiments.helpers.outside" in unfenced
 
 
 # ---------------------------------------------------------------------------
@@ -274,106 +249,6 @@ class TestLayers:
 
 
 # ---------------------------------------------------------------------------
-# ASY001 — blocking calls reachable from async code
-# ---------------------------------------------------------------------------
-
-_SCHED = "src/repro/experiments/scheduler.py"
-
-
-class TestASY001:
-    def test_time_sleep_two_frames_down_fires(self):
-        found = project_findings("ASY001", {
-            _SCHED: """\
-                import time
-
-                async def dispatch():
-                    _pause()
-
-                def _pause():
-                    time.sleep(0.1)
-                """,
-        })
-        assert len(found) == 1
-        assert "time.sleep blocks the event loop" in found[0].message
-        assert "via repro.experiments.scheduler._pause" in found[0].message
-        assert found[0].line == 7
-
-    def test_unguarded_recv_fires(self):
-        found = project_findings("ASY001", {
-            _SCHED: """\
-                async def pump(conn):
-                    return conn.recv()
-                """,
-        })
-        assert len(found) == 1
-        assert "without a poll() guard" in found[0].message
-
-    def test_poll_guarded_recv_is_clean(self):
-        found = project_findings("ASY001", {
-            _SCHED: """\
-                async def pump(conn):
-                    if conn.poll(0.05):
-                        return conn.recv()
-                    return None
-                """,
-        })
-        assert found == []
-
-    def test_a_different_receivers_poll_does_not_guard(self):
-        found = project_findings("ASY001", {
-            _SCHED: """\
-                async def pump(first, second):
-                    if first.poll(0.05):
-                        return second.recv()
-                    return None
-                """,
-        })
-        assert len(found) == 1
-
-    def test_unbounded_process_join_fires_and_timeout_is_clean(self):
-        dirty = project_findings("ASY001", {
-            _SCHED: """\
-                async def reap(worker):
-                    worker.process.join()
-                """,
-        })
-        assert len(dirty) == 1
-        assert "unbounded .join()" in dirty[0].message
-        clean = project_findings("ASY001", {
-            _SCHED: """\
-                async def reap(worker):
-                    worker.process.join(timeout=2.0)
-                """,
-        })
-        assert clean == []
-
-    def test_blocking_call_not_reachable_from_async_is_clean(self):
-        found = project_findings("ASY001", {
-            _SCHED: """\
-                import time
-
-                async def dispatch():
-                    pass
-
-                def teardown_helper():
-                    time.sleep(0.5)
-                """,
-        })
-        assert found == []
-
-    def test_out_of_scope_modules_are_ignored(self):
-        found = project_findings("ASY001", {
-            "src/repro/experiments/figures.py": """\
-                import time
-
-                async def render():
-                    time.sleep(1.0)
-                """,
-        })
-        assert found == []
-
-
-# ---------------------------------------------------------------------------
 # ASY002 — resource lifecycle
 # ---------------------------------------------------------------------------
 
@@ -431,11 +306,11 @@ class TestASY002:
 
     def test_returned_resource_is_clean(self):
         found = findings_for("ASY002", """\
-            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import Process
 
-            def make_pool(workers):
-                pool = ProcessPoolExecutor(workers)
-                return pool
+            def make_worker(target):
+                proc = Process(target=target)
+                return proc
             """, module=_SCHED_MODULE)
         assert found == []
 

@@ -128,12 +128,27 @@ class TestReadmeIndexes:
         assert (REPO_ROOT / "docs" / "distributed.md").exists()
         assert "distributed.md" in (REPO_ROOT / "docs" / "results.md").read_text()
         assert "API stub" not in self.README
-        from repro.experiments.backends import AsyncBackend
+        from repro.experiments.backends import ProcessBackend
 
-        assert "stub" not in (AsyncBackend.__doc__ or "").lower()
+        assert "stub" not in (ProcessBackend.__doc__ or "").lower()
         # "endpoint is reserved for a future remote scheduler" is gone
         # ("preserved" is fine — hence the word boundary).
-        assert not re.search(r"\breserved\b", (AsyncBackend.__doc__ or "").lower())
+        assert not re.search(r"\breserved\b", (ProcessBackend.__doc__ or "").lower())
+
+    def test_backend_table_names_exactly_the_registered_backends(self):
+        # One row per registry entry: serial and the process scheduler.
+        from repro.experiments.backends import BACKENDS
+
+        section = self.README.split("## Backends and presets", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        assert [row.split("`")[1] for row in rows] == ["SerialBackend", "ProcessBackend"]
+        assert sorted(BACKENDS) == ["process", "serial"]
+
+    def test_distributed_doc_describes_the_consumer_driven_loop(self):
+        doc = (REPO_ROOT / "docs" / "distributed.md").read_text()
+        assert "asyncio" not in doc
+        assert "runs in the consumer's thread" in doc
+        assert "RuntimeError" in doc  # one open stream per backend
 
     def test_remote_transport_is_documented(self):
         # The remote-transport section: agent CLI, env seam, every

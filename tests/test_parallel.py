@@ -95,16 +95,6 @@ class TestParallelRunner:
         for attribute in ("energy_per_bit_microjoules", "goodput_kbps", "delivered_fraction"):
             assert summarize(parallel, attribute) == summarize(serial, attribute)
 
-    def test_lambda_builder_fans_out_on_fork_platforms(self):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires the fork start method")
-        builder = lambda seed: ScenarioSpec("linear", SMALL_LINEAR)(seed)
-        records = ParallelRunner(workers=2).replicate(builder, [1, 2])
-        assert [r.seed for r in records] == [1, 2]
-        assert records == ParallelRunner(workers=1).replicate(builder, [1, 2])
-
     def test_run_grid_aligns_records_with_specs(self):
         specs = [
             ScenarioSpec("linear", dict(SMALL_LINEAR, num_nodes=size))
@@ -124,12 +114,10 @@ class TestRunGrids:
     def test_batched_submission_matches_per_grid_bit_identically(self):
         # Uneven grids (different spec counts *and* seed counts) so the
         # round-robin interleave and the demux are both exercised —
-        # serial, shared process pool and thread pool must all agree.
-        from repro.experiments.backends import ThreadBackend
-
+        # serial, the shared pool and a private pool must all agree.
         runners = [ParallelRunner(workers=1), ParallelRunner(workers=2)]
-        with ThreadBackend(workers=2) as thread_backend:
-            runners.append(ParallelRunner(backend=thread_backend))
+        with ProcessBackend(workers=3) as private_backend:
+            runners.append(ParallelRunner(backend=private_backend))
             reference = None
             for runner in runners:
                 batched = runner.run_grids([(self.GRID_A, [1, 2]), (self.GRID_B, [3])])
@@ -176,14 +164,12 @@ class TestProgress:
         assert noisy == silent
 
     def test_progress_streams_on_every_backend(self):
-        from repro.experiments.backends import ThreadBackend
-
         reference = None
-        with ThreadBackend(workers=2) as thread_backend:
+        with ProcessBackend(workers=3) as private_backend:
             for runner in (
                 ParallelRunner(workers=1),
                 ParallelRunner(workers=2),
-                ParallelRunner(backend=thread_backend),
+                ParallelRunner(backend=private_backend),
             ):
                 events = []
                 batched = runner.run_grids(
@@ -195,6 +181,21 @@ class TestProgress:
                 if reference is None:
                     reference = batched
                 assert batched == reference
+
+    def test_dispatch_runs_on_the_consumer_thread(self):
+        # The scheduler's loop is driven by the consumer itself: no
+        # dispatch or I/O helper thread exists while cells stream.
+        import threading
+
+        seen = []
+
+        def progress(grid, done, total):
+            seen.append(sorted(t.name for t in threading.enumerate() if t.name.startswith("repro-async")))
+
+        with ProcessBackend(workers=2) as backend:
+            ParallelRunner(backend=backend).run_grids(self.GRIDS, progress=progress)
+        assert len(seen) == 5
+        assert all(names == [] for names in seen)
 
     def test_run_grid_progress_counts_cells(self):
         events = []

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.backends import AsyncBackend, SerialBackend
+from repro.experiments.backends import ProcessBackend, SerialBackend
 from repro.experiments.presets import run_paper
 from repro.experiments.results import CELLS_DIR_NAME, CellStore, cell_key
 
@@ -155,7 +155,7 @@ class TestCrossTransportResume:
         paper_smoke(reference)
 
         endpoint = tcp_agents(2)
-        with AsyncBackend(endpoint=endpoint) as backend:
+        with ProcessBackend(endpoint=endpoint) as backend:
             with pytest.raises(Interrupted):
                 paper_smoke(interrupted, backend=backend, progress=InterruptAfter(3))
         persisted = len(list((interrupted / CELLS_DIR_NAME).glob("*.pkl")))
@@ -181,7 +181,7 @@ class TestCrossTransportResume:
         assert 0 < persisted < TOTAL_CELLS, "the interrupt must land mid-run"
 
         endpoint = tcp_agents(2)
-        with AsyncBackend(endpoint=endpoint) as backend:
+        with ProcessBackend(endpoint=endpoint) as backend:
             paper_smoke(interrupted, backend=backend)
         assert backend.tasks_submitted == TOTAL_CELLS - persisted
         assert cells_metadata(interrupted) == {

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.backends import AsyncBackend, SerialBackend
+from repro.experiments.backends import ProcessBackend
 from repro.experiments.parallel import ParallelRunner, ScenarioSpec
 from repro.experiments.presets import WORKLOAD_JOBS, run_paper, workload_index
 from repro.experiments.workloads import (
@@ -200,11 +200,11 @@ class TestBackendBitIdentity:
         plan = partition_heal_plan(**SMOKE_PLAN_KWARGS)
         serial_rows = plan.run(seeds=(1,), workers=0)
         process_rows = plan.run(seeds=(1,), workers=2)
-        async_backend = AsyncBackend(workers=2)
+        private_backend = ProcessBackend(workers=3)
         try:
-            async_rows = plan.run(seeds=(1,), backend=async_backend)
+            async_rows = plan.run(seeds=(1,), backend=private_backend)
         finally:
-            async_backend.close()
+            private_backend.close()
         assert json.dumps(serial_rows) == json.dumps(process_rows)
         assert json.dumps(serial_rows) == json.dumps(async_rows)
 
