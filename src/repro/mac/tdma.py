@@ -134,6 +134,9 @@ class TdmaMac:
         self.remaining_hops_fn: Optional[Callable[[object], Optional[int]]] = None
 
         self._estimators: Dict[int, LinkEstimator] = {}
+        # Frame size in bits -> (tx energy, rx energy, service time,
+        # retry delay) of one attempt; see _price_attempt.
+        self._attempt_costs: Dict[float, Tuple[float, float, float, float]] = {}
         # The MAC observes from its construction time, so the meter's
         # warm-up span starts now rather than at the first transmission.
         self._node_tx_rate = WindowedRate(self.config.estimator_window, start=sim.now)
@@ -251,14 +254,19 @@ class TdmaMac:
             self._busy = False
             return
         packet, next_hop = entry
-        context = self.link_context(next_hop, remaining_hops=self._remaining_hops(packet))
-        for hook in self.pre_transmit_hooks:
-            if not hook(packet, context):
-                self._dropped(packet, "pre_transmit_hook")
-                self.sim.schedule(0.0, self._service_next)
-                return
+        hooks = self.pre_transmit_hooks
+        if hooks:
+            # Only hooked MACs (iJTP, ATP) need the snapshot; building it
+            # for the rest would change nothing (docs/performance.md,
+            # "MAC service path").
+            context = self.link_context(next_hop, remaining_hops=self._remaining_hops(packet))
+            for hook in hooks:
+                if not hook(packet, context):
+                    self._dropped(packet, "pre_transmit_hook")
+                    self.sim.schedule(0.0, self._service_next)
+                    return
         attempts_allowed = self.config.arq.attempts_for(getattr(packet, "max_link_attempts", None))
-        self._attempt(packet, next_hop, attempt_no=1, attempts_allowed=attempts_allowed)
+        self._attempt(packet, next_hop, 1, attempts_allowed)
 
     def _remaining_hops(self, packet: object) -> Optional[int]:
         """Remaining-hop estimate for the packet, if a router callback was wired."""
@@ -290,26 +298,38 @@ class TdmaMac:
             self._dropped(packet, "node_down")
             self._busy = False
             return
-        # Hot path: one attempt per MAC transmission.  The airtime is
-        # computed once and reused for the tx energy, rx energy and
-        # service time — the same floating-point expressions the energy
-        # model's public methods evaluate, just not three times over.
+        # Hot path: one call per MAC transmission attempt.  A hit in the
+        # per-size cost cache skips re-validating the frame size: only a
+        # valid size was ever stored.
+        costs = self._attempt_costs.get(getattr(packet, "size_bits", None))
+        if costs is None:
+            costs = self._price_attempt(packet)
+        tx_energy, rx_energy, service_time, retry_delay = costs
         now = self.sim.now
-        config = self.config
-        energy_model = config.energy
-        nbits = self._packet_bits(packet)
-        airtime = energy_model.airtime(nbits)
-        tx_energy = energy_model.tx_power_watts * airtime
+        stats = self.stats
         flow_id = getattr(packet, "flow_id", -1)
 
-        self._energy_meter.record_tx(flow_id, tx_energy)
+        # Inline twin of EnergyMeter.record_tx.
+        meter = self._energy_meter
+        meter.tx_joules += tx_energy
+        per_flow = meter.per_flow
+        per_flow[flow_id] = per_flow.get(flow_id, 0.0) + tx_energy
         self._charge_packet_energy(packet, tx_energy)
         self._node_tx_rate.record(now, 1.0)
 
-        estimator = self.link_estimator(next_hop)
+        estimator = self._estimators.get(next_hop)
+        if estimator is None:
+            estimator = self.link_estimator(next_hop)
         success = self.channel.transmission_succeeds(self.node_id, next_hop, now)
-        estimator.record_attempt(success, now)
-        self.stats.record_link_attempt(success)
+        # Inline twins of LinkEstimator.record_attempt and
+        # NetworkStats.record_link_attempt.
+        estimator.total_attempts += 1
+        stats.link_transmissions += 1
+        if success:
+            estimator.total_successes += 1
+            stats.link_successes += 1
+        estimator._loss.update(0.0 if success else 1.0)
+        estimator._tx_rate.record(now, 1.0)
         if self.trace.enabled:
             self.trace.record(
                 "mac_attempt",
@@ -322,22 +342,49 @@ class TdmaMac:
                 success=success,
             )
 
-        service_time = (airtime + config.guard_time) / config.slot_share
-        schedule = self.sim.schedule
         if success:
             estimator.record_packet(attempt_no, delivered=True)
-            rx_energy = energy_model.rx_power_watts * airtime
-            self.stats.register_node(next_hop).record_rx(flow_id, rx_energy)
+            # Inline twin of stats.register_node(next_hop).record_rx.
+            receiver = stats.energy.get(next_hop)
+            if receiver is None:
+                receiver = stats.register_node(next_hop)
+            receiver.rx_joules += rx_energy
+            per_flow = receiver.per_flow
+            per_flow[flow_id] = per_flow.get(flow_id, 0.0) + rx_energy
             self._charge_packet_energy(packet, rx_energy)
-            schedule(service_time, self._deliver, next_hop, packet)
-            schedule(service_time, self._service_next)
+            self.sim.schedule(service_time, self._deliver_and_continue, next_hop, packet)
         elif attempt_no < attempts_allowed:
-            retry_delay = service_time + self.config.arq.retry_delay(service_time) - service_time
-            schedule(service_time + retry_delay, self._retry, self._epoch, packet, next_hop, attempt_no + 1, attempts_allowed)
+            self.sim.schedule(
+                service_time + retry_delay, self._retry,
+                self._epoch, packet, next_hop, attempt_no + 1, attempts_allowed,
+            )
         else:
             estimator.record_packet(attempt_no, delivered=False)
             self._dropped(packet, "link_exhausted")
-            schedule(service_time, self._service_next)
+            self.sim.schedule(service_time, self._service_next)
+
+    def _price_attempt(self, packet: object) -> Tuple[float, float, float, float]:
+        """Tx energy, rx energy, service time and retry delay of one attempt.
+
+        Each is a pure function of the frame size, so the result is
+        cached per size for :meth:`_attempt`.  The airtime is computed
+        once and reused; every term is the same floating-point
+        expression the energy model's public methods and the ARQ policy
+        evaluate.
+        """
+        nbits = self._packet_bits(packet)
+        config = self.config
+        energy_model = config.energy
+        airtime = energy_model.airtime(nbits)
+        service_time = (airtime + config.guard_time) / config.slot_share
+        costs = (
+            energy_model.tx_power_watts * airtime,
+            energy_model.rx_power_watts * airtime,
+            service_time,
+            service_time + config.arq.retry_delay(service_time) - service_time,
+        )
+        self._attempt_costs[nbits] = costs
+        return costs
 
     @staticmethod
     def _charge_packet_energy(packet: object, joules: float) -> None:
@@ -353,10 +400,18 @@ class TdmaMac:
             return
         packet.energy_used = current + joules  # type: ignore[attr-defined]
 
-    def _deliver(self, next_hop: int, packet: object) -> None:
-        if self.deliver_to_peer is None:
+    def _deliver_and_continue(self, next_hop: int, packet: object) -> None:
+        """End of a successful attempt: hand the frame over, then serve the next one.
+
+        One event rather than a delivery and a ``_service_next`` both
+        scheduled for the same instant: those two always held adjacent
+        sequence numbers, so no other event could fire between them.
+        """
+        deliver = self.deliver_to_peer
+        if deliver is None:
             raise RuntimeError("MAC is not wired to the network (deliver_to_peer is None)")
-        self.deliver_to_peer(next_hop, packet, self.node_id)
+        deliver(next_hop, packet, self.node_id)
+        self._service_next()
 
     def _dropped(self, packet: object, reason: str) -> None:
         if self.trace.enabled:

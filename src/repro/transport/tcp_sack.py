@@ -239,8 +239,9 @@ class TcpSackSender:
         if self.completed:
             return
         now = self.sim.now
+        rto = self.rto
         stale = [seq for seq, sent in self._sent_time.items()
-                 if seq in self._outstanding and now - sent >= self.rto]
+                 if seq in self._outstanding and now - sent >= rto]
         if stale:
             self.timeouts += 1
             self._loss_rate.update(1.0)

@@ -4,12 +4,16 @@ import random
 
 import pytest
 
+from repro.experiments.scenarios import linear_scenario, random_scenario
 from repro.mac.arq import ArqPolicy
 from repro.mac.tdma import LinkContext, MacConfig, TdmaMac
+from repro.routing.link_state import LinkStateRouting
 from repro.sim.channel import Channel, LinkQuality
 from repro.sim.engine import Simulator
+from repro.sim.faults import FaultPlan
 from repro.sim.stats import NetworkStats
 from repro.sim.topology import linear_positions
+from repro.transport.registry import make_protocol
 
 
 class FramePacket:
@@ -24,14 +28,14 @@ class FramePacket:
         self.src = 0
 
 
-def build_pair(quality=None, mac_config=None):
+def build_pair(quality=None, mac_config=None, mac_class=TdmaMac):
     """Two nodes in range of each other, fully wired MACs."""
     sim = Simulator()
     stats = NetworkStats()
     channel = Channel(linear_positions(2, 40), radio_range=50.0, rng=random.Random(0),
                       default_quality=quality or LinkQuality.perfect())
     config = mac_config or MacConfig()
-    macs = [TdmaMac(i, sim, channel, stats, config=config) for i in range(2)]
+    macs = [mac_class(i, sim, channel, stats, config=config) for i in range(2)]
     received = []
 
     def deliver(next_hop, packet, from_node):
@@ -189,6 +193,16 @@ def test_packet_without_size_bits_rejected():
         sim.run(until=1.0)
 
 
+def test_unsized_packet_rejected_after_the_cost_cache_is_warm():
+    sim, stats, macs, received = build_pair()
+    macs[0].enqueue(FramePacket(), 1)
+    sim.run(until=5.0)
+    assert len(received) == 1
+    macs[0].enqueue(FramePacket(size_bits=None), 1)
+    with pytest.raises(AttributeError):
+        sim.run(until=10.0)
+
+
 def test_unwired_mac_raises_on_delivery():
     sim = Simulator()
     stats = NetworkStats()
@@ -202,3 +216,94 @@ def test_unwired_mac_raises_on_delivery():
 def test_describe_mentions_node():
     sim, stats, macs, received = build_pair()
     assert "node=0" in macs[0].describe()
+
+
+# -- the no-hook fast path and the fused delivery event -------------------------------------------
+
+
+def _with_noop_hook(name):
+    """Protocol ``name`` with an always-True pre-transmit hook on every MAC."""
+    protocol = make_protocol(name, None)
+    install = protocol.install
+
+    def install_hooked(network):
+        install(network)
+        for node in network.nodes:
+            node.mac.pre_transmit_hooks.append(lambda packet, context: True)
+
+    protocol.install = install_hooked
+    return protocol
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        lambda protocol: linear_scenario(5, protocol, transfer_bytes=60_000.0, duration=300.0, seed=3),
+        lambda protocol: random_scenario(
+            8, protocol, num_flows=2, transfer_bytes=40_000.0, duration=300.0, seed=2,
+            fault_plan=FaultPlan.node_churn(tuple(range(8)), 0.02, 30.0, until=240.0),
+        ),
+    ],
+    ids=["linear", "churn"],
+)
+def test_skipping_the_link_context_changes_no_metric(scenario):
+    plain = scenario("tcp")
+    hooked = scenario(_with_noop_hook("tcp"))
+    assert all(not node.mac.pre_transmit_hooks for node in plain.network.nodes)
+    assert repr(hooked.metrics) == repr(plain.metrics)
+    assert hooked.network.sim.events_processed == plain.network.sim.events_processed
+
+
+def test_unhooked_macs_never_build_a_link_context(monkeypatch):
+    calls = []
+    for owner, name in ((TdmaMac, "link_context"), (LinkStateRouting, "hops_to")):
+        original = getattr(owner, name)
+
+        def counted(self, *args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    linear_scenario(5, "tcp", transfer_bytes=40_000.0, duration=200.0, seed=1)
+    assert calls == []
+    linear_scenario(5, "jtp", transfer_bytes=40_000.0, duration=200.0, seed=1)
+    assert {"link_context", "hops_to"} <= set(calls)
+
+
+def test_delivery_and_next_service_run_before_callbacks_the_delivery_schedules():
+    sim, stats, macs, received = build_pair()
+    seen = []
+
+    def upstream(packet, from_node):
+        # A zero-delay reaction to frame 1 (a forward, an ACK) must fire
+        # after the sender has already made its first attempt on frame 2.
+        sim.schedule(0.0, lambda: seen.append(stats.link_transmissions))
+
+    macs[1].deliver_upstream = upstream
+    macs[0].enqueue(FramePacket(), 1)
+    macs[0].enqueue(FramePacket(), 1)
+    sim.run(until=0.2)
+    assert seen == [2]
+
+
+class SplitDeliveryMac(TdmaMac):
+    """Delivers and then schedules the next service as a separate event."""
+
+    def _deliver_and_continue(self, next_hop, packet):
+        self.deliver_to_peer(next_hop, packet, self.node_id)
+        self.sim.schedule(0.0, self._service_next)
+
+
+def test_fused_delivery_saves_exactly_one_event_per_delivered_frame():
+    quality = LinkQuality(good_loss=0.4, bad_loss=0.4, bad_fraction=0.0)
+    runs = []
+    for mac_class in (TdmaMac, SplitDeliveryMac):
+        sim, stats, macs, received = build_pair(quality=quality, mac_class=mac_class)
+        for _ in range(30):
+            macs[0].enqueue(FramePacket(max_link_attempts=2), 1)
+        sim.run(until=100.0)
+        runs.append((sim.events_processed, stats.link_successes, stats.link_transmissions, len(received)))
+    (fused_events, delivered, attempts, arrived), (split_events, *split_rest) = runs
+    assert split_rest == [delivered, attempts, arrived]
+    assert 0 < delivered < 30 < attempts
+    assert split_events - fused_events == delivered
