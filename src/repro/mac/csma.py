@@ -89,9 +89,11 @@ class CsmaMac(TdmaMac):
         self._rng = rng or random.Random(node_id)
         self.collisions = 0
 
-    def _service_time(self, packet: object) -> float:
+    # Every attempt draws a fresh contention backoff.
+    _fixed_service_time = False
+
+    def _service_time(self, nbits: float) -> float:
         """Airtime plus a random contention backoff (no slot-share scaling)."""
-        nbits = self._packet_bits(packet)
         airtime = self.config.energy.airtime(nbits) + self.config.guard_time
         return airtime + self._rng.uniform(0.0, self.max_backoff)
 
@@ -128,7 +130,7 @@ class CsmaMac(TdmaMac):
         self.stats.record_link_attempt(False)
         self.trace.record("mac_collision", now, node=self.node_id, neighbor=next_hop, flow=flow_id)
 
-        service_time = self._service_time(packet)
+        service_time = self._service_time(nbits)
         if attempt_no < attempts_allowed:
             self.sim.schedule(service_time, self._retry, self._epoch, packet, next_hop, attempt_no + 1, attempts_allowed)
         else:

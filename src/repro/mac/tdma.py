@@ -223,14 +223,19 @@ class TdmaMac:
             self.sim.schedule(0.0, self._service_next)
         return True
 
-    def _service_time(self, packet: object) -> float:
-        """Wall-clock time one transmission attempt occupies for this node.
+    #: Whether :meth:`_service_time` depends on the frame size alone, so
+    #: :meth:`_price_attempt` may cache it; a subclass that draws a
+    #: random backoff per attempt (:class:`~repro.mac.csma.CsmaMac`)
+    #: sets this to False.
+    _fixed_service_time = True
+
+    def _service_time(self, nbits: float) -> float:
+        """Wall-clock time one transmission attempt of ``nbits`` occupies for this node.
 
         The airtime is scaled by the inverse of the node's slot share:
         a node owning 25% of the slots needs four slot periods of wall
         clock to get one packet's worth of airtime.
         """
-        nbits = self._packet_bits(packet)
         airtime = self.config.energy.airtime(nbits) + self.config.guard_time
         return airtime / self.config.slot_share
 
@@ -366,24 +371,24 @@ class TdmaMac:
     def _price_attempt(self, packet: object) -> Tuple[float, float, float, float]:
         """Tx energy, rx energy, service time and retry delay of one attempt.
 
-        Each is a pure function of the frame size, so the result is
-        cached per size for :meth:`_attempt`.  The airtime is computed
-        once and reused; every term is the same floating-point
-        expression the energy model's public methods and the ARQ policy
-        evaluate.
+        With a fixed service time each is a pure function of the frame
+        size, so the result is cached per size for :meth:`_attempt`.
+        Every term is the same floating-point expression the energy
+        model's public methods and the ARQ policy evaluate.
         """
         nbits = self._packet_bits(packet)
         config = self.config
         energy_model = config.energy
         airtime = energy_model.airtime(nbits)
-        service_time = (airtime + config.guard_time) / config.slot_share
+        service_time = self._service_time(nbits)
         costs = (
             energy_model.tx_power_watts * airtime,
             energy_model.rx_power_watts * airtime,
             service_time,
             service_time + config.arq.retry_delay(service_time) - service_time,
         )
-        self._attempt_costs[nbits] = costs
+        if self._fixed_service_time:
+            self._attempt_costs[nbits] = costs
         return costs
 
     @staticmethod

@@ -38,7 +38,7 @@ def test_shared_medium_underflow_rejected():
         SharedMedium().end_transmission()
 
 
-def test_csma_delivers_over_perfect_link():
+def build_csma_pair():
     sim = Simulator()
     stats = NetworkStats()
     channel = Channel(linear_positions(2, 40), radio_range=50.0, rng=random.Random(0),
@@ -48,10 +48,29 @@ def test_csma_delivers_over_perfect_link():
     received = []
     for mac in macs:
         mac.deliver_to_peer = lambda nh, p, f: macs[nh].receive(p, f)
-        mac.deliver_upstream = lambda p, f, _m=mac: received.append(_m.node_id)
+        mac.deliver_upstream = lambda p, f, _m=mac: received.append((_m.node_id, sim.now))
+    return sim, macs, received
+
+
+def test_csma_delivers_over_perfect_link():
+    sim, macs, received = build_csma_pair()
     macs[0].enqueue(FramePacket(), 1)
     sim.run(until=5.0)
-    assert received == [1]
+    assert [node for node, _ in received] == [1]
+
+
+def test_csma_service_time_is_airtime_plus_backoff_not_a_slot_share():
+    # CSMA transmits at the full channel rate: a frame enqueued at t=0
+    # is delivered within airtime + guard + max_backoff, well before the
+    # TDMA slot-share service time of the same frame.
+    sim, macs, received = build_csma_pair()
+    mac = macs[0]
+    airtime = mac.config.energy.airtime(6624.0) + mac.config.guard_time
+    mac.enqueue(FramePacket(), 1)
+    sim.run(until=5.0)
+    [(_, delivered_at)] = received
+    assert airtime <= delivered_at <= airtime + mac.max_backoff
+    assert delivered_at < airtime / mac.config.slot_share
 
 
 def test_collision_probability_grows_with_contention():
