@@ -21,9 +21,11 @@ core-engine record keeps its historical top-level layout; both drivers
 preserve each other's keys when rewriting the file).  The regression
 gate mirrors ``bench_core_engine.py``: a drop of more than
 ``MAX_REGRESSION`` (25%) in any variant's events/sec against the
-committed numbers fails the bench unless ``REPRO_BENCH_NO_ASSERT`` is
-set; regressed measurements go to ``BENCH_core.failed.json`` instead of
-overwriting the committed reference.
+committed numbers (or, when the variant's event count changed, a
+``wall_s`` rise of more than the same bound) fails the bench unless
+``REPRO_BENCH_NO_ASSERT`` is set; regressed measurements go to
+``BENCH_core.failed.json`` instead of overwriting the committed
+reference.
 
 Run with::
 
@@ -37,7 +39,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
-from conftest import bench_host, bench_no_assert, events_per_sec_report
+from conftest import bench_host, bench_no_assert, events_per_sec_report, throughput_regression
 
 from repro.sim.faults import FaultPlan
 
@@ -169,10 +171,10 @@ def test_fault_injection_overhead(benchmark):
 
     previous = committed.get("faults", {}).get("current", {})
     regressions = {
-        variant: (measurement["events_per_sec"], previous[variant]["events_per_sec"])
+        variant: reason
         for variant, measurement in current.items()
         if variant in previous
-        and measurement["events_per_sec"] < (1.0 - MAX_REGRESSION) * previous[variant]["events_per_sec"]
+        and (reason := throughput_regression(measurement, previous[variant], MAX_REGRESSION))
     }
 
     gate_active = not bench_no_assert()
@@ -188,11 +190,8 @@ def test_fault_injection_overhead(benchmark):
     if not gate_active:
         return
     assert not regressions, (
-        "fault-injection events/sec regressed by more than "
+        "fault-injection throughput regressed by more than "
         f"{MAX_REGRESSION:.0%} vs the committed BENCH_core.json "
         f"(measured numbers preserved in {RECORD_PATH.with_suffix('.failed.json').name}): "
-        + ", ".join(
-            f"{variant}: {now:,.0f} vs {before:,.0f}"
-            for variant, (now, before) in regressions.items()
-        )
+        + ", ".join(f"{variant}: {reason}" for variant, reason in regressions.items())
     )

@@ -155,6 +155,30 @@ def events_per_sec_report(name: str, events: int, seconds: float) -> float:
     return rate
 
 
+def throughput_regression(measured: dict, committed: dict, bound: float) -> Optional[str]:
+    """Why ``measured`` regressed by more than ``bound`` against ``committed``, or ``None``.
+
+    Both are best-of-repeats records with ``events``, ``wall_s`` and
+    ``events_per_sec``.  While the event counts match, the gate is on
+    events/sec.  A change that adds or removes engine events makes
+    events/sec compare unlike work (one fused event per delivered frame
+    lowers it while the run gets faster), so then the gate is on
+    ``wall_s`` with the same bound instead.
+    """
+    if measured["events"] == committed["events"]:
+        now, before = measured["events_per_sec"], committed["events_per_sec"]
+        if now < (1.0 - bound) * before:
+            return f"{now:,.0f} vs {before:,.0f} events/s"
+        return None
+    now, before = measured["wall_s"], committed["wall_s"]
+    if now > (1.0 + bound) * before:
+        return (
+            f"{now:.4f} vs {before:.4f} s wall "
+            f"({measured['events']:,} vs {committed['events']:,} events, so gated on wall_s)"
+        )
+    return None
+
+
 def run_once(benchmark, experiment: Callable, *args, **kwargs):
     """Run ``experiment`` exactly once under pytest-benchmark timing.
 
