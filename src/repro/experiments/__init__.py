@@ -11,7 +11,7 @@
   (:class:`SerialBackend`, and the persistent shared
   :class:`ProcessBackend` pool, whose scheduler adds backpressure, work
   stealing and retry over local or remote worker processes —
-  ``docs/distributed.md``; ``AsyncBackend`` is its deprecated alias);
+  ``docs/distributed.md``);
 * :mod:`repro.experiments.parallel` — :class:`ParallelRunner` fans
   replications and parameter sweeps out over a backend, returning
   picklable :class:`ScenarioRecord` summaries (bit-identical aggregates
@@ -81,7 +81,6 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.runner import average_metrics, confidence_interval, replicate
 from repro.experiments.backends import (
-    AsyncBackend,
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
@@ -134,7 +133,6 @@ __all__ = [
     "ExecutorBackend",
     "SerialBackend",
     "ProcessBackend",
-    "AsyncBackend",  # deprecated alias of ProcessBackend, removed in the next release
     "make_backend",
     "resolve_backend",
     "shared_backend",

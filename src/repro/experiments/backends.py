@@ -28,9 +28,6 @@ execution strategy into a first-class object:
   ``endpoint="tcp://host:port,..."`` swaps the local workers for remote
   worker agents.  See ``docs/distributed.md`` for the architecture and
   every knob.
-* :data:`AsyncBackend` — deprecated alias of :class:`ProcessBackend`
-  (and ``"async"`` of ``"process"`` in :func:`make_backend`), kept for
-  one release.
 
 Module helpers:
 
@@ -80,7 +77,6 @@ __all__ = [
     "ExecutorBackend",
     "SerialBackend",
     "ProcessBackend",
-    "AsyncBackend",  # deprecated alias of ProcessBackend, removed in the next release
     "AsyncCellError",
     "BACKENDS",
     "make_backend",
@@ -418,10 +414,6 @@ class ProcessBackend(ExecutorBackend):
         return self._scheduler.start(fn, items)
 
 
-#: Deprecated alias of :class:`ProcessBackend`, removed in the next release.
-AsyncBackend = ProcessBackend
-
-
 def _serial_factory(workers: Optional[int] = None) -> SerialBackend:
     if workers is not None and int(workers) > 1:
         raise ValueError(
@@ -447,14 +439,10 @@ BACKENDS: Dict[str, Callable[..., ExecutorBackend]] = {
     "process": _process_factory,
 }
 
-#: Deprecated registry names, removed in the next release.
-_BACKEND_ALIASES = {"async": "process"}
-
-
 def make_backend(name: str, workers: Optional[int] = None) -> ExecutorBackend:
     """Build a backend by registry name (``serial``/``process``)."""
     try:
-        factory = BACKENDS[_BACKEND_ALIASES.get(name, name)]
+        factory = BACKENDS[name]
     except KeyError:
         raise ValueError(f"unknown backend {name!r}; known: {sorted(BACKENDS)}") from None
     return factory(workers=workers)

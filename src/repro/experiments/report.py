@@ -203,9 +203,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="comma-separated figure subset (default: every figure)")
     group.add_argument("--seeds", default="paper",
                        help="seed preset ('paper'/'smoke') or replication count (default: paper)")
-    group.add_argument("--backend", choices=[*sorted(BACKENDS), "async"], default=None,
-                       help="executor backend (default: the shared process pool; "
-                       "'async' is a deprecated alias of 'process')")
+    group.add_argument("--backend", choices=sorted(BACKENDS), default=None,
+                       help="executor backend (default: the shared process pool)")
     group.add_argument("--workers", type=int, default=None,
                        help="worker count for the chosen backend")
     group.add_argument("--base-seed", type=int, default=0,

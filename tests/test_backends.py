@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.experiments.backends import (
     BACKENDS,
-    AsyncBackend,
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
@@ -234,7 +233,7 @@ class TestProcessBackendLifecycle:
 
 
 class TestAsyncBackend:
-    """The scheduler-backed ProcessBackend, and its deprecated alias."""
+    """The scheduler-backed ProcessBackend."""
 
     def test_is_a_backend_and_carries_configuration(self):
         backend = ProcessBackend(endpoint="tcp://scheduler:9999")
@@ -243,11 +242,6 @@ class TestAsyncBackend:
         assert backend.workers == 1  # one connection per endpoint address
         assert backend.name == "process"
         backend.close()
-
-    def test_async_names_are_deprecated_aliases(self):
-        assert AsyncBackend is ProcessBackend
-        assert isinstance(make_backend("async", workers=2), ProcessBackend)
-        assert "async" not in BACKENDS
 
     def test_map_and_imap_agree(self):
         with ProcessBackend(workers=2) as backend:
@@ -393,6 +387,8 @@ class TestMakeBackend:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_backend("distributed")
+        with pytest.raises(ValueError):
+            make_backend("async")
 
     def test_serial_with_parallel_workers_rejected(self):
         with pytest.raises(ValueError):
