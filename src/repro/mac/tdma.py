@@ -224,9 +224,7 @@ class TdmaMac:
         return True
 
     #: Whether :meth:`_service_time` depends on the frame size alone, so
-    #: :meth:`_price_attempt` may cache it; a subclass that draws a
-    #: random backoff per attempt (:class:`~repro.mac.csma.CsmaMac`)
-    #: sets this to False.
+    #: :meth:`_price_attempt` may cache it (False in CsmaMac).
     _fixed_service_time = True
 
     def _service_time(self, nbits: float) -> float:
@@ -261,10 +259,10 @@ class TdmaMac:
         packet, next_hop = entry
         hooks = self.pre_transmit_hooks
         if hooks:
-            # Only hooked MACs (iJTP, ATP) need the snapshot; building it
-            # for the rest would change nothing (docs/performance.md,
-            # "MAC service path").
-            context = self.link_context(next_hop, remaining_hops=self._remaining_hops(packet))
+            # Only hooked MACs (iJTP, ATP) need the snapshot; building it for
+            # the rest changes nothing (docs/performance.md, "MAC service path").
+            hops_fn = self.remaining_hops_fn
+            context = self.link_context(next_hop, None if hops_fn is None else hops_fn(packet))
             for hook in hooks:
                 if not hook(packet, context):
                     self._dropped(packet, "pre_transmit_hook")
@@ -272,13 +270,6 @@ class TdmaMac:
                     return
         attempts_allowed = self.config.arq.attempts_for(getattr(packet, "max_link_attempts", None))
         self._attempt(packet, next_hop, 1, attempts_allowed)
-
-    def _remaining_hops(self, packet: object) -> Optional[int]:
-        """Remaining-hop estimate for the packet, if a router callback was wired."""
-        hops_fn = self.remaining_hops_fn
-        if hops_fn is None:
-            return None
-        return hops_fn(packet)
 
     def _retry(self, epoch: int, packet: object, next_hop: int, attempt_no: int, attempts_allowed: int) -> None:
         """A scheduled link-layer retry; gated on the fault epoch.
@@ -322,9 +313,7 @@ class TdmaMac:
         self._charge_packet_energy(packet, tx_energy)
         self._node_tx_rate.record(now, 1.0)
 
-        estimator = self._estimators.get(next_hop)
-        if estimator is None:
-            estimator = self.link_estimator(next_hop)
+        estimator = self._estimators.get(next_hop) or self.link_estimator(next_hop)
         success = self.channel.transmission_succeeds(self.node_id, next_hop, now)
         # Inline twins of LinkEstimator.record_attempt and
         # NetworkStats.record_link_attempt.
@@ -336,33 +325,21 @@ class TdmaMac:
         estimator._loss.update(0.0 if success else 1.0)
         estimator._tx_rate.record(now, 1.0)
         if self.trace.enabled:
-            self.trace.record(
-                "mac_attempt",
-                now,
-                node=self.node_id,
-                neighbor=next_hop,
-                flow=flow_id,
-                attempt=attempt_no,
-                allowed=attempts_allowed,
-                success=success,
-            )
+            self.trace.record("mac_attempt", now, node=self.node_id, neighbor=next_hop, flow=flow_id,
+                              attempt=attempt_no, allowed=attempts_allowed, success=success)
 
         if success:
             estimator.record_packet(attempt_no, delivered=True)
             # Inline twin of stats.register_node(next_hop).record_rx.
-            receiver = stats.energy.get(next_hop)
-            if receiver is None:
-                receiver = stats.register_node(next_hop)
+            receiver = stats.energy.get(next_hop) or stats.register_node(next_hop)
             receiver.rx_joules += rx_energy
             per_flow = receiver.per_flow
             per_flow[flow_id] = per_flow.get(flow_id, 0.0) + rx_energy
             self._charge_packet_energy(packet, rx_energy)
             self.sim.schedule(service_time, self._deliver_and_continue, next_hop, packet)
         elif attempt_no < attempts_allowed:
-            self.sim.schedule(
-                service_time + retry_delay, self._retry,
-                self._epoch, packet, next_hop, attempt_no + 1, attempts_allowed,
-            )
+            self.sim.schedule(service_time + retry_delay, self._retry,
+                              self._epoch, packet, next_hop, attempt_no + 1, attempts_allowed)
         else:
             estimator.record_packet(attempt_no, delivered=False)
             self._dropped(packet, "link_exhausted")
@@ -371,10 +348,8 @@ class TdmaMac:
     def _price_attempt(self, packet: object) -> Tuple[float, float, float, float]:
         """Tx energy, rx energy, service time and retry delay of one attempt.
 
-        With a fixed service time each is a pure function of the frame
-        size, so the result is cached per size for :meth:`_attempt`.
-        Every term is the same floating-point expression the energy
-        model's public methods and the ARQ policy evaluate.
+        The same floating-point expressions the energy model and the ARQ
+        policy evaluate, cached per frame size for :meth:`_attempt`.
         """
         nbits = self._packet_bits(packet)
         config = self.config
@@ -408,9 +383,8 @@ class TdmaMac:
     def _deliver_and_continue(self, next_hop: int, packet: object) -> None:
         """End of a successful attempt: hand the frame over, then serve the next one.
 
-        One event rather than a delivery and a ``_service_next`` both
-        scheduled for the same instant: those two always held adjacent
-        sequence numbers, so no other event could fire between them.
+        One event where a delivery and a ``_service_next`` at the same
+        instant would hold adjacent sequence numbers anyway.
         """
         deliver = self.deliver_to_peer
         if deliver is None:
