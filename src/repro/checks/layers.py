@@ -36,26 +36,10 @@ LAYERS: Dict[str, FrozenSet[str]] = {
     # The declarative figure vocabulary is a leaf: experiments may
     # describe plots without pulling in the renderer.
     "plots.spec": frozenset({"util"}),
-    # The remote worker protocol (wire frames, transports, the agent) is
-    # a stdlib-only leaf below the scheduler: experiments drives it, it
-    # imports nothing back — a standalone agent must not drag in the
-    # simulation or harness at import time.
-    "experiments.remote": frozenset({"util"}),
     # The fault-injection workload families (experiments.workloads) are
     # ordinary experiments-layer code: grids of FaultPlan-carrying
     # scenario specs beside the paper figures.
-    "experiments": frozenset(
-        {
-            "util",
-            "sim",
-            "mac",
-            "routing",
-            "core",
-            "transport",
-            "plots.spec",
-            "experiments.remote",
-        }
-    ),
+    "experiments": frozenset({"util", "sim", "mac", "routing", "core", "transport", "plots.spec"}),
     "plots": frozenset({"util", "experiments", "plots.spec"}),
     # The analysis suite audits the tree; nothing imports it, and it
     # imports nothing outside itself (stdlib ast only).

@@ -4,8 +4,10 @@ ASY002 (per-file): every ``Pipe``/``Process``/``Popen``/``Thread`` resource
 acquired inside a function in ``repro.experiments.scheduler`` /
 ``repro.experiments.backends`` must be closed/joined on all exception
 paths, or handed off (stored on ``self``, passed to a constructor,
-returned).  Leaked pipes keep worker processes alive past scheduler
-shutdown and exhaust file descriptors over a long sweep.
+returned).  The scheduler's worker constructor acquires a pipe and a
+process for every worker slot and every respawn; leaked pipes keep
+worker processes alive past scheduler shutdown and exhaust file
+descriptors over a long sweep.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ class ResourceLifecycleRule(Rule):
     id = "ASY002"
     summary = "Pipe/Process/Thread resources acquired in the scheduler layer are closed/joined on all exception paths"
     rationale = (
-        "The dispatch loop acquires pipes and worker processes in bulk; "
-        "one leaked Connection keeps its worker alive past shutdown and "
+        "The scheduler acquires a pipe and a worker process for every "
+        "worker slot and every respawn after a crash or timeout; one "
+        "leaked Connection keeps its worker alive past shutdown and "
         "a long sweep exhausts file descriptors. A resource must be "
         "released on every path (finally/with), or ownership must "
         "visibly move — stored on self, passed to a constructor, or "

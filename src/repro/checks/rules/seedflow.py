@@ -119,7 +119,7 @@ class SeedFlowRule(ProjectRule):
         "draw from an already-seeded stream). Ambient constants quietly "
         "de-correlate runs from their seeds, and RNG objects captured by "
         "closures shipped through ExecutorBackend.map/imap or the "
-        "AsyncScheduler make worker state depend on fork-vs-spawn "
+        "Scheduler make worker state depend on fork-vs-spawn "
         "semantics."
     )
     packages = (

@@ -10,7 +10,7 @@
 * :mod:`repro.experiments.backends` — pluggable executor backends
   (:class:`SerialBackend`, and the persistent shared
   :class:`ProcessBackend` pool, whose scheduler adds backpressure, work
-  stealing and retry over local or remote worker processes —
+  stealing and retry over local worker processes —
   ``docs/distributed.md``);
 * :mod:`repro.experiments.parallel` — :class:`ParallelRunner` fans
   replications and parameter sweeps out over a backend, returning

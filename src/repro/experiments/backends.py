@@ -24,10 +24,8 @@ execution strategy into a first-class object:
   in-flight window (backpressure against a slow consumer), stragglers
   are work-stolen by idle workers, and crashed / raising / hung cells
   are retried with capped exponential backoff before the batch fails
-  loudly with :class:`~repro.experiments.scheduler.AsyncCellError`.
-  ``endpoint="tcp://host:port,..."`` swaps the local workers for remote
-  worker agents.  See ``docs/distributed.md`` for the architecture and
-  every knob.
+  loudly with :class:`~repro.experiments.scheduler.CellError`.  See
+  ``docs/distributed.md`` for the architecture and every knob.
 
 Module helpers:
 
@@ -41,8 +39,7 @@ Module helpers:
   shared :class:`ProcessBackend`.
 * :func:`workers_from_env` — ``REPRO_WORKERS`` plumbing shared by the
   benchmark harness and the examples (``0`` means the serial backend).
-* :func:`async_workers_from_env` / :func:`async_retries_from_env` /
-  :func:`async_timeout_from_env` / :func:`async_endpoint_from_env` —
+* :func:`async_retries_from_env` / :func:`async_timeout_from_env` —
   the ``REPRO_ASYNC_*`` env seams, applied by
   ``make_backend("process")``.  The :class:`ProcessBackend` constructor
   and the shared pools read no environment.
@@ -66,10 +63,9 @@ import pickle
 import threading
 from abc import ABC, abstractmethod
 from types import TracebackType
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Type, TypeVar
 
-from repro.experiments.remote import parse_endpoint
-from repro.experiments.scheduler import AsyncCellError, AsyncScheduler
+from repro.experiments.scheduler import CellError, Scheduler
 
 _T = TypeVar("_T")
 
@@ -77,17 +73,15 @@ __all__ = [
     "ExecutorBackend",
     "SerialBackend",
     "ProcessBackend",
-    "AsyncCellError",
+    "CellError",
     "BACKENDS",
     "make_backend",
     "resolve_backend",
     "shared_backend",
     "close_shared_backends",
     "workers_from_env",
-    "async_workers_from_env",
     "async_retries_from_env",
     "async_timeout_from_env",
-    "async_endpoint_from_env",
 ]
 
 
@@ -108,28 +102,12 @@ def workers_from_env(default: Optional[int] = None) -> Optional[int]:
     return workers
 
 
-def async_workers_from_env(default: Optional[int] = None) -> Optional[int]:
-    """Worker-process count for ``make_backend("process")`` via ``REPRO_ASYNC_WORKERS``.
-
-    Unset (or empty) returns ``default``.  Unlike ``REPRO_WORKERS``
-    there is no serial-fallback zero: a process backend always runs its
-    scheduler, so the value must be >= 1.
-    """
-    value = os.environ.get("REPRO_ASYNC_WORKERS", "").strip()
-    if not value:
-        return default
-    workers = int(value)
-    if workers < 1:
-        raise ValueError(f"REPRO_ASYNC_WORKERS must be >= 1, got {workers}")
-    return workers
-
-
 def async_retries_from_env(default: int = 2) -> int:
     """Retry budget for ``make_backend("process")`` cells via ``REPRO_ASYNC_RETRIES``.
 
     The number of *additional* attempts a failed cell gets (crash,
     exception or timeout) before the batch fails with
-    :class:`~repro.experiments.scheduler.AsyncCellError`.  ``0``
+    :class:`~repro.experiments.scheduler.CellError`.  ``0``
     disables retries; unset (or empty) returns ``default``.
     """
     value = os.environ.get("REPRO_ASYNC_RETRIES", "").strip()
@@ -155,22 +133,6 @@ def async_timeout_from_env(default: Optional[float] = None) -> Optional[float]:
     if timeout <= 0:
         return None
     return timeout
-
-
-def async_endpoint_from_env(default: Optional[str] = None) -> Optional[str]:
-    """Remote worker endpoint for ``make_backend("process")`` via ``REPRO_ASYNC_ENDPOINT``.
-
-    A ``tcp://host:port[,host2:port2,...]`` list naming the worker
-    agents the scheduler should connect to instead of spawning local
-    worker processes (start each agent with ``python -m
-    repro.experiments.remote --listen host:port``).  Unset (or empty)
-    returns ``default``.  The value's syntax is validated when the
-    backend is built, by :func:`repro.experiments.remote.parse_endpoint`.
-    """
-    value = os.environ.get("REPRO_ASYNC_ENDPOINT", "").strip()
-    if not value:
-        return default
-    return value
 
 
 class ExecutorBackend(ABC):
@@ -283,14 +245,14 @@ def _positive_workers(workers: Optional[int]) -> int:
 class ProcessBackend(ExecutorBackend):
     """A persistent pool of worker processes behind one dispatch loop.
 
-    One :class:`~repro.experiments.scheduler.AsyncScheduler` shards each
+    One :class:`~repro.experiments.scheduler.Scheduler` shards each
     batch across ``workers`` long-lived worker processes behind a
     bounded in-flight ``window`` (backpressure against a slow ``imap``
     consumer), work-steals stragglers onto idle workers, and retries
     crashed, raising or hung cells with capped exponential backoff —
     respawning dead workers as it goes.  A cell that exhausts
     ``max_retries`` fails the whole batch with a
-    :class:`~repro.experiments.scheduler.AsyncCellError` naming every
+    :class:`~repro.experiments.scheduler.CellError` naming every
     failed cell, so a result grid can never contain a silent hole.  The
     dispatch loop runs in the caller's thread as it consumes results;
     one ``imap`` stream may be open at a time.
@@ -305,28 +267,16 @@ class ProcessBackend(ExecutorBackend):
     Workers are daemon processes, so an interpreter that never closes
     its backend still exits.
 
-    ``endpoint`` switches the workers from local child processes to
-    remote worker agents: ``"tcp://host:port[,host2:port2,...]"`` names
-    one agent per address (start each with ``python -m
-    repro.experiments.remote --listen host:port``), validated up front
-    by :func:`repro.experiments.remote.parse_endpoint` — a malformed
-    endpoint raises :class:`ValueError` before anything connects.  The
-    same dispatch loop drives both transports, so retry, steal, timeout
-    and respawn semantics — and bit-identical aggregates — are
-    transport-agnostic.  ``workers`` defaults to one per address and
-    must match the address count when given (each agent serves exactly
-    one scheduler connection); without an endpoint it defaults to
-    ``os.cpu_count()``.  Payloads must be picklable (workers are
-    separate processes): unpicklable payloads raise :class:`TypeError`
-    up front.
+    ``workers`` defaults to ``os.cpu_count()``.  Payloads must be
+    picklable (workers are separate processes): unpicklable payloads
+    raise :class:`TypeError` up front.
 
     ``max_retries`` (default 2) is the number of extra attempts a failed
     cell gets; ``task_timeout`` (default: none) kills and retries a cell
     running longer than that many seconds.  ``window`` defaults to
     ``2 * workers`` and is clamped to at least ``workers``;
     ``steal_after`` is the straggler age (seconds) before an idle worker
-    duplicates it; ``connect_timeout`` bounds each remote connection
-    attempt.  The constructor reads no environment: the ``REPRO_ASYNC_*``
+    duplicates it.  The constructor reads no environment: the ``REPRO_ASYNC_*``
     seams apply through ``make_backend("process")``.  ``stats`` exposes
     cumulative scheduler counters (``retries``, ``steals``,
     ``respawns``, ``timeouts``, ``failures``) for tests and diagnostics.
@@ -337,7 +287,6 @@ class ProcessBackend(ExecutorBackend):
 
     def __init__(
         self,
-        endpoint: Optional[str] = None,
         workers: Optional[int] = None,
         *,
         window: Optional[int] = None,
@@ -346,20 +295,7 @@ class ProcessBackend(ExecutorBackend):
         retry_max_delay: float = 2.0,
         task_timeout: Optional[float] = None,
         steal_after: float = 0.25,
-        connect_timeout: float = 5.0,
     ) -> None:
-        self.endpoint = endpoint
-        endpoints: Optional[List[Tuple[str, int]]] = None
-        if endpoint is not None:
-            endpoints = parse_endpoint(endpoint)
-            if workers is None:
-                workers = len(endpoints)
-            elif workers != len(endpoints):
-                raise ValueError(
-                    f"workers={workers} does not match the {len(endpoints)} "
-                    f"address(es) in endpoint={endpoint!r}; each remote worker "
-                    "agent serves exactly one scheduler connection"
-                )
         self.workers = _positive_workers(workers)
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
@@ -367,7 +303,7 @@ class ProcessBackend(ExecutorBackend):
             window = 2 * self.workers
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        self._scheduler = AsyncScheduler(
+        self._scheduler = Scheduler(
             workers=self.workers,
             window=window,
             max_retries=max_retries,
@@ -375,8 +311,6 @@ class ProcessBackend(ExecutorBackend):
             retry_max_delay=retry_max_delay,
             task_timeout=task_timeout,
             steal_after=steal_after,
-            endpoints=endpoints,
-            connect_timeout=connect_timeout,
         )
 
     @property
@@ -426,8 +360,7 @@ def _serial_factory(workers: Optional[int] = None) -> SerialBackend:
 def _process_factory(workers: Optional[int] = None) -> ProcessBackend:
     """A :class:`ProcessBackend` configured from the ``REPRO_ASYNC_*`` env seams."""
     return ProcessBackend(
-        endpoint=async_endpoint_from_env(),
-        workers=async_workers_from_env() if workers is None else workers,
+        workers=workers,
         max_retries=async_retries_from_env(2),
         task_timeout=async_timeout_from_env(None),
     )

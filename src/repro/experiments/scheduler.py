@@ -1,17 +1,11 @@
 """The dispatch loop behind :class:`~repro.experiments.backends.ProcessBackend`.
 
 This module is the scheduler half of the process backend: a pool of
-persistent workers driven by one blocking dispatch loop that shards a
-batch of tasks across them.  Workers are
-:class:`~repro.experiments.remote.WorkerTransport` instances — local
-child processes (one duplex pipe each) by default, or connections to
-remote TCP worker agents when the backend was built with
-``endpoint="tcp://host:port,..."`` — and the scheduling policy below is
-transport-agnostic: the same dispatch loop drives both, which is what
-lets one fault-injection suite act as the contract for every transport.
-The backend-facing contract (ordered ``map``/``imap`` delivery, lazy
-start, idempotent close) lives in :mod:`repro.experiments.backends`;
-this module owns the scheduling policy:
+persistent local worker processes (one duplex pipe each) driven by one
+blocking dispatch loop that shards a batch of tasks across them.  The
+backend-facing contract (ordered ``map``/``imap`` delivery, lazy start,
+idempotent close) lives in :mod:`repro.experiments.backends`; this
+module owns the worker processes and the scheduling policy:
 
 * **Bounded in-flight window (backpressure).**  Task ``i`` is only
   dispatched once fewer than ``window`` results are unconsumed, i.e.
@@ -28,23 +22,22 @@ this module owns the scheduling policy:
   is always safe, so stragglers cannot serialise the tail of a batch.
 * **Retry with capped exponential backoff.**  A task attempt ends in
   success, a worker-side exception, a dead worker (crash / SIGKILL /
-  lost connection), or a per-task timeout.  Failed attempts are
-  retried up to ``max_retries`` times, waiting ``min(retry_max_delay,
+  broken pipe), or a per-task timeout.  Failed attempts are retried up
+  to ``max_retries`` times, waiting ``min(retry_max_delay,
   retry_base_delay * 2**(attempt-1))`` between attempts; dead workers
-  are respawned — a fresh local process, or a fresh connection to the
-  same remote agent, paced by the same backoff.  A task that exhausts
-  its retries fails the batch with :class:`AsyncCellError` naming
-  every failed cell — never a silent hole in a result grid.
+  are respawned as fresh processes.  A task that exhausts its retries
+  fails the batch with :class:`CellError` naming every failed cell —
+  never a silent hole in a result grid.
 
-The loop runs in the consumer's own thread: :meth:`AsyncScheduler.start`
+The loop runs in the consumer's own thread: :meth:`Scheduler.start`
 returns a generator, and each ``next()`` fills idle workers, blocks in
-:func:`multiprocessing.connection.wait` on every transport's wait
-handles (pipes and process death sentinels locally, sockets remotely)
-for at most one tick, handles completions, crashes, deadlines and due
-retries, refills idle workers and yields the next result in submission
-order.  There is no dispatch thread, so workers are never forked from a
-second thread.  One stream may be open per scheduler at a time; opening
-another raises :class:`RuntimeError` naming the open one.
+:func:`multiprocessing.connection.wait` on every worker's pipe and
+process death sentinel for at most one tick, handles completions,
+crashes, deadlines and due retries, refills idle workers and yields
+the next result in submission order.  There is no dispatch thread, so
+workers are never forked from a second thread.  One stream may be open
+per scheduler at a time; opening another raises :class:`RuntimeError`
+naming the open one.
 
 Determinism: scheduling (stealing, retries, worker death) never
 reorders *delivery* — results are matched to submission slots by index
@@ -55,28 +48,19 @@ count, timing, or how many attempts a cell needed.
 from __future__ import annotations
 
 import heapq
+import itertools
 import multiprocessing
 import pickle
 import time
+import traceback
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as connection_wait
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Deque, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from repro.experiments.remote import LocalProcessTransport, TcpTransport, WorkerTransport
-
-__all__ = ["AsyncCellError", "AsyncScheduler", "CellFailure"]
+__all__ = ["CellError", "CellFailure", "Scheduler"]
 
 #: Upper bound on one selector wait; also the granularity of timeout,
 #: retry-due and straggler checks.  Small enough that a due retry is
@@ -86,6 +70,95 @@ _TICK_SECONDS = 0.05
 
 #: How much of a failing item's repr() survives into error messages.
 _ITEM_REPR_LIMIT = 200
+
+_WORKER_NAMES = itertools.count(1)
+
+
+def describe_exception(exc: BaseException) -> str:
+    """A compact worker-side failure description (type, message, tail frames)."""
+    rendered = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__, limit=8))
+    return rendered[-2000:]
+
+
+def worker_loop(conn: Connection) -> None:
+    """Worker-process loop: receive ``(seq, token, fn_bytes, item)``, reply.
+
+    Replies are ``(seq, True, result)`` or ``(seq, False, error_text)``.
+    The callable is pickled once per batch by the dispatching side and
+    cached here by its batch token, so per-task messages stay small.
+    Any exception — including a result that fails to pickle on the way
+    back — is reported as a failed attempt rather than killing the
+    worker.
+    """
+    fn_token: Optional[int] = None
+    fn: Optional[Callable[[Any], Any]] = None
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
+        if message is None:
+            return
+        seq, token, fn_bytes, item = message
+        try:
+            if fn is None or fn_token != token:
+                fn = pickle.loads(fn_bytes)
+                fn_token = token
+            assert fn is not None
+            result = fn(item)
+        except BaseException as exc:  # noqa: B036 - attempt failure, reported to the parent
+            with suppress(OSError, ValueError):
+                conn.send((seq, False, describe_exception(exc)))
+            continue
+        try:
+            conn.send((seq, True, result))
+        except (OSError, BrokenPipeError):
+            return
+        except Exception as exc:  # unpicklable result
+            with suppress(OSError, ValueError):
+                conn.send((seq, False, f"result could not be pickled: {exc!r}"))
+
+
+class _Worker:
+    """A live worker process plus the parent end of its duplex pipe.
+
+    ``current`` is the in-flight assignment ``(index, seq, started)`` or
+    ``None`` when idle; the globally unique ``seq`` is what lets the
+    dispatcher discard stale results (from a stolen task's losing copy,
+    or from a batch that was aborted mid-flight).
+    """
+
+    def __init__(self, ctx: Any) -> None:
+        self.current: Optional[Tuple[int, int, float]] = None
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        name = f"repro-worker-{next(_WORKER_NAMES)}"
+        self.process = ctx.Process(target=worker_loop, args=(child_conn,), daemon=True, name=name)
+        self.process.start()
+        child_conn.close()
+        self.conn: Connection = parent_conn
+
+    def kill(self) -> None:
+        # Killing a process that already exited raises on some
+        # platforms; the caller only cares that it is no longer running.
+        # repro: allow[EXC001] best-effort kill; double-terminate test pins safety
+        with suppress(Exception):
+            self.process.kill()
+
+    def terminate(self) -> None:
+        # Best-effort teardown of a worker that is already failed or
+        # finished: kill/join/close may each raise on a dead process or
+        # closed pipe, and an error here must never mask the batch's
+        # real failure.  Idempotence is pinned by a test
+        # (test_scheduler.py::test_local_terminate_is_idempotent).
+        # repro: allow[EXC001] best-effort teardown; double-terminate test pins safety
+        with suppress(Exception):
+            self.process.kill()
+        # repro: allow[EXC001] best-effort teardown; double-terminate test pins safety
+        with suppress(Exception):
+            self.process.join(timeout=2.0)
+        # repro: allow[EXC001] best-effort teardown; double-terminate test pins safety
+        with suppress(Exception):
+            self.conn.close()
 
 
 @dataclass(frozen=True)
@@ -98,7 +171,7 @@ class CellFailure:
     error: str
 
 
-class AsyncCellError(RuntimeError):
+class CellError(RuntimeError):
     """A batch failed: one or more cells exhausted their retries.
 
     Raised by :meth:`ProcessBackend.map`/``imap`` instead of returning a
@@ -119,24 +192,17 @@ class AsyncCellError(RuntimeError):
         )
 
 
-class AsyncScheduler:
+class Scheduler:
     """Dispatch batches over persistent worker processes (see module docs).
 
     One scheduler serves many sequential batches; workers are spawned
-    lazily on the first batch and reused until :meth:`close`.  With
-    ``endpoints=None`` every worker slot is a local child process
-    (:class:`~repro.experiments.remote.LocalProcessTransport`);
-    otherwise slots are :class:`~repro.experiments.remote.TcpTransport`
-    connections assigned round-robin over the ``(host, port)`` list.
+    lazily on the first batch and reused until :meth:`close`.
     Batches run one at a time — the backend's ordered-delivery contract
     has no use for interleaved batches, so a second stream opened while
     one is still open raises instead of waiting on it.
     ``stats`` accumulates scheduling events (``retries``, ``steals``,
     ``respawns``, ``timeouts``, ``failures``) across the scheduler's
     lifetime, which is what the fault-injection tests assert against.
-    (Over TCP, ``respawns`` counts scheduler-side reconnects; an agent
-    respawning its own crashed child is reported back as a plain failed
-    attempt and lands in ``retries``.)
     """
 
     def __init__(
@@ -148,14 +214,8 @@ class AsyncScheduler:
         retry_max_delay: float,
         task_timeout: Optional[float],
         steal_after: float,
-        endpoints: Optional[Sequence[Tuple[str, int]]] = None,
-        connect_timeout: float = 5.0,
     ) -> None:
         self.workers = int(workers)
-        self.endpoints: Optional[Tuple[Tuple[str, int], ...]] = (
-            None if endpoints is None else tuple((str(h), int(p)) for h, p in endpoints)
-        )
-        self.connect_timeout = float(connect_timeout)
         self.window = max(int(window), self.workers)
         self.max_retries = int(max_retries)
         self.retry_base_delay = float(retry_base_delay)
@@ -171,7 +231,7 @@ class AsyncScheduler:
         }
         start_methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context("fork" if "fork" in start_methods else "spawn")
-        self._workers: List[WorkerTransport] = []
+        self._workers: List[_Worker] = []
         #: Description of the stream currently being consumed, if any.
         self._open_stream: Optional[str] = None
         self._seq = 0
@@ -183,13 +243,8 @@ class AsyncScheduler:
         return bool(self._workers)
 
     def worker_pids(self) -> FrozenSet[int]:
-        """PIDs of the processes executing cells, where known.
-
-        Local transports always know their child's PID; a TCP transport
-        learns the agent child's PID from the hello frame, so this is
-        empty for remote workers that have not connected yet.
-        """
-        return frozenset(pid for pid in (w.pid for w in self._workers) if pid is not None)
+        """PIDs of the live worker processes."""
+        return frozenset(w.process.pid for w in self._workers)
 
     def close(self) -> None:
         workers, self._workers = self._workers, []
@@ -197,16 +252,10 @@ class AsyncScheduler:
         for worker in workers:
             worker.terminate()
 
-    def _spawn_worker(self, slot: int) -> WorkerTransport:
-        if self.endpoints:
-            host, port = self.endpoints[slot % len(self.endpoints)]
-            return TcpTransport(host, port, self.connect_timeout)
-        return LocalProcessTransport(self._ctx)
-
-    def _replace(self, worker: WorkerTransport) -> None:
-        """Replace ``worker`` with a fresh transport of the same kind and address."""
+    def _replace(self, worker: _Worker) -> None:
+        """Replace ``worker`` with a fresh worker process."""
         self._workers.remove(worker)
-        replacement = worker.respawn()
+        replacement = _Worker(self._ctx)
         worker.terminate()
         self._workers.append(replacement)
         self.stats["respawns"] += 1
@@ -231,13 +280,13 @@ class AsyncScheduler:
         self._open_stream = stream
         try:
             while len(self._workers) < self.workers:
-                self._workers.append(self._spawn_worker(len(self._workers)))
+                self._workers.append(_Worker(self._ctx))
             # A previous batch that ended early (fail-fast, or an imap
             # consumer that abandoned the stream) can leave workers still
             # chewing on its tasks; their eventual replies must not be
             # mistaken for this batch's.  Replace them with fresh workers —
             # their assignment state (and any straggling reply in flight)
-            # dies with the process or the connection.
+            # dies with the process.
             for worker in [w for w in self._workers if w.current is not None]:
                 self._replace(worker)
             yield from self._dispatch(fn, items, stream)
@@ -285,7 +334,7 @@ class AsyncScheduler:
                 heapq.heappush(retry_heap, (time.monotonic() + delay, index))
                 self.stats["retries"] += 1
 
-        def end_assignment(worker: WorkerTransport) -> Optional[int]:
+        def end_assignment(worker: _Worker) -> Optional[int]:
             current, worker.current = worker.current, None
             if current is None:
                 return None
@@ -293,7 +342,7 @@ class AsyncScheduler:
             live[index] = max(live.get(index, 1) - 1, 0)
             return index
 
-        def worker_died(worker: WorkerTransport, error: str) -> None:
+        def worker_died(worker: _Worker, error: str) -> None:
             if worker not in self._workers:
                 return  # already handled via another path
             index = end_assignment(worker)
@@ -301,13 +350,10 @@ class AsyncScheduler:
             if index is not None:
                 fail_attempt(index, error)
 
-        def drain(worker: WorkerTransport) -> None:
+        def drain(worker: _Worker) -> None:
             try:
-                while worker.poll():
-                    reply = worker.recv()
-                    if reply is None:
-                        continue  # control frame (heartbeat) from a remote agent
-                    seq, ok, payload = reply
+                while worker.conn.poll():
+                    seq, ok, payload = worker.conn.recv()
                     current = worker.current
                     if current is None or current[1] != seq:
                         continue  # stale: an aborted batch or a steal's losing copy
@@ -363,7 +409,7 @@ class AsyncScheduler:
                 worker.current = (index, seq, now)
                 live[index] = live.get(index, 0) + 1
                 try:
-                    worker.send((seq, token, fn_bytes, items[index]))
+                    worker.conn.send((seq, token, fn_bytes, items[index]))
                 except (OSError, ValueError) as exc:
                     worker_died(worker, f"worker unreachable at dispatch: {exc}")
                     continue
@@ -375,13 +421,13 @@ class AsyncScheduler:
             dispatch_to_idle()
             wait_objects: List[Any] = []
             for w in self._workers:
-                wait_objects.extend(w.wait_handles())
+                wait_objects.extend((w.conn, w.process.sentinel))
             connection_wait(wait_objects, timeout)
             now = time.monotonic()
             for worker in list(self._workers):
                 drain(worker)
             for worker in list(self._workers):
-                if not worker.is_alive():
+                if not worker.process.is_alive():
                     drain(worker)  # salvage any result buffered before death
                     worker_died(worker, "worker process died mid-cell")
             if self.task_timeout is not None:
@@ -389,12 +435,9 @@ class AsyncScheduler:
                     current = worker.current
                     if current is None or now - current[2] <= self.task_timeout:
                         continue
-                    if worker.poll():
+                    if worker.conn.poll():
                         continue  # result raced in; picked up next step
                     self.stats["timeouts"] += 1
-                    # kill() is the transport's hard stop: SIGKILL for a
-                    # local child, dropping the connection for a remote
-                    # agent (which aborts the cell agent-side).
                     worker.kill()
                     worker_died(
                         worker,
@@ -415,4 +458,4 @@ class AsyncScheduler:
                 consumed += 1
                 yield result
             elif failures:
-                raise AsyncCellError([failures[i] for i in sorted(failures)])
+                raise CellError([failures[i] for i in sorted(failures)])

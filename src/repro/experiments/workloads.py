@@ -20,8 +20,8 @@ workload families are registered:
 Every family follows the figure conventions exactly: a ``<name>_plan()``
 builder returns a :class:`~repro.experiments.figures.FigurePlan` whose
 grid is plain :class:`~repro.experiments.parallel.ScenarioSpec` cells
-(the fault plan travels *inside* the cell params, so cell-cache keys,
-process workers and remote workers all see it), a ``<name>()`` wrapper
+(the fault plan travels *inside* the cell params, so cell-cache keys
+and process workers both see it), a ``<name>()`` wrapper
 runs the plan, and a :class:`~repro.plots.spec.PlotSpec` in
 :data:`WORKLOAD_PLOT_SPECS` renders the rows.  Each grid includes a
 fault-free baseline column (fault intensity 0) so the aggregation can

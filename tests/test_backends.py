@@ -17,10 +17,8 @@ from repro.experiments.backends import (
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
-    async_endpoint_from_env,
     async_retries_from_env,
     async_timeout_from_env,
-    async_workers_from_env,
     close_shared_backends,
     make_backend,
     resolve_backend,
@@ -236,10 +234,9 @@ class TestAsyncBackend:
     """The scheduler-backed ProcessBackend."""
 
     def test_is_a_backend_and_carries_configuration(self):
-        backend = ProcessBackend(endpoint="tcp://scheduler:9999")
+        backend = ProcessBackend(workers=3)
         assert isinstance(backend, ExecutorBackend)
-        assert backend.endpoint == "tcp://scheduler:9999"
-        assert backend.workers == 1  # one connection per endpoint address
+        assert backend.workers == 3
         assert backend.name == "process"
         backend.close()
 
@@ -360,12 +357,14 @@ class TestResolveBackend:
         # REPRO_ASYNC_* configure make_backend("process"), never the
         # pool that workers=N resolves to.
         close_shared_backends()
-        monkeypatch.setenv("REPRO_ASYNC_ENDPOINT", "tcp://127.0.0.1:9")
-        monkeypatch.setenv("REPRO_ASYNC_WORKERS", "3")
+        monkeypatch.setenv("REPRO_ASYNC_RETRIES", "5")
+        monkeypatch.setenv("REPRO_ASYNC_TIMEOUT", "2.5")
+        assert make_backend("process", workers=2)._scheduler.max_retries == 5
         backend = resolve_backend(workers=2)
         try:
             assert backend.workers == 2
-            assert backend.endpoint is None
+            assert backend._scheduler.max_retries == 2
+            assert backend._scheduler.task_timeout is None
             assert backend.map(_pid, range(4)) and len(backend.worker_pids()) == 2
         finally:
             close_shared_backends()
@@ -420,15 +419,13 @@ class TestWorkersFromEnv:
 
 class TestAsyncEnvSeams:
     def test_async_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ASYNC_WORKERS", raising=False)
-        assert async_workers_from_env() is None
-        assert async_workers_from_env(default=3) == 3
-        monkeypatch.setenv("REPRO_ASYNC_WORKERS", "4")
-        assert async_workers_from_env() == 4
-        assert make_backend("process").workers == 4
+        # The workers argument is the only worker-count knob, so a stale
+        # REPRO_ASYNC_WORKERS setting must be ignored.
+        monkeypatch.setenv("REPRO_ASYNC_WORKERS", "3")
+        assert make_backend("process").workers == (os.cpu_count() or 1)
+        assert make_backend("process", workers=2).workers == 2
         monkeypatch.setenv("REPRO_ASYNC_WORKERS", "0")
-        with pytest.raises(ValueError):
-            async_workers_from_env()
+        assert make_backend("process").workers == (os.cpu_count() or 1)
 
     def test_async_retries(self, monkeypatch):
         monkeypatch.delenv("REPRO_ASYNC_RETRIES", raising=False)
@@ -447,51 +444,6 @@ class TestAsyncEnvSeams:
         # Zero or negative disables the per-cell timeout entirely.
         monkeypatch.setenv("REPRO_ASYNC_TIMEOUT", "0")
         assert async_timeout_from_env() is None
-
-    def test_async_endpoint(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ASYNC_ENDPOINT", raising=False)
-        assert async_endpoint_from_env() is None
-        assert async_endpoint_from_env(default="tcp://x:1") == "tcp://x:1"
-        monkeypatch.setenv("REPRO_ASYNC_ENDPOINT", "tcp://127.0.0.1:9")
-        assert async_endpoint_from_env() == "tcp://127.0.0.1:9"
-        backend = make_backend("process")
-        assert backend.endpoint == "tcp://127.0.0.1:9"
-        assert backend.workers == 1
-        backend.close()
-        # A malformed env endpoint fails at construction, not first use.
-        monkeypatch.setenv("REPRO_ASYNC_ENDPOINT", "not-an-endpoint")
-        with pytest.raises(ValueError):
-            make_backend("process")
-
-
-class TestAsyncEndpointValidation:
-    @pytest.mark.parametrize(
-        "endpoint",
-        [
-            "",
-            "   ",
-            "scheduler:9999",  # no scheme
-            "udp://host:1",  # wrong scheme
-            "tcp://",  # no address
-            "tcp://host",  # no port
-            "tcp://host:0",  # port out of range
-            "tcp://host:99999",  # port out of range
-            "tcp://host:http",  # non-numeric port
-            "tcp://h:1,,h:2",  # empty address in the list
-        ],
-    )
-    def test_malformed_endpoints_rejected_up_front(self, endpoint):
-        with pytest.raises(ValueError):
-            ProcessBackend(endpoint=endpoint)
-
-    def test_workers_default_to_one_per_address(self):
-        backend = ProcessBackend(endpoint="tcp://a:1,b:2,c:3")
-        assert backend.workers == 3
-        backend.close()
-
-    def test_worker_count_must_match_address_count(self):
-        with pytest.raises(ValueError, match="does not match"):
-            ProcessBackend(endpoint="tcp://a:1,b:2", workers=3)
 
 
 @st.composite

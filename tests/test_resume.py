@@ -23,15 +23,15 @@ FIGURES = ["figure4b", "table2"]
 TOTAL_CELLS = 7
 
 
-def paper_smoke(out_dir, **kwargs):
-    return run_paper(figures=FIGURES, seeds="smoke", out_dir=out_dir, **kwargs)
+def paper_smoke(out_dir, figures=FIGURES, **kwargs):
+    return run_paper(figures=figures, seeds="smoke", out_dir=out_dir, **kwargs)
 
 
-def figure_bytes(directory):
+def figure_bytes(directory, figures=FIGURES):
     """Row-store payloads per figure (JSON and CSV), manifest excluded."""
     directory = Path(directory)
     payloads = {}
-    for name in FIGURES:
+    for name in figures:
         payloads[f"{name}.json"] = (directory / f"{name}.json").read_bytes()
         payloads[f"{name}.csv"] = (directory / f"{name}.csv").read_bytes()
     return payloads
@@ -61,27 +61,37 @@ class InterruptAfter:
 
 
 class TestResume:
-    def test_interrupted_run_resumes_without_recomputing(self, tmp_path):
+    @pytest.mark.parametrize(
+        ("figures", "total_cells"),
+        [
+            pytest.param(FIGURES, TOTAL_CELLS, id="figure4b+table2"),
+            # A resilience workload: its FaultPlans travel inside the
+            # cell params, so cached fault cells must resume too.
+            # 2 outages x 2 protocols x 2 smoke seeds.
+            pytest.param(["partition_heal"], 8, id="partition_heal"),
+        ],
+    )
+    def test_interrupted_run_resumes_without_recomputing(self, tmp_path, figures, total_cells):
         reference = tmp_path / "reference"
         interrupted = tmp_path / "interrupted"
-        paper_smoke(reference)
+        paper_smoke(reference, figures)
 
         with pytest.raises(Interrupted):
-            paper_smoke(interrupted, progress=InterruptAfter(3))
+            paper_smoke(interrupted, figures, progress=InterruptAfter(3))
         persisted = len(list((interrupted / CELLS_DIR_NAME).glob("*.pkl")))
-        assert 0 < persisted < TOTAL_CELLS, "the interrupt must land mid-run"
+        assert 0 < persisted < total_cells, "the interrupt must land mid-run"
 
         backend = SerialBackend()
-        paper_smoke(interrupted, backend=backend)
+        paper_smoke(interrupted, figures, backend=backend)
         # Only the missing cells were simulated...
-        assert backend.tasks_submitted == TOTAL_CELLS - persisted
+        assert backend.tasks_submitted == total_cells - persisted
         assert cells_metadata(interrupted) == {
             "reused": persisted,
-            "computed": TOTAL_CELLS - persisted,
+            "computed": total_cells - persisted,
         }
         # ...and the resumed run's rows are byte-identical to a run
         # that was never interrupted.
-        assert figure_bytes(interrupted) == figure_bytes(reference)
+        assert figure_bytes(interrupted, figures) == figure_bytes(reference, figures)
 
     def test_complete_rerun_simulates_nothing(self, tmp_path):
         out = tmp_path / "run"
@@ -144,18 +154,17 @@ class TestResume:
         assert cells_metadata(out) == {"reused": 0, "computed": 0}
 
 
-class TestCrossTransportResume:
-    """Cell provenance is transport-agnostic: a sweep interrupted on one
-    transport resumes on another, computing only the missing cells and
+class TestCrossBackendResume:
+    """Cell provenance is backend-agnostic: a sweep interrupted on one
+    backend resumes on another, computing only the missing cells and
     producing byte-identical rows."""
 
-    def test_tcp_interrupt_resumes_on_serial(self, tmp_path, tcp_agents):
+    def test_process_interrupt_resumes_on_serial(self, tmp_path):
         reference = tmp_path / "reference"
         interrupted = tmp_path / "interrupted"
         paper_smoke(reference)
 
-        endpoint = tcp_agents(2)
-        with ProcessBackend(endpoint=endpoint) as backend:
+        with ProcessBackend(workers=2) as backend:
             with pytest.raises(Interrupted):
                 paper_smoke(interrupted, backend=backend, progress=InterruptAfter(3))
         persisted = len(list((interrupted / CELLS_DIR_NAME).glob("*.pkl")))
@@ -170,7 +179,7 @@ class TestCrossTransportResume:
         }
         assert figure_bytes(interrupted) == figure_bytes(reference)
 
-    def test_serial_interrupt_resumes_over_tcp(self, tmp_path, tcp_agents):
+    def test_serial_interrupt_resumes_on_process(self, tmp_path):
         reference = tmp_path / "reference"
         interrupted = tmp_path / "interrupted"
         paper_smoke(reference)
@@ -180,8 +189,7 @@ class TestCrossTransportResume:
         persisted = len(list((interrupted / CELLS_DIR_NAME).glob("*.pkl")))
         assert 0 < persisted < TOTAL_CELLS, "the interrupt must land mid-run"
 
-        endpoint = tcp_agents(2)
-        with ProcessBackend(endpoint=endpoint) as backend:
+        with ProcessBackend(workers=2) as backend:
             paper_smoke(interrupted, backend=backend)
         assert backend.tasks_submitted == TOTAL_CELLS - persisted
         assert cells_metadata(interrupted) == {
