@@ -186,12 +186,13 @@ def run_once(benchmark, experiment: Callable, *args, **kwargs):
     to a few seconds each; a single round keeps the whole harness fast
     while still recording the wall-clock cost of regenerating the figure.
 
-    With ``REPRO_RUN_DIR`` set, a row-list result (every metric figure
-    and ``*_rows`` trace adapter) is also persisted into that run
+    With ``REPRO_RUN_DIR`` set, a row-list result (every metric figure,
+    ``figure7`` and ``table1``) is also persisted into that run
     directory under the experiment's name; series-shaped results are
     left to the driver to rowify first.  With ``REPRO_PLOTS_DIR`` set,
-    row lists whose experiment has a registered PlotSpec are rendered
-    to ``<figure>.png`` there as well.  With ``REPRO_PROFILE`` set, the
+    row lists whose experiment has a PlotSpec in
+    :func:`~repro.plots.render.default_specs` are rendered to
+    ``<figure>.png`` there as well.  With ``REPRO_PROFILE`` set, the
     simulation-core profiler runs for the experiment and every driver
     prints the same events/sec line via :func:`events_per_sec_report`
     (in-process simulations only — use ``REPRO_WORKERS=0`` for full
@@ -210,15 +211,11 @@ def run_once(benchmark, experiment: Callable, *args, **kwargs):
         save_rows(run_dir, name, result)
     plots_dir = bench_plots_dir()
     if plots_dir is not None and _looks_like_rows(result):
-        from repro.experiments.figures import PLOT_SPECS
-        from repro.plots import render_figure
+        from repro.plots.render import default_specs, render_figure
 
-        # Trace drivers persist under their adapter name (figure5_rows);
-        # the plot spec registry keys on the bare figure name.
-        figure_name = name[:-5] if name.endswith("_rows") else name
-        spec = PLOT_SPECS.get(figure_name)
+        spec = default_specs().get(name)
         if spec is not None:
-            render_figure(result, spec, plots_dir / f"{figure_name}.png")
+            render_figure(result, spec, plots_dir / f"{name}.png")
     return result
 
 

@@ -1,16 +1,15 @@
-"""Contract rules: PKL001 (picklable work), ENV001 (env seams), API001 (figure registry).
+"""Contract rules: PKL001 (picklable work), ENV001 (env seams).
 
 Each guards a cross-module seam whose breakage shows up far from the
 offending line: an unpicklable callable handed to a process backend
 fails only when the fork fallback is unavailable; a stray ``os.environ``
-read silently invalidates the README's env-var table; a ``FigurePlan``
-without a ``PLOT_SPECS`` entry renders the stored run unplottable.
+read silently invalidates the README's env-var table.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set
 
 from repro.checks.astutil import import_aliases, nested_function_names, walk_with_functions
 from repro.checks.findings import Finding
@@ -133,88 +132,3 @@ class EnvironmentSeamRule(Rule):
             return f"os.{node.id}"
         return None
 
-
-@register
-class FigureRegistryRule(Rule):
-    """API001: every ``FigurePlan`` is registered, plotted and documented."""
-
-    id = "API001"
-    summary = "every FigurePlan has a PLOT_SPECS entry, a plot= spec and a builder docstring"
-    rationale = (
-        "python -m repro.plots renders stored runs purely from PLOT_SPECS; "
-        "a FigurePlan whose name has no spec entry produces a run "
-        "directory that cannot be plotted, and an undocumented builder "
-        "hides which paper figure the plan reproduces."
-    )
-    packages = ("repro.experiments.figures",)
-
-    def check(self, source: ModuleSource) -> Iterator[Finding]:
-        spec_names = self._plot_spec_names(source.tree)
-        for node, functions in walk_with_functions(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not (isinstance(node.func, ast.Name) and node.func.id == "FigurePlan"):
-                continue
-            yield from self._check_plan(source, node, functions, spec_names)
-
-    def _check_plan(
-        self,
-        source: ModuleSource,
-        call: ast.Call,
-        functions: Tuple[ast.AST, ...],
-        spec_names: Optional[Set[str]],
-    ) -> Iterator[Finding]:
-        name = self._plan_name(call)
-        if name is None:
-            yield self.finding(
-                source, call.lineno, call.col_offset,
-                "FigurePlan name must be a string literal so the PLOT_SPECS pairing is checkable",
-            )
-        elif spec_names is not None and name not in spec_names:
-            yield self.finding(
-                source, call.lineno, call.col_offset,
-                f"FigurePlan {name!r} has no PLOT_SPECS entry; register its PlotSpec "
-                "so stored runs of this figure stay plottable",
-            )
-        if not any(kw.arg == "plot" for kw in call.keywords):
-            yield self.finding(
-                source, call.lineno, call.col_offset,
-                f"FigurePlan {name or '<dynamic>'!r} does not pass plot=; attach its PlotSpec",
-            )
-        enclosing = functions[-1] if functions else None
-        if isinstance(enclosing, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if ast.get_docstring(enclosing) is None:
-                yield self.finding(
-                    source, enclosing.lineno, enclosing.col_offset,
-                    f"builder {enclosing.name}() constructs a FigurePlan but has no "
-                    "docstring naming the paper figure it reproduces",
-                )
-
-    @staticmethod
-    def _plan_name(call: ast.Call) -> Optional[str]:
-        candidates: List[ast.expr] = []
-        if call.args:
-            candidates.append(call.args[0])
-        candidates.extend(kw.value for kw in call.keywords if kw.arg == "name")
-        for candidate in candidates:
-            if isinstance(candidate, ast.Constant) and isinstance(candidate.value, str):
-                return candidate.value
-        return None
-
-    @staticmethod
-    def _plot_spec_names(tree: ast.Module) -> Optional[Set[str]]:
-        """Literal string keys of the module-level PLOT_SPECS dict, if present."""
-        for node in tree.body:
-            target: Optional[ast.expr] = None
-            value: Optional[ast.expr] = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-            elif isinstance(node, ast.AnnAssign):
-                target, value = node.target, node.value
-            if isinstance(target, ast.Name) and target.id == "PLOT_SPECS" and isinstance(value, ast.Dict):
-                return {
-                    key.value
-                    for key in value.keys
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
-                }
-        return None

@@ -16,15 +16,18 @@
   replications and parameter sweeps out over a backend, returning
   picklable :class:`ScenarioRecord` summaries (bit-identical aggregates
   for any backend and worker count);
-* :mod:`repro.experiments.presets` — paper-scale seed presets
+* :mod:`repro.experiments.presets` — the figure registry
+  (:data:`ALL_FIGURES` and :data:`WORKLOAD_JOBS`: one ``FigureJob``
+  record per figure or workload, declaring its plot spec, smoke
+  parameters and description once), paper-scale seed presets
   (``PAPER_LINEAR=20``, ``PAPER_RANDOM=10``, smoke presets for CI) and
   the :func:`run_paper` full-paper driver: metric figures batched into
   one interleaved pool submission, trace figures (3c, 5, 7, 8) run
   serially behind the same row interface;
-* :mod:`repro.experiments.figures` — one function per figure/table
-  (``figure3`` … ``figure11``, ``table2``) returning structured rows,
-  each metric figure also exposing its ``figureN_plan()`` grid for
-  batching and each trace figure a ``figureN_rows()`` adapter;
+* :mod:`repro.experiments.figures` — the figures and tables of the
+  paper: each metric figure is a ``figureN_plan()`` grid builder (its
+  direct-call ``figureN()`` is generated from its record), each trace
+  figure a function plus a ``figureN_rows()`` adapter;
 * :mod:`repro.experiments.workloads` — the fault-injection resilience
   workload families (``churn``, ``partition_heal``, ``flapping_links``,
   ``blackout``), metric jobs pairing the figure grids with
@@ -37,8 +40,8 @@
   ``--list-figures`` prints the figure index).
 
 Image rendering lives in the sibling :mod:`repro.plots` package: every
-figure carries a declarative :class:`~repro.plots.spec.PlotSpec`
-(``figures.PLOT_SPECS``), and ``python -m repro.plots <run_dir>``
+figure's record carries a declarative :class:`~repro.plots.spec.PlotSpec`
+(``FigureJob.plot``), and ``python -m repro.plots <run_dir>``
 turns a stored run directory into one PNG per figure — or, with
 ``--compare``, into overlay/delta regression plots of two runs.
 
@@ -98,16 +101,13 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.presets import (
     ALL_FIGURES,
-    METRIC_FIGURES,
     PAPER_LINEAR,
     PAPER_RANDOM,
     SMOKE_LINEAR,
     SMOKE_RANDOM,
-    TRACE_FIGURES,
     WORKLOAD_JOBS,
     preset_seeds,
     run_paper,
-    workload_index,
 )
 from repro.experiments.progress import ProgressBars
 from repro.experiments.results import RunResults, load_run, save_run
@@ -143,8 +143,6 @@ __all__ = [
     "ScenarioSpec",
     "spawn_seeds",
     "ALL_FIGURES",
-    "METRIC_FIGURES",
-    "TRACE_FIGURES",
     "PAPER_LINEAR",
     "PAPER_RANDOM",
     "SMOKE_LINEAR",
@@ -152,7 +150,6 @@ __all__ = [
     "WORKLOAD_JOBS",
     "preset_seeds",
     "run_paper",
-    "workload_index",
     "ProgressBars",
     "RunResults",
     "load_run",

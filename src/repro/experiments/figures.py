@@ -9,58 +9,37 @@ regeneration finishes in minutes on a laptop; every parameter can be
 turned back up.
 
 The figures that only need per-run metrics (3, 4, 4b, 6, 9, 10, 11 and
-Table 2) fan their independent runs out over a
-:class:`~repro.experiments.parallel.ParallelRunner`.  Their ``workers``
-parameter defaults to the shared persistent process pool (one worker per
-core, reused across figure calls so a multi-figure run forks exactly one
-pool); ``workers=0`` or ``1`` force the historical serial execution, and
-``backend=`` accepts any
-:class:`~repro.experiments.backends.ExecutorBackend` instance — pass
-one of ``workers``/``backend``, not both.  Either way the rows are
-bit-identical, because every run is fully determined by its seed.  Each
-metric figure is internally split into a :class:`FigurePlan` — its grid
-of :class:`~repro.experiments.parallel.ScenarioSpec` cells plus an
-``aggregate`` turning record groups into rows — built by the matching
-``figureN_plan()`` function; the plan split is what lets
-:func:`~repro.experiments.presets.run_paper` batch **every** figure's
-cells into one interleaved pool submission
+Table 2) are written once, as a ``figureN_plan()`` builder returning a
+:class:`FigurePlan` — the figure's grid of
+:class:`~repro.experiments.parallel.ScenarioSpec` cells plus an
+``aggregate`` turning record groups into rows.  The plan split is what
+lets :func:`~repro.experiments.presets.run_paper` batch **every**
+figure's cells into one interleaved pool submission
 (:meth:`~repro.experiments.parallel.ParallelRunner.run_grids`) instead
-of draining the pool once per figure.
+of draining the pool once per figure.  The direct-call ``figureN()``
+functions are generated from the figure's
+:class:`~repro.experiments.presets.FigureJob` record
+(:func:`~repro.experiments.presets.entry_point`): they take the plan's
+parameters as keywords plus ``seeds`` (default: the smoke preset),
+``workers`` (default: the shared persistent process pool; ``0`` or
+``1`` run serially) and ``backend=`` (any
+:class:`~repro.experiments.backends.ExecutorBackend` — pass one of
+``workers``/``backend``, not both).  Either way the rows are
+bit-identical, because every run is fully determined by its seed.
 
 The figures that inspect live simulator state after the run (3c, 5, 7,
 8) always execute serially in-process and return series-shaped
 dictionaries; their ``figureNc_rows``-style adapters re-express those
 series as flat row lists with a stable schema so ``run_paper`` and the
 on-disk results store (:mod:`repro.experiments.results`) can treat all
-figures uniformly.  ``repro.experiments.presets`` names the paper-scale
-seed counts and drives every figure — metric and trace — through
-:func:`~repro.experiments.presets.run_paper`.
+figures uniformly.
 
-Every figure additionally registers a declarative
-:class:`~repro.plots.spec.PlotSpec` in :data:`PLOT_SPECS` (metric plans
-carry theirs on :attr:`FigurePlan.plot`): axes columns, series
-grouping, 95%-CI error-bar columns and log scales.  The generic
-renderer in :mod:`repro.plots` consumes those specs to turn any stored
-run directory into figure images (``python -m repro.plots <run_dir>``)
-without per-figure drawing code.
-
-The mapping to the paper:
-
-=============  =====================================================================
-``figure3``    Total energy & data delivered vs. net size for jtp0/jtp10/jtp20
-``figure3c``   Per-packet link-layer attempt bound over time at the third node
-``figure4``    Energy per bit, JTP vs. JNC, vs. net size (linear topologies)
-``figure4b``   Per-node energy in a 7-node linear topology, JTP vs. JNC
-``figure5``    Reception-rate time series of two competing flows, back-off on/off
-``figure6``    Source retransmissions vs. cache size for several net sizes
-``figure7``    Energy and queue drops vs. (constant) feedback rate, plus variable
-``figure8``    Rate adaptation of two competing JTP flows (flip-flop monitor)
-``figure9``    Energy per bit & goodput vs. net size, JTP vs. ATP vs. TCP (linear)
-``figure10``   Energy per bit & goodput, static random topologies
-``figure11``   Energy per bit, goodput and recovery split under mobility
-``table1``     Default parameter values
-``table2``     Testbed-like (stable links, Poisson workload) comparison
-=============  =====================================================================
+What each figure shows in the paper, its plot spec and its CI-sized
+smoke parameters are declared once, on its record in
+:data:`~repro.experiments.presets.ALL_FIGURES`; ``python -m
+repro.experiments --list-figures`` prints the mapping.  ``table1``
+(the default parameter values) and the ablations need no simulation
+grid and are plain functions here.
 """
 
 from __future__ import annotations
@@ -72,8 +51,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 from repro.core.config import CachePolicy, FeedbackMode, JTPConfig
 from repro.experiments.backends import ExecutorBackend
 from repro.experiments.parallel import ParallelRunner, ScenarioRecord, ScenarioSpec
-from repro.plots.spec import AxesSpec, PlotSpec
-from repro.experiments.runner import confidence_interval
+from repro.experiments.presets import entry_point
+from repro.experiments.runner import mean_ci
 from repro.experiments.scenarios import (
     LOSSY_LINK_QUALITY,
     PAPER_LINK_QUALITY,
@@ -83,10 +62,6 @@ from repro.transport.registry import make_protocol
 from repro.transport.udp import UdpConfig, UdpProtocol
 
 Row = Dict[str, object]
-
-
-def _mean_ci(values: Sequence[float]) -> Tuple[float, float]:
-    return statistics.fmean(values), confidence_interval(list(values))
 
 
 @dataclass(frozen=True)
@@ -104,23 +79,14 @@ class FigurePlan:
     each figure's ``aggregate`` consumes its own demultiplexed slice —
     producing rows bit-identical to a standalone figure call.
 
-    Every ``figureN_plan()`` builder takes the figure function's
-    simulation parameters (everything except ``seeds``/``workers``/
-    ``backend``, which belong to execution, not to the figure).
-
-    ``plot`` is the figure's declarative rendering description
-    (:class:`~repro.plots.spec.PlotSpec`): which row columns form the
-    axes, how rows group into series, where the error bars and log
-    scales are.  Plan builders attach the registered spec from
-    :data:`PLOT_SPECS`, which is what lets ``python -m repro.plots``
-    turn a stored run directory into figure images without any
-    figure-specific drawing code.
+    Every ``figureN_plan()`` builder takes the figure's simulation
+    parameters (everything except ``seeds``/``workers``/``backend``,
+    which belong to execution, not to the figure).
     """
 
     name: str
     specs: Tuple[ScenarioSpec, ...]
     aggregate: Callable[[Sequence[Sequence[ScenarioRecord]]], List[Row]]
-    plot: Optional[PlotSpec] = None
 
     def run(
         self,
@@ -134,161 +100,6 @@ class FigurePlan:
 
 
 # ---------------------------------------------------------------------------
-# Plot specs — how each figure's rows become an image
-# ---------------------------------------------------------------------------
-#
-# One declarative PlotSpec per figure of the paper, consumed by the
-# generic renderer in repro.plots (`python -m repro.plots <run_dir>`).
-# The specs name only columns their figure's rows actually carry —
-# tests/test_plots.py pins that against live rows — and mirror the
-# paper's presentation: CI error bars where the rows store `*_ci`
-# columns, log axes where the paper uses them (cache sizes, node
-# speeds), bars for the per-node / per-protocol breakdowns.
-
-PLOT_SPECS: Dict[str, PlotSpec] = {
-    "figure3": PlotSpec(
-        figure="figure3",
-        x="netSize",
-        xlabel="network size [nodes]",
-        series=("protocol",),
-        axes=(
-            AxesSpec(y="total_energy_J", yerr="total_energy_ci", ylabel="total energy [J]"),
-            AxesSpec(y="data_delivered_kB", yerr="data_delivered_ci", ylabel="data delivered [kB]"),
-        ),
-        title="Figure 3 - adjustable reliability: energy and delivered data",
-    ),
-    "figure3c": PlotSpec(
-        figure="figure3c",
-        x="time",
-        xlabel="time [s]",
-        series=("protocol",),
-        axes=(AxesSpec(y="attempts", ylabel="attempt bound"),),
-        title="Figure 3(c) - iJTP per-packet attempt bound at the third node",
-    ),
-    "figure4": PlotSpec(
-        figure="figure4",
-        x="netSize",
-        xlabel="network size [nodes]",
-        series=("protocol",),
-        axes=(
-            AxesSpec(y="energy_per_bit_uJ", yerr="energy_per_bit_ci", ylabel="energy per bit [uJ]"),
-            AxesSpec(y="source_rtx", ylabel="source retransmissions"),
-        ),
-        title="Figure 4(a) - caching gain: JTP vs JNC",
-    ),
-    "figure4b": PlotSpec(
-        figure="figure4b",
-        x="node",
-        xlabel="node index",
-        series=("protocol",),
-        axes=(AxesSpec(y="energy_J", ylabel="energy [J]", kind="bar"),),
-        title="Figure 4(b) - per-node energy, 7-node chain",
-    ),
-    "figure5": PlotSpec(
-        figure="figure5",
-        x="time",
-        xlabel="time [s]",
-        series=("variant", "series"),
-        axes=(AxesSpec(y="rate_pps", ylabel="reception rate [pkt/s]"),),
-        title="Figure 5 - competing flows with source back-off on/off",
-    ),
-    "figure6": PlotSpec(
-        figure="figure6",
-        x="cache_size",
-        xlabel="cache size [pkts]",
-        series=("netSize",),
-        logx=True,
-        axes=(
-            AxesSpec(y="source_rtx", ylabel="source retransmissions"),
-            AxesSpec(y="cache_recoveries", ylabel="cache recoveries"),
-        ),
-        title="Figure 6 - effect of in-network cache size",
-    ),
-    "figure7": PlotSpec(
-        figure="figure7",
-        x="feedback",
-        xlabel="feedback mode",
-        axes=(
-            AxesSpec(y="energy_mJ", ylabel="energy [mJ]", kind="bar"),
-            AxesSpec(y="queue_drops", ylabel="queue drops", kind="bar"),
-        ),
-        title="Figure 7 - constant vs variable feedback rate",
-    ),
-    "figure8": PlotSpec(
-        figure="figure8",
-        x="time",
-        xlabel="time [s]",
-        series=("series",),
-        # The flow2_interval row is a (start, end) annotation, not a
-        # series; plotting it as a curve would draw a meaningless point.
-        exclude=("flow2_interval",),
-        axes=(AxesSpec(y="value", ylabel="rate [pkt/s] / monitor level"),),
-        title="Figure 8 - rate adaptation of two competing JTP flows",
-    ),
-    "figure9": PlotSpec(
-        figure="figure9",
-        x="netSize",
-        xlabel="network size [nodes]",
-        series=("protocol",),
-        axes=(
-            AxesSpec(y="energy_per_bit_uJ", yerr="energy_per_bit_ci", ylabel="energy per bit [uJ]"),
-            AxesSpec(y="goodput_kbps", yerr="goodput_ci", ylabel="goodput [kbit/s]"),
-        ),
-        title="Figure 9 - JTP vs ATP vs TCP, linear topologies",
-    ),
-    "figure10": PlotSpec(
-        figure="figure10",
-        x="netSize",
-        xlabel="network size [nodes]",
-        series=("protocol",),
-        axes=(
-            AxesSpec(y="energy_per_bit_uJ", yerr="energy_per_bit_ci", ylabel="energy per bit [uJ]"),
-            AxesSpec(y="goodput_kbps", yerr="goodput_ci", ylabel="goodput [kbit/s]"),
-        ),
-        title="Figure 10 - JTP vs ATP vs TCP, static random topologies",
-    ),
-    "figure11": PlotSpec(
-        figure="figure11",
-        x="speed_mps",
-        xlabel="node speed [m/s]",
-        series=("protocol",),
-        logx=True,
-        axes=(
-            AxesSpec(y="energy_per_bit_uJ", ylabel="energy per bit [uJ]"),
-            AxesSpec(y="goodput_kbps", ylabel="goodput [kbit/s]"),
-            AxesSpec(y="source_rtx_per_kpkt", ylabel="source rtx / kpkt"),
-            AxesSpec(y="cache_hits_per_kpkt", ylabel="cache hits / kpkt"),
-        ),
-        title="Figure 11 - mobility: energy, goodput and recovery split",
-    ),
-    "table2": PlotSpec(
-        figure="table2",
-        x="protocol",
-        xlabel="protocol",
-        axes=(
-            AxesSpec(y="energy_per_bit_mJ", ylabel="energy per bit [mJ]", kind="bar"),
-            AxesSpec(y="goodput_kbps", ylabel="goodput [kbit/s]", kind="bar"),
-        ),
-        title="Table 2 - testbed-like comparison",
-    ),
-}
-
-
-def plot_spec(name: str) -> PlotSpec:
-    """The registered :class:`PlotSpec` for a figure name (KeyError-safe).
-
-    Raises :class:`ValueError` naming the known figures, so CLI callers
-    get an actionable message instead of a bare ``KeyError``.
-    """
-    try:
-        return PLOT_SPECS[name]
-    except KeyError:
-        raise ValueError(
-            f"no PlotSpec registered for {name!r}; known: {sorted(PLOT_SPECS)}"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
 # Figure 3 — adjustable reliability levels
 # ---------------------------------------------------------------------------
 
@@ -298,7 +109,7 @@ def figure3_plan(
     transfer_bytes: float = 120_000.0,
     duration: float = 900.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figures 3(a) and 3(b)."""
+    """Figures 3(a) and 3(b): energy and delivered data per reliability level."""
     cells = [(size, tolerance) for size in net_sizes for tolerance in tolerances]
     specs = tuple(
         ScenarioSpec("linear", {
@@ -317,8 +128,8 @@ def figure3_plan(
         for (size, tolerance), records in zip(cells, groups, strict=True):
             energies = [r.metrics.energy_joules for r in records]
             delivered = [r.metrics.delivered_bytes / 1e3 for r in records]
-            energy_mean, energy_ci = _mean_ci(energies)
-            data_mean, data_ci = _mean_ci(delivered)
+            energy_mean, energy_ci = mean_ci(energies)
+            data_mean, data_ci = mean_ci(delivered)
             rows.append({
                 "netSize": size,
                 "protocol": f"jtp{int(round(tolerance * 100))}",
@@ -331,21 +142,10 @@ def figure3_plan(
             })
         return rows
 
-    return FigurePlan("figure3", specs, aggregate, plot=PLOT_SPECS["figure3"])
+    return FigurePlan("figure3", specs, aggregate)
 
 
-def figure3(
-    net_sizes: Sequence[int] = (3, 5, 7, 9),
-    tolerances: Sequence[float] = (0.0, 0.10, 0.20),
-    seeds: Sequence[int] = (1, 2),
-    transfer_bytes: float = 120_000.0,
-    duration: float = 900.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figures 3(a) and 3(b): energy and delivered data per reliability level."""
-    plan = figure3_plan(net_sizes, tolerances, transfer_bytes, duration)
-    return plan.run(seeds, workers, backend)
+figure3 = entry_point("figure3")
 
 
 def figure3c(
@@ -388,7 +188,7 @@ def figure4_plan(
     transfer_bytes: float = 150_000.0,
     duration: float = 1200.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figure 4(a)."""
+    """Figure 4(a): energy per delivered bit, JTP vs. JNC, vs. path length."""
     cells = [(size, name) for size in net_sizes for name in ("jtp", "jnc")]
     specs = tuple(
         ScenarioSpec("linear", {
@@ -405,7 +205,7 @@ def figure4_plan(
     def aggregate(groups: Sequence[Sequence[ScenarioRecord]]) -> List[Row]:
         rows: List[Row] = []
         for (size, name), records in zip(cells, groups, strict=True):
-            mean, ci = _mean_ci([r.metrics.energy_per_bit_microjoules for r in records])
+            mean, ci = mean_ci([r.metrics.energy_per_bit_microjoules for r in records])
             rows.append({
                 "netSize": size,
                 "protocol": name,
@@ -415,19 +215,10 @@ def figure4_plan(
             })
         return rows
 
-    return FigurePlan("figure4", specs, aggregate, plot=PLOT_SPECS["figure4"])
+    return FigurePlan("figure4", specs, aggregate)
 
 
-def figure4(
-    net_sizes: Sequence[int] = (3, 5, 7, 9),
-    seeds: Sequence[int] = (1, 2),
-    transfer_bytes: float = 150_000.0,
-    duration: float = 1200.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figure 4(a): energy per delivered bit, JTP vs. JNC, vs. path length."""
-    return figure4_plan(net_sizes, transfer_bytes, duration).run(seeds, workers, backend)
+figure4 = entry_point("figure4")
 
 
 def figure4b_plan(
@@ -435,7 +226,7 @@ def figure4b_plan(
     transfer_bytes: float = 150_000.0,
     duration: float = 1200.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figure 4(b)."""
+    """Figure 4(b): per-node energy in a 7-node chain, JTP vs. JNC."""
     names = ("jtp", "jnc")
     specs = tuple(
         ScenarioSpec("linear", {
@@ -464,19 +255,10 @@ def figure4b_plan(
                 })
         return rows
 
-    return FigurePlan("figure4b", specs, aggregate, plot=PLOT_SPECS["figure4b"])
+    return FigurePlan("figure4b", specs, aggregate)
 
 
-def figure4b(
-    num_nodes: int = 7,
-    seeds: Sequence[int] = (1, 2),
-    transfer_bytes: float = 150_000.0,
-    duration: float = 1200.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figure 4(b): per-node energy in a 7-node chain, JTP vs. JNC."""
-    return figure4b_plan(num_nodes, transfer_bytes, duration).run(seeds, workers, backend)
+figure4b = entry_point("figure4b")
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +322,7 @@ def figure6_plan(
     transfer_bytes: float = 200_000.0,
     duration: float = 1200.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figure 6."""
+    """Figure 6: source retransmissions vs. in-network cache size."""
     cells = [(size, cache_size) for size in net_sizes for cache_size in cache_sizes]
     specs = tuple(
         ScenarioSpec("linear", {
@@ -566,21 +348,10 @@ def figure6_plan(
             })
         return rows
 
-    return FigurePlan("figure6", specs, aggregate, plot=PLOT_SPECS["figure6"])
+    return FigurePlan("figure6", specs, aggregate)
 
 
-def figure6(
-    cache_sizes: Sequence[int] = (2, 5, 10, 20, 50, 100),
-    net_sizes: Sequence[int] = (5, 8),
-    transfer_bytes: float = 200_000.0,
-    duration: float = 1200.0,
-    seeds: Sequence[int] = (1, 2),
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figure 6: source retransmissions vs. in-network cache size."""
-    plan = figure6_plan(cache_sizes, net_sizes, transfer_bytes, duration)
-    return plan.run(seeds, workers, backend)
+figure6 = entry_point("figure6")
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +473,8 @@ def _comparison_aggregate(
     def aggregate(groups: Sequence[Sequence[ScenarioRecord]]) -> List[Row]:
         rows: List[Row] = []
         for (cell_value, name), records in zip(cells, groups, strict=True):
-            energy_mean, energy_ci = _mean_ci([r.metrics.energy_per_bit_microjoules for r in records])
-            goodput_mean, goodput_ci = _mean_ci([r.metrics.goodput_kbps for r in records])
+            energy_mean, energy_ci = mean_ci([r.metrics.energy_per_bit_microjoules for r in records])
+            goodput_mean, goodput_ci = mean_ci([r.metrics.goodput_kbps for r in records])
             rows.append({
                 cell_key: cell_value,
                 "protocol": name,
@@ -723,7 +494,7 @@ def figure9_plan(
     transfer_bytes: float = 300_000.0,
     duration: float = 1200.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figure 9."""
+    """Figure 9: energy per bit and goodput on linear topologies."""
     cells = [(size, name) for size in net_sizes for name in protocols]
     specs = tuple(
         ScenarioSpec("linear", {
@@ -735,21 +506,10 @@ def figure9_plan(
         })
         for size, name in cells
     )
-    return FigurePlan("figure9", specs, _comparison_aggregate(cells, "netSize"), plot=PLOT_SPECS["figure9"])
+    return FigurePlan("figure9", specs, _comparison_aggregate(cells, "netSize"))
 
 
-def figure9(
-    net_sizes: Sequence[int] = (3, 5, 7, 9),
-    protocols: Sequence[str] = ("jtp", "atp", "tcp"),
-    seeds: Sequence[int] = (1, 2),
-    transfer_bytes: float = 300_000.0,
-    duration: float = 1200.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figure 9: energy per bit and goodput on linear topologies."""
-    plan = figure9_plan(net_sizes, protocols, transfer_bytes, duration)
-    return plan.run(seeds, workers, backend)
+figure9 = entry_point("figure9")
 
 
 def figure10_plan(
@@ -759,7 +519,7 @@ def figure10_plan(
     transfer_bytes: float = 100_000.0,
     duration: float = 1200.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figure 10."""
+    """Figure 10: energy per bit and goodput on static random topologies."""
     cells = [(size, name) for size in net_sizes for name in protocols]
     specs = tuple(
         ScenarioSpec("random", {
@@ -771,22 +531,10 @@ def figure10_plan(
         })
         for size, name in cells
     )
-    return FigurePlan("figure10", specs, _comparison_aggregate(cells, "netSize"), plot=PLOT_SPECS["figure10"])
+    return FigurePlan("figure10", specs, _comparison_aggregate(cells, "netSize"))
 
 
-def figure10(
-    net_sizes: Sequence[int] = (10, 15, 20),
-    protocols: Sequence[str] = ("jtp", "atp", "tcp"),
-    seeds: Sequence[int] = (1, 2),
-    num_flows: int = 5,
-    transfer_bytes: float = 100_000.0,
-    duration: float = 1200.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figure 10: energy per bit and goodput on static random topologies."""
-    plan = figure10_plan(net_sizes, protocols, num_flows, transfer_bytes, duration)
-    return plan.run(seeds, workers, backend)
+figure10 = entry_point("figure10")
 
 
 def figure11_plan(
@@ -797,7 +545,12 @@ def figure11_plan(
     transfer_bytes: float = 80_000.0,
     duration: float = 1200.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figure 11(a,b,c)."""
+    """Figure 11(a,b): energy per bit and goodput under random-waypoint mobility.
+
+    For JTP the rows also carry the Figure 11(c) quantities: source
+    retransmissions and cache recoveries, normalised by delivered
+    packets.
+    """
     cells = [(speed, name) for speed in speeds for name in protocols]
     specs = tuple(
         ScenarioSpec("mobile", {
@@ -827,28 +580,10 @@ def figure11_plan(
             })
         return rows
 
-    return FigurePlan("figure11", specs, aggregate, plot=PLOT_SPECS["figure11"])
+    return FigurePlan("figure11", specs, aggregate)
 
 
-def figure11(
-    speeds: Sequence[float] = (0.1, 1.0, 5.0),
-    protocols: Sequence[str] = ("jtp", "atp", "tcp"),
-    seeds: Sequence[int] = (1,),
-    num_nodes: int = 15,
-    num_flows: int = 5,
-    transfer_bytes: float = 80_000.0,
-    duration: float = 1200.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figure 11(a,b): energy per bit and goodput under random-waypoint mobility.
-
-    For JTP the rows also carry the Figure 11(c) quantities: source
-    retransmissions and cache recoveries, normalised by delivered
-    packets.
-    """
-    plan = figure11_plan(speeds, protocols, num_nodes, num_flows, transfer_bytes, duration)
-    return plan.run(seeds, workers, backend)
+figure11 = entry_point("figure11")
 
 
 def table1() -> List[Row]:
@@ -869,7 +604,7 @@ def table2_plan(
     duration: float = 1800.0,
     num_nodes: int = 14,
 ) -> FigurePlan:
-    """Grid + aggregation for Table 2."""
+    """Table 2: testbed-like comparison over stable, low-loss links."""
     protocols = tuple(protocols)
     specs = tuple(
         ScenarioSpec("testbed", {"protocol": name, "num_nodes": num_nodes, "duration": duration})
@@ -886,19 +621,10 @@ def table2_plan(
             })
         return rows
 
-    return FigurePlan("table2", specs, aggregate, plot=PLOT_SPECS["table2"])
+    return FigurePlan("table2", specs, aggregate)
 
 
-def table2(
-    protocols: Sequence[str] = ("jtp", "atp", "tcp"),
-    duration: float = 1800.0,
-    seeds: Sequence[int] = (1,),
-    num_nodes: int = 14,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Table 2: testbed-like comparison over stable, low-loss links."""
-    return table2_plan(protocols, duration, num_nodes).run(seeds, workers, backend)
+table2 = entry_point("table2")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,18 @@
-"""Paper-scale presets and the full-paper driver.
+"""The figure registry, paper-scale presets and the full-paper driver.
+
+:data:`ALL_FIGURES` and :data:`WORKLOAD_JOBS` are the one table of
+everything the harness can regenerate: one :class:`FigureJob` record
+per figure of the paper and per fault-injection workload family,
+declaring its scenario family, plot spec, smoke shrinkage and
+description once.  :func:`run_paper`, ``--list-figures``, the plot
+renderer and the direct-call functions (``figures.figure9``, built by
+:func:`entry_point`) all read these records.
 
 The paper averages every linear-topology figure over **twenty**
 independent runs and every random/mobile/testbed figure over **ten**
-(Section 4).  The figure functions default to much smaller, laptop-sized
-seed lists, so the paper-scale counts live here as named presets instead
-of being re-hardcoded by every driver:
+(Section 4).  The direct-call functions default to much smaller,
+laptop-sized seed lists, so the paper-scale counts live here as named
+presets instead of being re-hardcoded by every driver:
 
 * :data:`PAPER_LINEAR` / :data:`PAPER_RANDOM` — the paper's replication
   counts, expanded into concrete seed lists with
@@ -44,11 +52,12 @@ import importlib
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.backends import ExecutorBackend, resolve_backend
 from repro.experiments.parallel import ParallelRunner, ScenarioRecord, ScenarioSpec, spawn_seeds
 from repro.experiments.results import CellStore, PathLike, cell_key, git_metadata, save_run
+from repro.plots.spec import AxesSpec, PlotSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.experiments.figures import FigurePlan
@@ -102,9 +111,11 @@ def preset_seeds(
 
 @dataclass(frozen=True)
 class FigureJob:
-    """One figure of the paper: how to run it and how to shrink it for CI.
+    """One figure of the paper (or one fault-injection workload family).
 
-    ``kind`` selects the execution path: ``"metric"`` figures expose a
+    The record is the figure's single declaration: how to run it, how to
+    shrink it for CI, how to describe it and how to plot it.  ``kind``
+    selects the execution path: ``"metric"`` jobs expose a
     ``<name>_plan()`` builder whose grid joins the batched pool
     submission, while ``"trace"`` figures expose a ``<name>_rows()``
     adapter and run serially in-process (they inspect live simulator
@@ -113,6 +124,10 @@ class FigureJob:
 
     name: str
     family: str
+    #: How the job's rows become an image (``python -m repro.plots``):
+    #: axes columns, series grouping, 95%-CI error bars and log scales,
+    #: mirroring the paper's presentation.
+    plot: PlotSpec
     #: Parameter overrides applied for ``seeds="smoke"`` so a full smoke
     #: sweep stays CI-sized; paper runs use the figure defaults.
     smoke_kwargs: Dict[str, object] = field(default_factory=dict)
@@ -122,101 +137,135 @@ class FigureJob:
     #: printed by ``python -m repro.experiments --list-figures`` and the
     #: README's figure index (tests pin the two against this field).
     description: str = ""
-    #: The module exposing the job's ``<name>``/``<name>_plan`` entry
-    #: points.  Paper figures live in :mod:`repro.experiments.figures`;
+    #: The module exposing the job's ``<name>_plan``/``<name>_rows``
+    #: builders.  Paper figures live in :mod:`repro.experiments.figures`;
     #: the fault-injection workload families live in
     #: :mod:`repro.experiments.workloads`.
     module: str = "repro.experiments.figures"
 
-    def _module(self):
-        return importlib.import_module(self.module)
-
-    def func(self) -> Callable[..., List[dict]]:
-        return getattr(self._module(), self.name)
-
     def planner(self) -> Callable[..., "FigurePlan"]:
         """The figure's ``<name>_plan()`` builder (metric figures only)."""
-        return getattr(self._module(), f"{self.name}_plan")
+        return getattr(importlib.import_module(self.module), f"{self.name}_plan")
 
     def rows_func(self) -> Callable[..., List[dict]]:
         """The figure's ``<name>_rows()`` adapter (trace figures only)."""
-        return getattr(self._module(), f"{self.name}_rows")
+        return getattr(importlib.import_module(self.module), f"{self.name}_rows")
 
 
-#: The metric figures batched by :func:`run_paper`, in paper order.
-METRIC_FIGURES: Tuple[FigureJob, ...] = (
+#: Every figure :func:`run_paper` regenerates, in paper order.  Trace
+#: figures inspect live simulator state (trace events, per-flow
+#: statistics) and therefore execute in-process, not on the pool; their
+#: smoke kwargs shrink each to a CI-sized single run.
+ALL_FIGURES: Tuple[FigureJob, ...] = (
     FigureJob(
         "figure3",
         "linear",
+        plot=PlotSpec(
+            figure="figure3",
+            x="netSize",
+            xlabel="network size [nodes]",
+            series=("protocol",),
+            axes=(
+                AxesSpec(y="total_energy_J", yerr="total_energy_ci", ylabel="total energy [J]"),
+                AxesSpec(y="data_delivered_kB", yerr="data_delivered_ci", ylabel="data delivered [kB]"),
+            ),
+            title="Figure 3 - adjustable reliability: energy and delivered data",
+        ),
         smoke_kwargs={"net_sizes": (3, 5), "tolerances": (0.0, 0.10), "transfer_bytes": 40_000, "duration": 400},
         description="Total energy and data delivered vs. net size for jtp0/jtp10/jtp20",
     ),
     FigureJob(
+        "figure3c",
+        "linear",
+        plot=PlotSpec(
+            figure="figure3c",
+            x="time",
+            xlabel="time [s]",
+            series=("protocol",),
+            axes=(AxesSpec(y="attempts", ylabel="attempt bound"),),
+            title="Figure 3(c) - iJTP per-packet attempt bound at the third node",
+        ),
+        smoke_kwargs={"num_nodes": 4, "tolerances": (0.10, 0.20), "transfer_bytes": 40_000, "duration": 400},
+        description="Per-packet link-layer attempt bound over time at the third node",
+        kind="trace",
+    ),
+    FigureJob(
         "figure4",
         "linear",
+        plot=PlotSpec(
+            figure="figure4",
+            x="netSize",
+            xlabel="network size [nodes]",
+            series=("protocol",),
+            axes=(
+                AxesSpec(y="energy_per_bit_uJ", yerr="energy_per_bit_ci", ylabel="energy per bit [uJ]"),
+                AxesSpec(y="source_rtx", ylabel="source retransmissions"),
+            ),
+            title="Figure 4(a) - caching gain: JTP vs JNC",
+        ),
         smoke_kwargs={"net_sizes": (3, 5), "transfer_bytes": 50_000, "duration": 500},
         description="Energy per bit, JTP vs. JNC, vs. net size (linear topologies)",
     ),
     FigureJob(
         "figure4b",
         "linear",
+        plot=PlotSpec(
+            figure="figure4b",
+            x="node",
+            xlabel="node index",
+            series=("protocol",),
+            axes=(AxesSpec(y="energy_J", ylabel="energy [J]", kind="bar"),),
+            title="Figure 4(b) - per-node energy, 7-node chain",
+        ),
         smoke_kwargs={"num_nodes": 5, "transfer_bytes": 50_000, "duration": 500},
         description="Per-node energy in a 7-node linear topology, JTP vs. JNC",
     ),
     FigureJob(
-        "figure6",
-        "linear",
-        smoke_kwargs={"cache_sizes": (2, 10), "net_sizes": (5,), "transfer_bytes": 50_000, "duration": 400},
-        description="Source retransmissions vs. in-network cache size for several net sizes",
-    ),
-    FigureJob(
-        "figure9",
-        "linear",
-        smoke_kwargs={"net_sizes": (3, 5), "transfer_bytes": 60_000, "duration": 400},
-        description="Energy per bit and goodput vs. net size, JTP vs. ATP vs. TCP (linear)",
-    ),
-    FigureJob(
-        "figure10",
-        "random",
-        smoke_kwargs={"net_sizes": (10,), "num_flows": 3, "transfer_bytes": 30_000, "duration": 400},
-        description="Energy per bit and goodput on static random topologies",
-    ),
-    FigureJob(
-        "figure11",
-        "random",
-        smoke_kwargs={"speeds": (1.0,), "num_nodes": 10, "num_flows": 3, "transfer_bytes": 30_000, "duration": 400},
-        description="Energy per bit, goodput and recovery split under mobility",
-    ),
-    FigureJob(
-        "table2",
-        "random",
-        smoke_kwargs={"num_nodes": 8, "duration": 300},
-        description="Testbed-like comparison over stable links with a Poisson workload",
-    ),
-)
-
-#: The serial trace figures run by :func:`run_paper` via their row
-#: adapters.  They inspect live simulator state (trace events, per-flow
-#: statistics) and therefore execute in-process, not on the pool; their
-#: smoke kwargs shrink each to a CI-sized single run.
-TRACE_FIGURES: Tuple[FigureJob, ...] = (
-    FigureJob(
-        "figure3c",
-        "linear",
-        smoke_kwargs={"num_nodes": 4, "tolerances": (0.10, 0.20), "transfer_bytes": 40_000, "duration": 400},
-        description="Per-packet link-layer attempt bound over time at the third node",
-        kind="trace",
-    ),
-    FigureJob(
         "figure5",
         "linear",
+        plot=PlotSpec(
+            figure="figure5",
+            x="time",
+            xlabel="time [s]",
+            series=("variant", "series"),
+            axes=(AxesSpec(y="rate_pps", ylabel="reception rate [pkt/s]"),),
+            title="Figure 5 - competing flows with source back-off on/off",
+        ),
         smoke_kwargs={"num_nodes": 5, "duration": 300, "transfer_bytes": 100_000},
         description="Reception-rate time series of two competing flows, back-off on/off",
         kind="trace",
     ),
     FigureJob(
+        "figure6",
+        "linear",
+        plot=PlotSpec(
+            figure="figure6",
+            x="cache_size",
+            xlabel="cache size [pkts]",
+            series=("netSize",),
+            logx=True,
+            axes=(
+                AxesSpec(y="source_rtx", ylabel="source retransmissions"),
+                AxesSpec(y="cache_recoveries", ylabel="cache recoveries"),
+            ),
+            title="Figure 6 - effect of in-network cache size",
+        ),
+        smoke_kwargs={"cache_sizes": (2, 10), "net_sizes": (5,), "transfer_bytes": 50_000, "duration": 400},
+        description="Source retransmissions vs. in-network cache size for several net sizes",
+    ),
+    FigureJob(
         "figure7",
         "linear",
+        plot=PlotSpec(
+            figure="figure7",
+            x="feedback",
+            xlabel="feedback mode",
+            axes=(
+                AxesSpec(y="energy_mJ", ylabel="energy [mJ]", kind="bar"),
+                AxesSpec(y="queue_drops", ylabel="queue drops", kind="bar"),
+            ),
+            title="Figure 7 - constant vs variable feedback rate",
+        ),
         smoke_kwargs={
             "feedback_rates": (0.1, 0.5),
             "num_nodes": 5,
@@ -231,43 +280,117 @@ TRACE_FIGURES: Tuple[FigureJob, ...] = (
     FigureJob(
         "figure8",
         "linear",
+        plot=PlotSpec(
+            figure="figure8",
+            x="time",
+            xlabel="time [s]",
+            series=("series",),
+            # The flow2_interval row is a (start, end) annotation, not a
+            # series; plotting it as a curve would draw a meaningless point.
+            exclude=("flow2_interval",),
+            axes=(AxesSpec(y="value", ylabel="rate [pkt/s] / monitor level"),),
+            title="Figure 8 - rate adaptation of two competing JTP flows",
+        ),
         smoke_kwargs={"num_nodes": 4, "duration": 400, "flow2_start": 120.0, "flow2_duration": 120.0},
         description="Rate adaptation of two competing JTP flows (flip-flop monitor)",
         kind="trace",
     ),
+    FigureJob(
+        "figure9",
+        "linear",
+        plot=PlotSpec(
+            figure="figure9",
+            x="netSize",
+            xlabel="network size [nodes]",
+            series=("protocol",),
+            axes=(
+                AxesSpec(y="energy_per_bit_uJ", yerr="energy_per_bit_ci", ylabel="energy per bit [uJ]"),
+                AxesSpec(y="goodput_kbps", yerr="goodput_ci", ylabel="goodput [kbit/s]"),
+            ),
+            title="Figure 9 - JTP vs ATP vs TCP, linear topologies",
+        ),
+        smoke_kwargs={"net_sizes": (3, 5), "transfer_bytes": 60_000, "duration": 400},
+        description="Energy per bit and goodput vs. net size, JTP vs. ATP vs. TCP (linear)",
+    ),
+    FigureJob(
+        "figure10",
+        "random",
+        plot=PlotSpec(
+            figure="figure10",
+            x="netSize",
+            xlabel="network size [nodes]",
+            series=("protocol",),
+            axes=(
+                AxesSpec(y="energy_per_bit_uJ", yerr="energy_per_bit_ci", ylabel="energy per bit [uJ]"),
+                AxesSpec(y="goodput_kbps", yerr="goodput_ci", ylabel="goodput [kbit/s]"),
+            ),
+            title="Figure 10 - JTP vs ATP vs TCP, static random topologies",
+        ),
+        smoke_kwargs={"net_sizes": (10,), "num_flows": 3, "transfer_bytes": 30_000, "duration": 400},
+        description="Energy per bit and goodput on static random topologies",
+    ),
+    FigureJob(
+        "figure11",
+        "random",
+        plot=PlotSpec(
+            figure="figure11",
+            x="speed_mps",
+            xlabel="node speed [m/s]",
+            series=("protocol",),
+            logx=True,
+            axes=(
+                AxesSpec(y="energy_per_bit_uJ", ylabel="energy per bit [uJ]"),
+                AxesSpec(y="goodput_kbps", ylabel="goodput [kbit/s]"),
+                AxesSpec(y="source_rtx_per_kpkt", ylabel="source rtx / kpkt"),
+                AxesSpec(y="cache_hits_per_kpkt", ylabel="cache hits / kpkt"),
+            ),
+            title="Figure 11 - mobility: energy, goodput and recovery split",
+        ),
+        smoke_kwargs={"speeds": (1.0,), "num_nodes": 10, "num_flows": 3, "transfer_bytes": 30_000, "duration": 400},
+        description="Energy per bit, goodput and recovery split under mobility",
+    ),
+    FigureJob(
+        "table2",
+        "random",
+        plot=PlotSpec(
+            figure="table2",
+            x="protocol",
+            xlabel="protocol",
+            axes=(
+                AxesSpec(y="energy_per_bit_mJ", ylabel="energy per bit [mJ]", kind="bar"),
+                AxesSpec(y="goodput_kbps", ylabel="goodput [kbit/s]", kind="bar"),
+            ),
+            title="Table 2 - testbed-like comparison",
+        ),
+        smoke_kwargs={"num_nodes": 8, "duration": 300},
+        description="Testbed-like comparison over stable links with a Poisson workload",
+    ),
 )
 
-#: Paper-order figure names, used to interleave metric and trace jobs.
-_PAPER_ORDER = (
-    "figure3",
-    "figure3c",
-    "figure4",
-    "figure4b",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "table2",
-)
-
-#: Every figure :func:`run_paper` regenerates, in paper order.
-ALL_FIGURES: Tuple[FigureJob, ...] = tuple(
-    sorted(METRIC_FIGURES + TRACE_FIGURES, key=lambda job: _PAPER_ORDER.index(job.name))
+#: The two panels every fault-injection workload plots.
+_RESILIENCE_AXES = (
+    AxesSpec(y="goodput_kbps", yerr="goodput_ci", ylabel="goodput [kbit/s]"),
+    AxesSpec(y="delivered_frac", yerr="delivered_ci", ylabel="delivered fraction"),
 )
 
 #: The fault-injection workload families (:mod:`repro.experiments.workloads`).
 #: They are metric jobs in every respect — planned grids, batched cells,
 #: cell-cache resume — but are listed separately from the paper figures:
 #: :func:`run_paper` accepts their names alongside figure names, while
-#: :func:`figure_index` (and therefore the README's paper-figure index)
-#: stays exactly the paper's figures.
+#: the default run (and the README's paper-figure index) stays exactly
+#: the paper's figures.
 WORKLOAD_JOBS: Tuple[FigureJob, ...] = (
     FigureJob(
         "churn",
         "random",
+        plot=PlotSpec(
+            figure="churn",
+            x="churn_rate",
+            xlabel="crash rate [1/s]",
+            series=("protocol",),
+            axes=_RESILIENCE_AXES,
+            title="Node churn: goodput and delivery vs. crash rate",
+        ),
         smoke_kwargs={
             "protocols": ("jtp", "tcp"),
             "churn_rates": (0.0, 0.02),
@@ -283,6 +406,14 @@ WORKLOAD_JOBS: Tuple[FigureJob, ...] = (
     FigureJob(
         "partition_heal",
         "linear",
+        plot=PlotSpec(
+            figure="partition_heal",
+            x="outage_s",
+            xlabel="partition outage [s]",
+            series=("protocol",),
+            axes=_RESILIENCE_AXES,
+            title="Partition & heal: goodput and delivery vs. outage length",
+        ),
         smoke_kwargs={
             "protocols": ("jtp", "tcp"),
             "outages": (0.0, 20.0),
@@ -297,6 +428,14 @@ WORKLOAD_JOBS: Tuple[FigureJob, ...] = (
     FigureJob(
         "flapping_links",
         "linear",
+        plot=PlotSpec(
+            figure="flapping_links",
+            x="flap_rate",
+            xlabel="link-outage rate [1/s]",
+            series=("protocol",),
+            axes=_RESILIENCE_AXES,
+            title="Flapping links: goodput and delivery vs. outage rate",
+        ),
         smoke_kwargs={
             "protocols": ("jtp", "tcp"),
             "flap_rates": (0.0, 0.04),
@@ -310,6 +449,14 @@ WORKLOAD_JOBS: Tuple[FigureJob, ...] = (
     FigureJob(
         "blackout",
         "linear",
+        plot=PlotSpec(
+            figure="blackout",
+            x="outage_s",
+            xlabel="blackout length [s]",
+            series=("protocol",),
+            axes=_RESILIENCE_AXES,
+            title="Channel blackout: goodput and delivery vs. blackout length",
+        ),
         smoke_kwargs={
             "protocols": ("jtp", "tcp"),
             "outages": (0.0, 30.0),
@@ -326,25 +473,31 @@ WORKLOAD_JOBS: Tuple[FigureJob, ...] = (
 _JOBS_BY_NAME: Dict[str, FigureJob] = {job.name: job for job in ALL_FIGURES + WORKLOAD_JOBS}
 
 
-def figure_index() -> List[Tuple[str, str, str]]:
-    """``(name, kind, description)`` for every figure, in paper order.
+def entry_point(name: str) -> Callable[..., List[dict]]:
+    """The direct-call function of metric job ``name``, built from its record.
 
-    The single source for the figure listings: ``python -m
-    repro.experiments --list-figures`` prints it and the README's
-    paper-figure index must name every entry (pinned by the doc tests).
-    Workload families are listed by :func:`workload_index` instead.
+    ``figures.figure9(workers=4)`` and friends are these functions: every
+    keyword other than ``seeds``/``workers``/``backend`` goes to the
+    job's ``<name>_plan()`` builder, so the plan signature is the only
+    place a figure's parameter defaults are written.  ``seeds`` defaults
+    to the job family's smoke preset.  The builder is looked up at call
+    time, like :meth:`FigureJob.planner`.
     """
-    return [(job.name, job.kind, job.description) for job in ALL_FIGURES]
+    job = _JOBS_BY_NAME[name]
 
+    def run(
+        *,
+        seeds: Optional[Sequence[int]] = None,
+        workers: Optional[int] = None,
+        backend: Optional[ExecutorBackend] = None,
+        **params: Any,
+    ) -> List[dict]:
+        return job.planner()(**params).run(seeds or preset_seeds("smoke", job.family), workers, backend)
 
-def workload_index() -> List[Tuple[str, str, str]]:
-    """``(name, kind, description)`` for every fault-injection workload.
-
-    The workload counterpart of :func:`figure_index`: printed by
-    ``python -m repro.experiments --list-figures`` under its own
-    heading and pinned against ``docs/faults.md`` by the doc tests.
-    """
-    return [(job.name, job.kind, job.description) for job in WORKLOAD_JOBS]
+    run.__name__ = run.__qualname__ = job.name
+    run.__module__ = job.module
+    run.__doc__ = job.description
+    return run
 
 
 #: Signature of the ``run_paper(progress=…)`` callback: called as
@@ -377,7 +530,9 @@ def run_paper(
     :class:`~repro.experiments.parallel.ParallelRunner` (pass at most
     one — the default is the shared persistent process pool).
     ``overrides`` maps figure names to extra keyword arguments, applied
-    on top of the smoke shrinkage when ``seeds="smoke"``.
+    on top of the smoke shrinkage when ``seeds="smoke"``; a key naming
+    no registered figure or workload raises :class:`ValueError`, while
+    registered names outside ``figures`` are ignored.
 
     The metric figures are planned first and all their cells submitted
     to the backend as **one** interleaved task stream
@@ -447,6 +602,11 @@ def run_paper(
             # collapsed into one results entry — reject them instead.
             raise ValueError(f"duplicate figure names in {list(figures)}")
         jobs = [_JOBS_BY_NAME[name] for name in figures]
+    if overrides:
+        # A misspelled key would otherwise run its figure at defaults.
+        unknown = sorted(set(overrides) - set(_JOBS_BY_NAME))
+        if unknown:
+            raise ValueError(f"unknown figures in overrides {unknown}; known: {sorted(_JOBS_BY_NAME)}")
     resolved = resolve_backend(workers=workers, backend=backend)
 
     from repro.sim import profile as core_profile

@@ -104,22 +104,18 @@ def format_run(
 def format_figure_index() -> str:
     """The ``--list-figures`` listing: every figure, its kind, one line each.
 
-    Sourced from :func:`repro.experiments.presets.figure_index` (the
+    Sourced from :data:`repro.experiments.presets.ALL_FIGURES` (the
     same descriptions the README's paper-figure index carries), followed
     by the fault-injection workload families from
-    :func:`repro.experiments.presets.workload_index` under their own
+    :data:`repro.experiments.presets.WORKLOAD_JOBS` under their own
     heading (documented in ``docs/faults.md``).
     """
-    from repro.experiments.presets import figure_index, workload_index
+    from repro.experiments.presets import ALL_FIGURES, WORKLOAD_JOBS
 
-    rows = [
-        {"figure": name, "kind": kind, "description": description}
-        for name, kind, description in figure_index()
-    ]
+    rows = [{"figure": job.name, "kind": job.kind, "description": job.description} for job in ALL_FIGURES]
     figures_block = format_table(rows, title="Figures regenerated by run_paper() (paper order)")
     workload_rows = [
-        {"workload": name, "kind": kind, "description": description}
-        for name, kind, description in workload_index()
+        {"workload": job.name, "kind": job.kind, "description": job.description} for job in WORKLOAD_JOBS
     ]
     workloads_block = format_table(
         workload_rows, title="Fault-injection workloads (opt-in, docs/faults.md)"

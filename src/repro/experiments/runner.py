@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.scenarios import ScenarioResult
 
@@ -121,6 +121,11 @@ def confidence_interval(values: Sequence[float], confidence: float = 0.95) -> fl
         return 0.0
     stdev = statistics.stdev(values)
     return t_critical_95(n - 1) * stdev / math.sqrt(n)
+
+
+def mean_ci(values: Sequence[float]) -> Tuple[float, float]:
+    """Mean and 95% CI half-width of one cell's replicated values."""
+    return statistics.fmean(values), confidence_interval(list(values))
 
 
 def summarize(results: Sequence[ScenarioResult], attribute: str) -> Dict[str, float]:

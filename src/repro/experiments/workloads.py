@@ -21,9 +21,10 @@ Every family follows the figure conventions exactly: a ``<name>_plan()``
 builder returns a :class:`~repro.experiments.figures.FigurePlan` whose
 grid is plain :class:`~repro.experiments.parallel.ScenarioSpec` cells
 (the fault plan travels *inside* the cell params, so cell-cache keys
-and process workers both see it), a ``<name>()`` wrapper
-runs the plan, and a :class:`~repro.plots.spec.PlotSpec` in
-:data:`WORKLOAD_PLOT_SPECS` renders the rows.  Each grid includes a
+and process workers both see it).  The family's record in
+:data:`~repro.experiments.presets.WORKLOAD_JOBS` declares its plot
+spec, smoke parameters and description, and generates the direct-call
+``<name>()`` function that runs the plan.  Each grid includes a
 fault-free baseline column (fault intensity 0) so the aggregation can
 report goodput degradation as a ratio against the same protocol under
 no faults.  Replication, confidence intervals, run persistence and
@@ -41,77 +42,17 @@ protocol's fault-free mean).
 from __future__ import annotations
 
 import statistics
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.experiments.backends import ExecutorBackend
 from repro.experiments.figures import FigurePlan, Row
 from repro.experiments.parallel import ScenarioRecord, ScenarioSpec
-from repro.experiments.runner import confidence_interval
-from repro.plots.spec import AxesSpec, PlotSpec
+from repro.experiments.presets import entry_point
+from repro.experiments.runner import mean_ci
 from repro.sim.faults import FaultPlan
-
-#: Workload family names, in registry order.
-WORKLOADS: Tuple[str, ...] = ("churn", "partition_heal", "flapping_links", "blackout")
 
 #: Protocols compared by every workload unless overridden: the full
 #: JTP/iJTP stack, the caching-free variant and the end-to-end baseline.
 DEFAULT_PROTOCOLS: Tuple[str, ...] = ("jtp", "jnc", "tcp")
-
-
-def _mean_ci(values: Sequence[float]) -> Tuple[float, float]:
-    return statistics.fmean(values), confidence_interval(list(values))
-
-
-def _resilience_axes() -> Tuple[AxesSpec, ...]:
-    return (
-        AxesSpec(y="goodput_kbps", yerr="goodput_ci", ylabel="goodput [kbit/s]"),
-        AxesSpec(y="delivered_frac", yerr="delivered_ci", ylabel="delivered fraction"),
-    )
-
-
-#: One declarative plot per workload, same renderer as the paper figures.
-WORKLOAD_PLOT_SPECS: Dict[str, PlotSpec] = {
-    "churn": PlotSpec(
-        figure="churn",
-        x="churn_rate",
-        xlabel="crash rate [1/s]",
-        series=("protocol",),
-        axes=_resilience_axes(),
-        title="Node churn: goodput and delivery vs. crash rate",
-    ),
-    "partition_heal": PlotSpec(
-        figure="partition_heal",
-        x="outage_s",
-        xlabel="partition outage [s]",
-        series=("protocol",),
-        axes=_resilience_axes(),
-        title="Partition & heal: goodput and delivery vs. outage length",
-    ),
-    "flapping_links": PlotSpec(
-        figure="flapping_links",
-        x="flap_rate",
-        xlabel="link-outage rate [1/s]",
-        series=("protocol",),
-        axes=_resilience_axes(),
-        title="Flapping links: goodput and delivery vs. outage rate",
-    ),
-    "blackout": PlotSpec(
-        figure="blackout",
-        x="outage_s",
-        xlabel="blackout length [s]",
-        series=("protocol",),
-        axes=_resilience_axes(),
-        title="Channel blackout: goodput and delivery vs. blackout length",
-    ),
-}
-
-
-def workload_plot_spec(name: str) -> PlotSpec:
-    """The registered :class:`PlotSpec` for one workload family."""
-    spec = WORKLOAD_PLOT_SPECS.get(name)
-    if spec is None:
-        raise ValueError(f"unknown workload {name!r}; known: {sorted(WORKLOAD_PLOT_SPECS)}")
-    return spec
 
 
 def _resilience_aggregate(
@@ -134,14 +75,14 @@ def _resilience_aggregate(
                 )
         rows: List[Row] = []
         for (value, name), records in zip(cells, groups, strict=True):
-            goodput_mean, goodput_ci = _mean_ci([r.metrics.goodput_kbps for r in records])
-            delivered_mean, delivered_ci = _mean_ci(
+            goodput_mean, goodput_ci = mean_ci([r.metrics.goodput_kbps for r in records])
+            delivered_mean, delivered_ci = mean_ci(
                 [r.metrics.delivered_fraction for r in records]
             )
-            outage_mean, outage_ci = _mean_ci(
+            outage_mean, outage_ci = mean_ci(
                 [r.metrics.outage_delivery_ratio for r in records]
             )
-            recovery_mean, recovery_ci = _mean_ci(
+            recovery_mean, recovery_ci = mean_ci(
                 [r.metrics.post_heal_recovery_seconds for r in records]
             )
             base = baseline_goodput.get(name, 0.0)
@@ -208,29 +149,10 @@ def churn_plan(
         })
         for rate, name in cells
     )
-    return FigurePlan(
-        "churn", specs, _resilience_aggregate(cells, "churn_rate"),
-        plot=WORKLOAD_PLOT_SPECS["churn"],
-    )
+    return FigurePlan("churn", specs, _resilience_aggregate(cells, "churn_rate"))
 
 
-def churn(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    churn_rates: Sequence[float] = (0.0, 0.005, 0.02),
-    seeds: Sequence[int] = (1, 2),
-    num_nodes: int = 12,
-    mean_downtime: float = 30.0,
-    num_flows: int = 3,
-    transfer_bytes: float = 80_000.0,
-    duration: float = 900.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Node-churn workload: goodput/delivery degradation vs. crash rate."""
-    plan = churn_plan(
-        protocols, churn_rates, num_nodes, mean_downtime, num_flows, transfer_bytes, duration
-    )
-    return plan.run(seeds, workers, backend)
+churn = entry_point("churn")
 
 
 # ---------------------------------------------------------------------------
@@ -266,28 +188,10 @@ def partition_heal_plan(
         })
         for outage, name in cells
     )
-    return FigurePlan(
-        "partition_heal", specs, _resilience_aggregate(cells, "outage_s"),
-        plot=WORKLOAD_PLOT_SPECS["partition_heal"],
-    )
+    return FigurePlan("partition_heal", specs, _resilience_aggregate(cells, "outage_s"))
 
 
-def partition_heal(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    outages: Sequence[float] = (0.0, 20.0, 60.0),
-    seeds: Sequence[int] = (1, 2),
-    num_nodes: int = 6,
-    fault_start: float = 60.0,
-    transfer_bytes: float = 150_000.0,
-    duration: float = 600.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Partition-and-heal workload: resilience vs. outage length."""
-    plan = partition_heal_plan(
-        protocols, outages, num_nodes, fault_start, transfer_bytes, duration
-    )
-    return plan.run(seeds, workers, backend)
+partition_heal = entry_point("partition_heal")
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +224,10 @@ def flapping_links_plan(
         })
         for rate, name in cells
     )
-    return FigurePlan(
-        "flapping_links", specs, _resilience_aggregate(cells, "flap_rate"),
-        plot=WORKLOAD_PLOT_SPECS["flapping_links"],
-    )
+    return FigurePlan("flapping_links", specs, _resilience_aggregate(cells, "flap_rate"))
 
 
-def flapping_links(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    flap_rates: Sequence[float] = (0.0, 0.01, 0.04),
-    seeds: Sequence[int] = (1, 2),
-    num_nodes: int = 6,
-    mean_outage: float = 5.0,
-    transfer_bytes: float = 150_000.0,
-    duration: float = 600.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Flapping-links workload: resilience vs. forced link-outage rate."""
-    plan = flapping_links_plan(
-        protocols, flap_rates, num_nodes, mean_outage, transfer_bytes, duration
-    )
-    return plan.run(seeds, workers, backend)
+flapping_links = entry_point("flapping_links")
 
 
 # ---------------------------------------------------------------------------
@@ -377,25 +263,7 @@ def blackout_plan(
         })
         for outage, name in cells
     )
-    return FigurePlan(
-        "blackout", specs, _resilience_aggregate(cells, "outage_s"),
-        plot=WORKLOAD_PLOT_SPECS["blackout"],
-    )
+    return FigurePlan("blackout", specs, _resilience_aggregate(cells, "outage_s"))
 
 
-def blackout(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    outages: Sequence[float] = (0.0, 30.0, 90.0),
-    seeds: Sequence[int] = (1, 2),
-    num_nodes: int = 6,
-    fault_start: float = 60.0,
-    transfer_bytes: float = 150_000.0,
-    duration: float = 600.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Channel-blackout workload: resilience vs. blackout length."""
-    plan = blackout_plan(
-        protocols, outages, num_nodes, fault_start, transfer_bytes, duration
-    )
-    return plan.run(seeds, workers, backend)
+blackout = entry_point("blackout")

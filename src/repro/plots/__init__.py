@@ -7,9 +7,8 @@ run directories into overlay/delta regression plots —
 **re-simulating nothing**.
 
 * :class:`~repro.plots.spec.PlotSpec` / :class:`~repro.plots.spec.AxesSpec`
-  — the declarative description every figure carries (attached to its
-  :class:`~repro.experiments.figures.FigurePlan` and registered in
-  ``repro.experiments.figures.PLOT_SPECS``).
+  — the declarative description every figure carries (the ``plot``
+  field of its :class:`~repro.experiments.presets.FigureJob` record).
 * :func:`~repro.plots.render.render_figure` /
   :func:`~repro.plots.render.render_run` — the generic engine: any
   rows + spec → PNG, a whole run directory → one PNG per figure.
@@ -28,7 +27,7 @@ PNGs, so the pipeline never needs a third-party package to function.
 This ``__init__`` re-exports lazily (PEP 562): the experiments package
 imports :mod:`repro.plots.spec` for the spec dataclasses, and an eager
 import of the render/compare machinery here would create an import
-cycle through ``repro.experiments.figures``.
+cycle through ``repro.experiments.presets``.
 """
 
 from typing import TYPE_CHECKING

@@ -536,17 +536,16 @@ def render_figure(
 def default_specs() -> Dict[str, PlotSpec]:
     """The repo's figure-name → :class:`PlotSpec` registry.
 
-    Merges the paper figures (``figures.PLOT_SPECS``) with the
-    fault-injection workload families (``workloads.WORKLOAD_PLOT_SPECS``)
-    so a stored run holding workload rows renders with the same engine.
-    Imported lazily: :mod:`repro.experiments.figures` itself imports
+    Every paper figure and fault-injection workload family carries its
+    spec on its :class:`~repro.experiments.presets.FigureJob` record, so
+    a stored run holding any of their rows renders with the same engine.
+    Imported lazily: :mod:`repro.experiments.presets` itself imports
     :mod:`repro.plots.spec`, and a module-level import here would tie
     the two packages into a cycle.
     """
-    from repro.experiments.figures import PLOT_SPECS
-    from repro.experiments.workloads import WORKLOAD_PLOT_SPECS
+    from repro.experiments.presets import ALL_FIGURES, WORKLOAD_JOBS
 
-    return {**PLOT_SPECS, **WORKLOAD_PLOT_SPECS}
+    return {job.name: job.plot for job in ALL_FIGURES + WORKLOAD_JOBS}
 
 
 def render_run(

@@ -4,11 +4,11 @@ A :class:`PlotSpec` says how one figure's tidy rows become an image —
 which column is the x axis, how rows group into plotted series, which
 columns hold the values and their 95% confidence half-widths, and where
 the paper uses log scales — without naming any rendering library.  The
-specs are plain frozen data, so :mod:`repro.experiments.figures` can
-attach one to every :class:`~repro.experiments.figures.FigurePlan` (and
-register one per trace figure) without importing matplotlib, and the
-generic engine in :mod:`repro.plots.render` can draw any spec with
-whichever backend is installed.
+specs are plain frozen data, so every
+:class:`~repro.experiments.presets.FigureJob` record can declare one
+without importing matplotlib, and the generic engine in
+:mod:`repro.plots.render` can draw any spec with whichever backend is
+installed.
 
 One spec may hold several :class:`AxesSpec` panels: the paper's figures
 frequently pair two quantities over the same x axis (Figure 3 plots

@@ -323,75 +323,6 @@ class TestENV001:
 
 
 # ---------------------------------------------------------------------------
-# API001 — figure registry
-# ---------------------------------------------------------------------------
-
-_FIGURES_MODULE = "repro.experiments.figures"
-
-
-class TestAPI001:
-    def test_complete_plan_is_clean(self):
-        found = findings_for("API001", """\
-            PLOT_SPECS = {"figure3": object()}
-
-            def figure3_plan():
-                '''Figure 3 of the paper.'''
-                return FigurePlan("figure3", specs=(), aggregate=None, plot=PLOT_SPECS["figure3"])
-            """, module=_FIGURES_MODULE)
-        assert found == []
-
-    def test_unregistered_name_fires(self):
-        found = findings_for("API001", """\
-            PLOT_SPECS = {"figure3": object()}
-
-            def figure9_plan():
-                '''Figure 9 of the paper.'''
-                return FigurePlan("figure9", specs=(), aggregate=None, plot=None)
-            """, module=_FIGURES_MODULE)
-        assert len(found) == 1
-        assert "PLOT_SPECS" in found[0].message
-
-    def test_missing_plot_kwarg_fires(self):
-        found = findings_for("API001", """\
-            PLOT_SPECS = {"figure3": object()}
-
-            def figure3_plan():
-                '''Figure 3 of the paper.'''
-                return FigurePlan("figure3", specs=(), aggregate=None)
-            """, module=_FIGURES_MODULE)
-        assert len(found) == 1
-        assert "plot=" in found[0].message
-
-    def test_undocumented_builder_fires(self):
-        found = findings_for("API001", """\
-            PLOT_SPECS = {"figure3": object()}
-
-            def figure3_plan():
-                return FigurePlan("figure3", specs=(), aggregate=None, plot=None)
-            """, module=_FIGURES_MODULE)
-        assert len(found) == 1
-        assert "docstring" in found[0].message
-
-    def test_dynamic_name_fires(self):
-        found = findings_for("API001", """\
-            PLOT_SPECS = {"figure3": object()}
-
-            def build(name):
-                '''Builds a plan.'''
-                return FigurePlan(name, specs=(), aggregate=None, plot=None)
-            """, module=_FIGURES_MODULE)
-        assert len(found) == 1
-        assert "string literal" in found[0].message
-
-    def test_other_modules_are_out_of_scope(self):
-        found = findings_for("API001", """\
-            def build():
-                return FigurePlan("mystery", specs=(), aggregate=None)
-            """, module="repro.experiments.presets")
-        assert found == []
-
-
-# ---------------------------------------------------------------------------
 # ARCH001 — the layer DAG
 # ---------------------------------------------------------------------------
 
@@ -713,8 +644,8 @@ class TestModuleNames:
 class TestRegistry:
     def test_the_full_catalogue_is_registered(self):
         assert [rule.id for rule in all_rules()] == [
-            "API001", "ARCH001", "ASY002", "DET001",
-            "DET002", "ENV001", "EXC001", "PKL001", "SEED001",
+            "ARCH001", "ASY002", "DET001", "DET002",
+            "ENV001", "EXC001", "PKL001", "SEED001",
         ]
 
     def test_every_rule_has_a_docs_catalogue_entry(self):

@@ -8,8 +8,10 @@ Documentation drifts unless something executable pins it.  This suite:
   in a temporary working directory — the quickstart pipeline in the
   README really simulates, persists, renders and compares;
 * pins the README's paper-figure index and environment-variable table
-  against the code (``figure_index()``, the env vars the harness
-  actually reads), and exercises ``--list-figures``.
+  against the code (the ``ALL_FIGURES`` records, the env vars the
+  harness actually reads), and exercises ``--list-figures``;
+* pins the ``mypy --strict`` file list in ``docs/checks.md`` against
+  the one CI runs.
 
 Convention for doc authors: mark a snippet ``# runnable`` only if it is
 self-contained, fast (a few seconds), and writes nothing outside its
@@ -73,12 +75,12 @@ class TestReadmeIndexes:
     README = (REPO_ROOT / "README.md").read_text()
 
     def test_paper_figure_index_is_complete(self):
-        from repro.experiments.presets import figure_index
+        from repro.experiments.presets import ALL_FIGURES
 
-        for name, kind, description in figure_index():
-            assert f"`figures.{name}`" in self.README, f"README index misses {name}"
-            assert description in self.README, f"README index misses {name}'s description"
-            assert kind in ("metric", "trace")
+        for job in ALL_FIGURES:
+            assert f"`figures.{job.name}`" in self.README, f"README index misses {job.name}"
+            assert job.description in self.README, f"README index misses {job.name}'s description"
+            assert job.kind in ("metric", "trace")
 
     def test_env_var_table_names_the_real_knobs(self):
         # Two-way: every REPRO_* variable the code mentions has a row in
@@ -153,15 +155,15 @@ class TestReadmeIndexes:
         assert "docs/faults.md" in self.README
         doc = (REPO_ROOT / "docs" / "faults.md").read_text()
 
-        from repro.experiments.presets import workload_index
+        from repro.experiments.presets import WORKLOAD_JOBS
         from repro.sim.faults import FAULT_KINDS
 
         for kind in FAULT_KINDS:
             assert f"`{kind}`" in doc, f"faults.md misses fault kind `{kind}`"
-        for name, kind, description in workload_index():
-            assert f"`{name}`" in doc, f"faults.md misses workload `{name}`"
-            assert description in doc, f"faults.md misses {name}'s description"
-            assert kind == "metric"
+        for job in WORKLOAD_JOBS:
+            assert f"`{job.name}`" in doc, f"faults.md misses workload `{job.name}`"
+            assert job.description in doc, f"faults.md misses {job.name}'s description"
+            assert job.kind == "metric"
         # The resilience columns the workloads emit are documented.
         for column in ("outage_delivery_ratio", "post_heal_recovery_s", "goodput_vs_baseline"):
             assert column in doc, f"faults.md misses the {column} column"
@@ -170,34 +172,54 @@ class TestReadmeIndexes:
         assert "bench_faults.py" in doc
 
     def test_readme_workload_section_matches_the_registry(self):
-        from repro.experiments.presets import workload_index
-        from repro.experiments.workloads import WORKLOADS
+        from repro.experiments.presets import WORKLOAD_JOBS
 
-        assert tuple(name for name, _, _ in workload_index()) == WORKLOADS
-        for name in WORKLOADS:
-            assert f"`{name}`" in self.README, f"README workload list misses `{name}`"
+        for job in WORKLOAD_JOBS:
+            assert f"`{job.name}`" in self.README, f"README workload list misses `{job.name}`"
+
+
+class TestChecksDoc:
+    @staticmethod
+    def mypy_paths(text: str) -> list:
+        """The paths of the first ``mypy --strict`` command in ``text``."""
+        command = text.split("mypy --strict --follow-imports=silent", 1)[1]
+        paths = []
+        for line in command.splitlines()[1:]:
+            tokens = line.replace("\\", " ").split()
+            if not tokens or not all(token.startswith("src/") for token in tokens):
+                break
+            paths.extend(tokens)
+        return sorted(paths)
+
+    def test_mypy_file_list_matches_ci(self):
+        # docs/checks.md restates CI's mypy --strict step; the two file
+        # lists must not drift.
+        ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        doc = (REPO_ROOT / "docs" / "checks.md").read_text()
+        assert self.mypy_paths(ci)
+        assert self.mypy_paths(doc) == self.mypy_paths(ci)
 
 
 class TestListFiguresCli:
     def test_list_figures_prints_the_index(self, capsys):
-        from repro.experiments.presets import figure_index
+        from repro.experiments.presets import ALL_FIGURES
         from repro.experiments.report import main
 
         assert main(["--list-figures"]) == 0
         output = capsys.readouterr().out
-        for name, _kind, description in figure_index():
-            assert name in output
-            assert description in output
+        for job in ALL_FIGURES:
+            assert job.name in output
+            assert job.description in output
 
     def test_list_figures_prints_the_workloads_too(self, capsys):
-        from repro.experiments.presets import workload_index
+        from repro.experiments.presets import WORKLOAD_JOBS
         from repro.experiments.report import main
 
         assert main(["--list-figures"]) == 0
         output = capsys.readouterr().out
-        for name, _kind, description in workload_index():
-            assert name in output
-            assert description in output
+        for job in WORKLOAD_JOBS:
+            assert job.name in output
+            assert job.description in output
 
     def test_run_dir_still_required_without_the_flag(self):
         from repro.experiments.report import main

@@ -23,14 +23,16 @@ import shutil
 import pytest
 
 from repro.experiments.backends import SerialBackend
-from repro.experiments.figures import PLOT_SPECS, figure9_plan, plot_spec
-from repro.experiments.presets import ALL_FIGURES, run_paper
+from repro.experiments.presets import ALL_FIGURES, WORKLOAD_JOBS, run_paper
 from repro.experiments.results import load_run
 from repro.plots import AxesSpec, PlotSpec, RunMismatchError, compare_runs, render_run
 from repro.plots import mini_png
 from repro.plots.cli import main as plots_main
 from repro.plots.compare import manifest_mismatches
-from repro.plots.render import PANEL_WIDTH, active_backend, prepare_figure, render_figure
+from repro.plots.render import PANEL_WIDTH, active_backend, default_specs, prepare_figure, render_figure
+
+#: Figure name -> PlotSpec, read off the registry records.
+SPECS = default_specs()
 
 
 @pytest.fixture(autouse=True)
@@ -80,24 +82,21 @@ def _assert_png(path):
 
 class TestPlotSpecs:
     def test_every_figure_has_a_spec(self):
-        assert set(PLOT_SPECS) == {job.name for job in ALL_FIGURES}
-        for name, spec in PLOT_SPECS.items():
-            assert spec.figure == name
+        for job in ALL_FIGURES + WORKLOAD_JOBS:
+            assert isinstance(job.plot, PlotSpec), job.name
+            assert job.plot.figure == job.name
 
     def test_specs_name_only_columns_the_rows_carry(self, tiny_run):
         _, results = tiny_run
         for name, rows in results.items():
             assert rows, f"{name} produced no rows at test scale"
             columns = set().union(*(row.keys() for row in rows))
-            spec = PLOT_SPECS[name]
+            spec = SPECS[name]
             missing = set(spec.columns()) - columns
             assert not missing, f"{name} spec names absent columns {missing}"
 
-    def test_metric_plans_carry_their_spec(self):
-        assert figure9_plan().plot is PLOT_SPECS["figure9"]
-
     def test_figure9_spec_schema_pins(self):
-        spec = PLOT_SPECS["figure9"]
+        spec = SPECS["figure9"]
         assert spec.x == "netSize"
         assert spec.series == ("protocol",)
         assert [(panel.y, panel.yerr) for panel in spec.axes] == [
@@ -106,19 +105,16 @@ class TestPlotSpecs:
         ]
 
     def test_paper_log_scales(self):
-        assert PLOT_SPECS["figure6"].logx      # cache sizes 2..100
-        assert PLOT_SPECS["figure11"].logx     # node speeds 0.1..5
-        assert PLOT_SPECS["figure4b"].axes[0].kind == "bar"
-        assert PLOT_SPECS["figure8"].exclude == ("flow2_interval",)
+        assert SPECS["figure6"].logx      # cache sizes 2..100
+        assert SPECS["figure11"].logx     # node speeds 0.1..5
+        assert SPECS["figure4b"].axes[0].kind == "bar"
+        assert SPECS["figure8"].exclude == ("flow2_interval",)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PlotSpec(figure="x", x="t", axes=())
         with pytest.raises(ValueError):
             AxesSpec(y="v", kind="pie")
-        with pytest.raises(ValueError):
-            plot_spec("figure99")
-        assert plot_spec("figure3") is PLOT_SPECS["figure3"]
 
 
 class TestPrepareFigure:
@@ -259,7 +255,7 @@ class TestCompareRuns:
         from repro.plots.compare import RUN_COLUMN, _overlay_spec
 
         _, results = tiny_run
-        spec = PLOT_SPECS["figure5"]
+        spec = SPECS["figure5"]
         overlay_rows = [
             {**row, RUN_COLUMN: run} for run in ("run-a", "run-b") for row in results["figure5"]
         ]
@@ -337,5 +333,5 @@ class TestBackendSelection:
         run_dir, results = tiny_run
         stored = load_run(run_dir)
         assert stored.rows.keys() == results.keys()
-        path = render_figure(stored.rows["figure7"], PLOT_SPECS["figure7"], tmp_path / "f7.png")
+        path = render_figure(stored.rows["figure7"], SPECS["figure7"], tmp_path / "f7.png")
         _assert_png(path)

@@ -7,16 +7,18 @@ from repro.experiments.backends import SerialBackend
 from repro.experiments.parallel import spawn_seeds
 from repro.experiments.presets import (
     ALL_FIGURES,
-    METRIC_FIGURES,
     PAPER_LINEAR,
     PAPER_RANDOM,
     SMOKE_LINEAR,
     SMOKE_RANDOM,
-    TRACE_FIGURES,
+    WORKLOAD_JOBS,
     preset_seeds,
     run_paper,
 )
 from repro.experiments.results import load_run
+
+METRIC_JOBS = [job for job in ALL_FIGURES + WORKLOAD_JOBS if job.kind == "metric"]
+TRACE_JOBS = [job for job in ALL_FIGURES if job.kind == "trace"]
 
 
 class TestPresetSeeds:
@@ -53,7 +55,7 @@ class TestPresetSeeds:
 
 class TestMetricFigures:
     def test_covers_the_metric_only_figures(self):
-        names = [job.name for job in METRIC_FIGURES]
+        names = [job.name for job in ALL_FIGURES if job.kind == "metric"]
         assert names == [
             "figure3",
             "figure4",
@@ -66,49 +68,39 @@ class TestMetricFigures:
         ]
 
     def test_every_job_resolves_to_a_figure_function(self):
-        for job in METRIC_FIGURES:
-            assert callable(job.func())
+        # Every metric record, paper figure or workload, names a module
+        # exposing its <name>_plan builder and its generated <name> function.
+        import importlib
+
+        for job in METRIC_JOBS:
             assert callable(job.planner())
+            assert callable(getattr(importlib.import_module(job.module), job.name))
             assert job.family in ("linear", "random")
-            assert job.kind == "metric"
 
     def test_covers_the_trace_figures(self):
-        assert [job.name for job in TRACE_FIGURES] == [
+        assert [job.name for job in TRACE_JOBS] == [
             "figure3c",
             "figure5",
             "figure7",
             "figure8",
         ]
-        for job in TRACE_FIGURES:
-            assert callable(job.func())
+        for job in TRACE_JOBS:
             assert callable(job.rows_func())
-            assert job.kind == "trace"
-
-    def test_wrapper_and_plan_defaults_agree(self):
-        # run_paper(seeds="paper") uses the figureN_plan() defaults while
-        # a direct figureN() call passes its own defaults into the plan;
-        # the two signatures restate the paper parameters and must never
-        # drift apart, or batched rows silently diverge from direct calls.
-        import inspect
-
-        for job in METRIC_FIGURES:
-            wrapper = inspect.signature(job.func()).parameters
-            for name, param in inspect.signature(job.planner()).parameters.items():
-                assert name in wrapper, (job.name, name)
-                assert wrapper[name].default == param.default, (job.name, name)
 
     def test_every_job_has_a_one_line_description(self):
         # --list-figures and the README index both print this field.
-        for job in ALL_FIGURES:
+        for job in ALL_FIGURES + WORKLOAD_JOBS:
             assert job.description, job.name
             assert "\n" not in job.description
 
     def test_figure_index_mirrors_all_figures(self):
-        from repro.experiments.presets import figure_index
+        # The --list-figures index prints the records in paper order.
+        from repro.experiments.report import format_figure_index
 
-        index = figure_index()
-        assert [name for name, _, _ in index] == [job.name for job in ALL_FIGURES]
-        assert all(kind in ("metric", "trace") for _, kind, _ in index)
+        lines = format_figure_index().splitlines()
+        listed = [line.split()[0] for line in lines[3 : 3 + len(ALL_FIGURES)]]
+        assert listed == [job.name for job in ALL_FIGURES]
+        assert all(job.kind in ("metric", "trace") for job in ALL_FIGURES)
 
     def test_all_figures_is_every_figure_in_paper_order(self):
         assert [job.name for job in ALL_FIGURES] == [
@@ -167,9 +159,7 @@ class TestRunPaper:
     def test_batched_submission_matches_per_figure_runs(self):
         # Two metric figures through one run_paper call (one batched
         # run_grids submission) must produce the same rows as running
-        # each figure alone — and as the direct figure function.
-        from repro.experiments import figures
-
+        # each figure alone.
         overrides = {
             "figure4b": {"num_nodes": 3, "transfer_bytes": 4_000, "duration": 80},
             "table2": {"num_nodes": 6, "duration": 120},
@@ -180,12 +170,25 @@ class TestRunPaper:
         alone_t2 = run_paper(figures=["table2"], backend=SerialBackend(), **kwargs)
         assert combined["figure4b"] == alone_4b["figure4b"]
         assert combined["table2"] == alone_t2["table2"]
-        direct = figures.figure4b(
-            seeds=preset_seeds("smoke", family="linear"),
-            backend=SerialBackend(),
-            **overrides["figure4b"],
-        )
-        assert combined["figure4b"] == direct
+
+    @pytest.mark.parametrize("job", METRIC_JOBS, ids=lambda job: job.name)
+    def test_direct_call_matches_run_paper(self, job):
+        # figures.figureN / workloads.<family> are generated from the
+        # job's record and must compute exactly what run_paper does.
+        import importlib
+
+        alias = getattr(importlib.import_module(job.module), job.name)
+        assert alias.__name__ == job.name
+        direct = alias(seeds=preset_seeds("smoke", job.family), backend=SerialBackend(), **job.smoke_kwargs)
+        assert direct == run_paper(figures=[job.name], seeds="smoke", backend=SerialBackend())[job.name]
+
+    def test_misspelled_override_key_rejected(self):
+        # An override for a name no figure or workload has would run the
+        # intended figure at its defaults without a word.
+        with pytest.raises(ValueError, match="tabel2"):
+            run_paper(
+                figures=["table2"], seeds="smoke", backend=SerialBackend(), overrides={"tabel2": {"num_nodes": 6}}
+            )
 
     def test_out_dir_persists_a_loadable_run(self, tmp_path):
         results = run_paper(

@@ -18,18 +18,18 @@ from hypothesis import strategies as st
 
 from repro.experiments.backends import ProcessBackend
 from repro.experiments.parallel import ParallelRunner, ScenarioSpec
-from repro.experiments.presets import WORKLOAD_JOBS, run_paper, workload_index
+from repro.experiments.presets import WORKLOAD_JOBS, run_paper
 from repro.experiments.workloads import (
     DEFAULT_PROTOCOLS,
-    WORKLOAD_PLOT_SPECS,
-    WORKLOADS,
     blackout_plan,
     churn_plan,
     flapping_links_plan,
     partition_heal_plan,
-    workload_plot_spec,
 )
 from repro.sim.faults import FaultEvent, FaultPlan, FaultProcess
+
+#: The workload family names, in registry order.
+WORKLOADS = ("churn", "partition_heal", "flapping_links", "blackout")
 
 #: One small partition_heal grid reused by the aggregation and backend
 #: tests: 1 protocol x 2 outage cells on a 5-node chain.
@@ -45,38 +45,36 @@ SMOKE_PLAN_KWARGS = dict(
 
 class TestWorkloadRegistry:
     def test_registry_names_are_stable(self):
-        assert WORKLOADS == ("churn", "partition_heal", "flapping_links", "blackout")
         assert tuple(job.name for job in WORKLOAD_JOBS) == WORKLOADS
 
     def test_workload_index_matches_the_jobs(self):
-        index = workload_index()
-        assert [name for name, _, _ in index] == list(WORKLOADS)
-        for name, kind, description in index:
-            assert kind == "metric"
-            assert description
+        # The --list-figures workload section prints exactly these records.
+        from repro.experiments.report import format_figure_index
+
+        section = format_figure_index().split("Fault-injection workloads", 1)[1]
+        listed = [line.split()[0] for line in section.splitlines()[3:]]
+        assert listed == list(WORKLOADS)
+        for job in WORKLOAD_JOBS:
+            assert job.kind == "metric"
+            assert job.description
 
     def test_jobs_resolve_through_the_workloads_module(self):
+        from repro.experiments import workloads
+
         for job in WORKLOAD_JOBS:
             assert job.module == "repro.experiments.workloads"
             assert callable(job.planner())
-            assert callable(job.func())
+            assert getattr(workloads, job.name).__name__ == job.name
 
     def test_plot_specs_registered_with_the_renderer(self):
+        from repro.experiments.presets import ALL_FIGURES
         from repro.plots.render import default_specs
 
         specs = default_specs()
-        for name in WORKLOADS:
-            assert name in specs
-            assert specs[name] == WORKLOAD_PLOT_SPECS[name]
         # The workload registration must not displace any paper figure.
-        from repro.experiments.figures import PLOT_SPECS
-
-        for name in PLOT_SPECS:
-            assert specs[name] == PLOT_SPECS[name]
-
-    def test_unknown_plot_spec_rejected(self):
-        with pytest.raises(ValueError, match="unknown workload"):
-            workload_plot_spec("landslide")
+        for job in ALL_FIGURES + WORKLOAD_JOBS:
+            assert specs[job.name] is job.plot
+        assert len(specs) == len(ALL_FIGURES) + len(WORKLOAD_JOBS)
 
 
 class TestPlanBuilders:
