@@ -126,7 +126,7 @@ class CsmaMac(TdmaMac):
         self.collisions += 1
 
         estimator = self.link_estimator(next_hop)
-        estimator.record_attempt(False, now)
+        estimator.record_attempt(False)
         self.stats.record_link_attempt(False)
         self.trace.record("mac_collision", now, node=self.node_id, neighbor=next_hop, flow=flow_id)
 

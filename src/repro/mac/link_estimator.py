@@ -16,10 +16,7 @@ from this estimator:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.util.ewma import EWMA, WindowedRate
-from repro.util.validation import require_positive
+from repro.util.ewma import EWMA
 
 
 class LinkEstimator:
@@ -30,16 +27,11 @@ class LinkEstimator:
         neighbor_id: int,
         loss_alpha: float = 0.1,
         attempts_alpha: float = 0.2,
-        rate_window: float = 20.0,
         initial_loss: float = 0.1,
-        start: Optional[float] = None,
     ):
         self.neighbor_id = neighbor_id
         self._loss = EWMA(loss_alpha, initial=initial_loss)
         self._attempts = EWMA(attempts_alpha, initial=1.0)
-        # `start` is when this estimator began observing the link (its
-        # creation time), so warm-up rates divide by the true observed span.
-        self._tx_rate = WindowedRate(require_positive(rate_window, "rate_window"), start=start)
         self.total_attempts = 0
         self.total_successes = 0
         self.packets_started = 0
@@ -47,13 +39,12 @@ class LinkEstimator:
 
     # -- updates driven by the MAC ----------------------------------------------------
 
-    def record_attempt(self, success: bool, now: float) -> None:
+    def record_attempt(self, success: bool) -> None:
         """Record the outcome of one transmission attempt on this link."""
         self.total_attempts += 1
         if success:
             self.total_successes += 1
         self._loss.update(0.0 if success else 1.0)
-        self._tx_rate.record(now, 1.0)
 
     def record_packet(self, attempts_used: int, delivered: bool) -> None:
         """Record that a packet finished service after ``attempts_used`` attempts."""
@@ -73,10 +64,6 @@ class LinkEstimator:
     def average_attempts(self) -> float:
         """Estimated average number of link-layer attempts per packet."""
         return max(1.0, self._attempts.value_or(1.0))
-
-    def attempt_rate(self, now: float) -> float:
-        """Measured transmission attempts per second on this link."""
-        return self._tx_rate.rate(now)
 
     @property
     def empirical_loss_rate(self) -> float:

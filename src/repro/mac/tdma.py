@@ -159,9 +159,7 @@ class TdmaMac:
                 neighbor,
                 loss_alpha=self.config.loss_alpha,
                 attempts_alpha=self.config.attempts_alpha,
-                rate_window=self.config.estimator_window,
                 initial_loss=self.channel.average_loss_probability(self.node_id, neighbor),
-                start=self.sim.now,
             )
             self._estimators[neighbor] = estimator
         return estimator
@@ -323,7 +321,6 @@ class TdmaMac:
             estimator.total_successes += 1
             stats.link_successes += 1
         estimator._loss.update(0.0 if success else 1.0)
-        estimator._tx_rate.record(now, 1.0)
         if self.trace.enabled:
             self.trace.record("mac_attempt", now, node=self.node_id, neighbor=next_hop, flow=flow_id,
                               attempt=attempt_no, allowed=attempts_allowed, success=success)

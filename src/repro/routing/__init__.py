@@ -10,15 +10,14 @@ topology".  JTP relies on routing for exactly two things:
   (Section 3) — and which may be stale or wrong, a situation JTP is
   explicitly designed to tolerate.
 
-This package provides a Dijkstra shortest-path core
-(:mod:`repro.routing.dijkstra`), periodic neighbour discovery
-(:mod:`repro.routing.neighbor`) and a link-state protocol with
-per-node, possibly stale topology views
+This package provides a shortest-path core
+(:mod:`repro.routing.dijkstra`) and a link-state protocol whose nodes
+share one view of the topology, refreshed from the channel every
+``update_period`` and stale by up to that long in between
 (:mod:`repro.routing.link_state`).
 """
 
 from repro.routing.dijkstra import shortest_path, shortest_path_tree, next_hop_table, path_length
-from repro.routing.neighbor import NeighborTable
 from repro.routing.link_state import LinkStateRouting
 
 __all__ = [
@@ -26,6 +25,5 @@ __all__ = [
     "shortest_path_tree",
     "next_hop_table",
     "path_length",
-    "NeighborTable",
     "LinkStateRouting",
 ]

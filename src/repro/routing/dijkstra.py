@@ -1,15 +1,15 @@
 """Shortest-path computation on connectivity graphs.
 
 The graphs handled here are adjacency mappings ``{node: set(neighbors)}``
-as produced by :func:`repro.sim.topology.connectivity_graph` or by the
-link-state protocol's per-node views.  All links have unit cost (hop
+as produced by :func:`repro.sim.topology.connectivity_graph` or
+:meth:`repro.sim.channel.Channel.connectivity` (the link-state
+protocol's shared view).  All links have unit cost (hop
 count), matching the paper's use of hop counts for the remaining-path
 length in the loss-tolerance computation.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 
@@ -17,28 +17,34 @@ Graph = Mapping[int, Set[int]]
 
 
 def shortest_path_tree(graph: Graph, source: int) -> Tuple[Dict[int, float], Dict[int, Optional[int]]]:
-    """Dijkstra from ``source``: returns (distance, predecessor) maps.
+    """Hop-count shortest paths from ``source``: (distance, predecessor) maps.
 
-    Unreachable nodes are simply absent from the returned maps.
+    A level-ordered breadth-first search: each level is expanded in
+    ascending node id and ``prev[v]`` is set when ``v`` is first
+    discovered.  That is exactly what Dijkstra with unit costs does —
+    its heap pops ``(distance, node)`` in ascending order — so the
+    predecessor of every node is its lowest-id neighbour on the
+    previous level.  Neither map depends on the iteration order of the
+    neighbour sets.  Unreachable nodes are absent from both maps.
     """
     if source not in graph:
         raise KeyError(f"source {source} not in graph")
     dist: Dict[int, float] = {source: 0.0}
     prev: Dict[int, Optional[int]] = {source: None}
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    visited: Set[int] = set()
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        # repro: allow[DET002] dist is order-independent (unit costs); prev ties pin to the ascending insertion order connectivity_graph guarantees
-        for neighbor in graph.get(node, ()):  # tolerate dangling edges
-            candidate = d + 1.0
-            if candidate < dist.get(neighbor, float("inf")):
-                dist[neighbor] = candidate
-                prev[neighbor] = node
-                heapq.heappush(heap, (candidate, neighbor))
+    level = [source]
+    depth = 0.0
+    while level:
+        depth += 1.0
+        found: List[int] = []
+        for node in level:
+            # repro: allow[DET002] a node's dist and prev are fixed by the first, lowest-id parent on the previous level; the set's iteration order only orders `found`, which is sorted below
+            for neighbor in graph.get(node, ()):  # tolerate dangling edges
+                if neighbor not in dist:
+                    dist[neighbor] = depth
+                    prev[neighbor] = node
+                    found.append(neighbor)
+        found.sort()
+        level = found
     return dist, prev
 
 
@@ -67,15 +73,24 @@ def path_length(graph: Graph, source: int, destination: int) -> Optional[int]:
     return len(path) - 1
 
 
+def routing_tree(graph: Graph, source: int) -> Tuple[Dict[int, float], Dict[int, int]]:
+    """Distances and first hops from ``source`` over one shortest-path tree.
+
+    The first-hop map sends every reachable destination other than
+    ``source`` to the neighbour of ``source`` its shortest path starts
+    with.
+    """
+    dist, prev = shortest_path_tree(graph, source)
+    first_hop: Dict[int, int] = {}
+    # prev is filled in discovery order, so a parent always precedes its
+    # children and its first hop is already known.
+    for destination, parent in prev.items():
+        if parent is None:
+            continue
+        first_hop[destination] = destination if parent == source else first_hop[parent]
+    return dist, first_hop
+
+
 def next_hop_table(graph: Graph, source: int) -> Dict[int, int]:
     """For every reachable destination, the first hop on the shortest path."""
-    dist, prev = shortest_path_tree(graph, source)
-    table: Dict[int, int] = {}
-    for destination in dist:
-        if destination == source:
-            continue
-        node = destination
-        while prev[node] is not None and prev[node] != source:
-            node = prev[node]  # type: ignore[assignment]
-        table[destination] = node
-    return table
+    return routing_tree(graph, source)[1]

@@ -1,87 +1,67 @@
-"""Link-state routing with per-node, possibly stale views.
+"""Link-state routing with a periodically refreshed, possibly stale view.
 
-Every node maintains its own copy of the topology, refreshed from the
-neighbour-discovery layer on a fixed period (plus on demand when the
-mobility model reports a position change, if the scenario wires that
-callback).  Between refreshes a node routes — and estimates remaining
-hop counts — using its stale view, which is how the paper's
-"topological views at different nodes are inconsistent" situation
-arises.  JTP's per-hop loss-tolerance update (Eq. 3) is specifically
-designed to keep the end-to-end reliability target even then.
+Every ``update_period`` seconds the protocol snapshots the channel's
+true connectivity graph; between refreshes every node routes — and
+estimates remaining hop counts — on that snapshot, so after a move a
+node's view lags the ground truth by up to one ``update_period``.  That
+single lag is how the paper's "topological views at different nodes
+are inconsistent" situation arises, and JTP's per-hop loss-tolerance
+update (Eq. 3) is specifically designed to keep the end-to-end
+reliability target even then.
+
+All nodes share one view object: the channel's graph as of the last
+refresh, which the channel never mutates (it builds a new graph after
+every change).  Shortest-path trees are computed on demand, one per
+queried node per view, and dropped when the view changes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.routing.dijkstra import next_hop_table, path_length, shortest_path, shortest_path_tree
-from repro.routing.neighbor import NeighborTable
+from repro.routing.dijkstra import path_length, routing_tree, shortest_path
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 from repro.util.validation import require_positive
 
 
 class LinkStateRouting:
-    """Network-wide routing service with per-node topology views."""
+    """Network-wide routing service over a shared, periodically refreshed view."""
 
-    def __init__(
-        self,
-        channel: Channel,
-        sim: Simulator,
-        update_period: float = 10.0,
-        neighbor_refresh_period: float = 5.0,
-    ):
+    def __init__(self, channel: Channel, sim: Simulator, update_period: float = 10.0) -> None:
         self.channel = channel
         self.sim = sim
         self.update_period = require_positive(update_period, "update_period")
-        self.neighbor_table = NeighborTable(channel, sim, refresh_period=neighbor_refresh_period)
-        self._views: Dict[int, Dict[int, Set[int]]] = {}
-        self._next_hop_tables: Dict[int, Dict[int, int]] = {}
-        self._last_snapshot: Optional[Dict[int, Set[int]]] = None
-        #: node -> Dijkstra distance map over that node's current view;
-        #: filled lazily by :meth:`hops_to`, dropped when views change.
-        self._hops_cache: Dict[int, Dict[int, float]] = {}
+        self._view: Optional[Dict[int, Set[int]]] = None
+        #: node -> (hop distances, first hops) over the current view;
+        #: filled on a node's first query, dropped when the view changes.
+        self._trees: Dict[int, Tuple[Dict[int, float], Dict[int, int]]] = {}
         self.view_updates = 0
-        self._started = False
 
     # -- lifecycle ---------------------------------------------------------------------
 
     def start(self) -> None:
-        """Take initial snapshots and schedule periodic view refreshes."""
-        self.neighbor_table.start()
+        """Take the initial snapshot and schedule periodic view refreshes."""
         self.refresh_all_views()
         self.sim.schedule(self.update_period, self._periodic_update)
-        self._started = True
 
     def _periodic_update(self) -> None:
         self.refresh_all_views()
         self.sim.schedule(self.update_period, self._periodic_update)
 
     def refresh_all_views(self) -> None:
-        """Give every node a copy of the currently-known topology.
+        """Give every node the channel's current connectivity graph.
 
-        The known topology is the neighbour table's snapshot, which may
-        itself lag the ground truth; two layers of staleness compound
-        under mobility, just as in a real link-state deployment.
-
-        When the snapshot is unchanged since the previous refresh — the
-        steady state of every static topology — the per-node view
-        copies and shortest-path recomputations are skipped entirely:
-        the views a node would receive are equal to the ones it already
-        holds.  This is the single biggest saving on the paper's linear
-        scenarios, where periodic refreshes used to re-run Dijkstra for
-        every node every ``update_period`` against an immutable graph.
-        Views are handed out as shared snapshots; treat them as
-        immutable.
+        The view is the channel's cached graph itself, shared by all
+        nodes and never copied; treat it as immutable.  When the graph
+        is unchanged since the previous refresh — the steady state of
+        every static topology — the view and every tree computed on it
+        are kept.
         """
-        self.neighbor_table.refresh()
-        snapshot = self.neighbor_table.snapshot()
-        if snapshot != self._last_snapshot:
-            self._last_snapshot = snapshot
-            self._hops_cache.clear()
-            for node_id in range(self.channel.num_nodes):
-                self._views[node_id] = {k: set(v) for k, v in snapshot.items()}
-                self._next_hop_tables[node_id] = next_hop_table(snapshot, node_id)
+        graph = self.channel.connectivity()
+        if graph is not self._view and graph != self._view:
+            self._view = graph
+            self._trees.clear()
         self.view_updates += 1
 
     def on_topology_change(self) -> None:
@@ -96,36 +76,34 @@ class LinkStateRouting:
     # -- queries used by forwarding and by iJTP ------------------------------------------
 
     def view_of(self, node_id: int) -> Dict[int, Set[int]]:
-        """The topology as ``node_id`` currently believes it to be."""
-        if node_id not in self._views:
+        """The topology as ``node_id`` currently believes it to be (the shared view)."""
+        if self._view is None:
             self.refresh_all_views()
-        return self._views[node_id]
+        assert self._view is not None
+        return self._view
+
+    def _build_tree(self, node_id: int) -> Tuple[Dict[int, float], Dict[int, int]]:
+        tree = routing_tree(self.view_of(node_id), node_id)
+        self._trees[node_id] = tree
+        return tree
 
     def next_hop(self, node_id: int, destination: int) -> Optional[int]:
         """Next hop from ``node_id`` towards ``destination`` (or None)."""
         if node_id == destination:
             return destination
-        table = self._next_hop_tables.get(node_id)
-        if table is None:
-            self.refresh_all_views()
-            table = self._next_hop_tables[node_id]
-        return table.get(destination)
+        tree = self._trees.get(node_id) or self._build_tree(node_id)
+        return tree[1].get(destination)
 
     def hops_to(self, node_id: int, destination: int) -> Optional[int]:
         """Remaining hop count from ``node_id`` to ``destination`` per its view.
 
-        Served from a per-node distance map computed once per view
-        generation — iJTP asks for the remaining hop count on every
-        packet service, and re-running Dijkstra against an unchanged
-        view was the single hottest call in a paper run.
+        iJTP asks for this on every packet service; it is served from
+        the same per-node tree as :meth:`next_hop`.
         """
         if node_id == destination:
             return 0
-        dist = self._hops_cache.get(node_id)
-        if dist is None:
-            dist = shortest_path_tree(self.view_of(node_id), node_id)[0]
-            self._hops_cache[node_id] = dist
-        hops = dist.get(destination)
+        tree = self._trees.get(node_id) or self._build_tree(node_id)
+        hops = tree[0].get(destination)
         return None if hops is None else int(hops)
 
     def route(self, source: int, destination: int) -> Optional[List[int]]:

@@ -14,11 +14,11 @@ routing protocol and the MAC use.
 Connectivity queries are served from a spatial hash grid
 (:class:`repro.sim.spatial.SpatialGrid`, cell side = radio range) with
 per-node neighbour sets cached until the next position update, so the
-per-transmission ``in_range`` guard is a set-membership test and a
-neighbour-table refresh is O(nodes), not O(nodes²).  The cached sets
-are built in ascending node-id order — the same insertion sequence the
-historical brute-force scan used — which keeps set iteration order,
-and therefore every downstream RNG draw, bit-identical.
+per-transmission ``in_range`` guard is a set-membership test.  The
+whole graph is built in one pass that tests each nearby pair once.
+Every cached set is built in ascending node-id order — the same
+insertion sequence the historical brute-force scan used — so set
+iteration order does not depend on which path built it.
 """
 
 from __future__ import annotations
@@ -302,10 +302,19 @@ class Channel:
         return neighbors
 
     def connectivity(self) -> Dict[int, Set[int]]:
-        """Current unit-disk connectivity graph (cached snapshot)."""
+        """Current unit-disk connectivity graph (cached snapshot).
+
+        A stale cache is rebuilt by one whole-graph pass, which also
+        fills every per-node neighbour set; the sets equal, in content
+        and insertion order, what :meth:`neighbors_of` would build.
+        """
         graph = self._connectivity_cache
         if graph is None:
-            graph = {node_id: self.neighbors_of(node_id) for node_id in range(len(self._positions))}
+            graph = self._grid.neighbor_graph(self._positions, self.radio_range)
+            if self._down_nodes or self._blocked_links:
+                for node_id, neighbors in graph.items():
+                    graph[node_id] = self._filter_faulted(node_id, neighbors)
+            self._neighbors_cache.update(graph)
             self._connectivity_cache = graph
         return graph
 

@@ -115,15 +115,27 @@ class RandomWaypointMobility:
         target = self._targets[node_id]
         if target is None:
             return
-        current = self.channel.position_of(node_id)
-        new_position = current.moved_towards(target, self.speed * self.update_interval)
+        # Position.moved_towards inlined with the same float expressions:
+        # this runs once per node per update_interval for a whole run.
+        # node_id came from start(), so position_of's bounds check is moot.
+        current = self.channel._positions[node_id]
+        distance = self.speed * self.update_interval
+        total = math.hypot(current.x - target.x, current.y - target.y)
+        if total <= distance or total == 0.0:
+            new_position = target
+            arrived = True
+        else:
+            frac = distance / total
+            new_position = Position(current.x + (target.x - current.x) * frac,
+                                    current.y + (target.y - current.y) * frac)
+            arrived = new_position.x == target.x and new_position.y == target.y
         # The channel updates its spatial index incrementally (a no-op
         # unless the node crossed a grid cell), so per-step position
         # updates stay O(1) regardless of network size.
         self.channel.set_position(node_id, new_position)
         if self.on_topology_change is not None:
             self.on_topology_change()
-        if new_position is target or new_position == target:
+        if arrived:
             self._targets[node_id] = None
             sim.schedule(self._sample_pause(), self._begin_leg, node_id)
         else:

@@ -48,7 +48,6 @@ class NetworkConfig:
     mac_config: "MacConfig" = field(default_factory=_default_mac_config)
     mac_type: str = "tdma"
     routing_update_period: float = 10.0
-    neighbor_refresh_period: float = 5.0
     seed: int = 0
     trace_enabled: bool = False
 
@@ -79,7 +78,6 @@ class Network:
             self.channel,
             self.sim,
             update_period=config.routing_update_period,
-            neighbor_refresh_period=config.neighbor_refresh_period,
         )
         if config.mac_type == "csma":
             from repro.mac.csma import SharedMedium

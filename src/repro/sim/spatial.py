@@ -1,7 +1,7 @@
 """Spatial hash-grid index for range queries over node positions.
 
 The channel answers "who can hear whom" queries constantly — every
-neighbour-table refresh, every routing ground-truth check, every
+routing view refresh, every routing ground-truth check, every
 ``in_range`` guard on a transmission.  A brute-force scan is O(n) per
 node (O(n²) per snapshot); the :class:`SpatialGrid` buckets nodes into
 square cells of side ``radio_range`` so a range query only inspects the
@@ -17,10 +17,9 @@ boundary — which is what makes per-step mobility updates cheap.
 Determinism note: query helpers return candidate ids in ascending
 order, so sets built from them have the same insertion order as the
 historical brute-force scans (which iterated node ids in order).  Set
-iteration order in CPython can depend on insertion history, and
-downstream consumers (Dijkstra relaxation, view copies) iterate those
-sets — keeping the order identical keeps experiment streams
-bit-identical with the pre-index code.
+iteration order in CPython can depend on insertion history; keeping it
+identical means no consumer of these sets can tell the index, the
+whole-graph pass and the brute-force scan apart.
 """
 
 from __future__ import annotations
@@ -150,3 +149,31 @@ class SpatialGrid:
             if other != node_id and positions[other].distance_to(position) <= radius:
                 result.add(other)
         return result
+
+    def neighbor_graph(self, positions: Sequence[SupportsPosition], radius: float) -> Dict[int, Set[int]]:
+        """Every node's :meth:`neighbors_within` set, built in one pass.
+
+        Each unordered pair is distance-tested once, from its lower id,
+        and the match is added to both sets.  The result is exactly what
+        per-node queries return, set insertion order included:
+
+        * the candidates are the same — :meth:`near` of the lower id,
+          i.e. nodes whose cells differ by at most one on each axis.
+          That rule is symmetric, so float rounding at a cell border
+          cannot admit a pair from one side only;
+        * the test is the same — ``distance_to`` is ``hypot`` of the
+          coordinate differences, and IEEE subtraction is exactly
+          antisymmetric, so both orientations agree bit for bit;
+        * the order is the same — the outer loop ascends, so node ``j``
+          first receives every lower id in ascending order (one per
+          outer step before ``j``), then every higher id in ascending
+          order (at its own step).
+        """
+        graph: Dict[int, Set[int]] = {node_id: set() for node_id in range(len(positions))}
+        for node_id, mine in graph.items():
+            position = positions[node_id]
+            for other in self.near(position.x, position.y):
+                if other > node_id and positions[other].distance_to(position) <= radius:
+                    mine.add(other)
+                    graph[other].add(node_id)
+        return graph

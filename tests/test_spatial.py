@@ -6,6 +6,7 @@ and across arbitrary mobility updates.  The property tests drive both
 implementations side by side over random placements and moves.
 """
 
+import math
 import random
 
 import pytest
@@ -165,3 +166,83 @@ class TestConnectivityGraphGridPath:
         brute = brute_graph(positions, 60.0)
         for node in brute:
             assert list(grid_graph[node]) == list(brute[node])
+
+
+class TestWholeGraphPass:
+    """``Channel.connectivity`` builds every set in one pass; it must equal
+    the per-node construction exactly, set iteration order included."""
+
+    RANGE = 50.0
+
+    def _assert_matches_per_node(self, channel):
+        graph = channel.connectivity()
+        channel._neighbors_cache.clear()
+        for node in range(channel.num_nodes):
+            reference = channel._compute_neighbors(node)
+            assert list(graph[node]) == list(reference)
+        assert list(graph) == list(range(channel.num_nodes))
+
+    def _channel(self, positions):
+        return Channel(positions, radio_range=self.RANGE, rng=random.Random(0),
+                       default_quality=LinkQuality.perfect())
+
+    def _border_positions(self, rng, n):
+        # Lattice points on cell borders, some nudged by one ulp, so pairs
+        # sit exactly at, just inside and just beyond radio_range.
+        positions = []
+        for _ in range(n):
+            x = self.RANGE * rng.randrange(5)
+            y = self.RANGE * rng.randrange(5)
+            nudge = rng.choice((0, 0, 1, -1))
+            if nudge:
+                x = math.nextafter(x, math.inf if nudge > 0 else -math.inf)
+            positions.append(Position(x, y))
+        return positions
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=10_000))
+    def test_random_fields_match_per_node_sets(self, n, seed):
+        rng = random.Random(seed)
+        channel = self._channel(random_positions(n, rng.choice((60.0, 150.0, 400.0)), rng))
+        self._assert_matches_per_node(channel)
+        for _ in range(10):
+            channel.set_position(rng.randrange(n), Position(rng.uniform(-20, 170), rng.uniform(-20, 170)))
+        self._assert_matches_per_node(channel)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10_000))
+    def test_cell_borders_and_exact_range_match_per_node_sets(self, n, seed):
+        rng = random.Random(seed)
+        channel = self._channel(self._border_positions(rng, n))
+        self._assert_matches_per_node(channel)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10_000))
+    def test_down_nodes_and_blocked_links_match_per_node_sets(self, n, seed):
+        rng = random.Random(seed)
+        channel = self._channel(random_positions(n, 120.0, rng))
+        for node in rng.sample(range(n), rng.randrange(n // 3 + 1)):
+            channel.set_node_down(node, True)
+        for _ in range(rng.randrange(2 * n)):
+            src, dst = rng.sample(range(n), 2)
+            channel.block_link(src, dst, symmetric=rng.random() < 0.5)
+        self._assert_matches_per_node(channel)
+        assert not any(channel.connectivity()[node] for node in channel.down_nodes)
+
+    def test_grid_pass_equals_neighbors_within(self):
+        rng = random.Random(3)
+        positions = self._border_positions(rng, 30) + random_positions(30, 200.0, rng)
+        grid = SpatialGrid(self.RANGE)
+        for node_id, position in enumerate(positions):
+            grid.insert(node_id, position.x, position.y)
+        graph = grid.neighbor_graph(positions, self.RANGE)
+        for node_id in range(len(positions)):
+            expected = grid.neighbors_within(node_id, positions, self.RANGE)
+            assert list(graph[node_id]) == list(expected)
+            assert graph[node_id] == brute_neighbors(positions, node_id, self.RANGE)
+
+    def test_pass_fills_the_per_node_cache(self):
+        channel = self._channel(random_positions(12, 100.0, random.Random(5)))
+        graph = channel.connectivity()
+        for node in range(channel.num_nodes):
+            assert channel.neighbors_of(node) is graph[node]
