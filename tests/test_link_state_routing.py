@@ -20,6 +20,19 @@ def build(num_nodes=5, update_period=10.0):
     return sim, channel, routing
 
 
+class TestNeighborTable:
+    """A node's neighbour table is its own row of the shared routing view."""
+
+    def test_staleness_until_refresh(self):
+        sim, channel, routing = build(update_period=5.0)
+        routing.start()
+        channel.set_position(1, Position(10_000, 0))
+        # Still the old view until the periodic refresh fires.
+        assert 1 in routing.view_of(0)[0]
+        sim.run(until=6.0)
+        assert 1 not in routing.view_of(0)[0]
+
+
 class TestLinkStateRouting:
     def test_next_hop_chain(self):
         sim, channel, routing = build()
