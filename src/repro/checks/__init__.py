@@ -7,8 +7,9 @@ fact.  See ``docs/checks.md`` for the rule catalogue.
 
 Usage::
 
-    python -m repro.checks [--format text|json|sarif] [--rules DET001,…]
-                           [--baseline checks-baseline.json] [paths…]
+    python -m repro.checks [--format text|json] [--rules DET001,…] [paths…]
+
+The exit status is the gate: 0 when the scan is clean, 1 on findings.
 
 Suppress a deliberate, justified violation with a pragma on the line or
 the line above::

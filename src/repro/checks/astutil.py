@@ -151,23 +151,6 @@ def walk_with_functions(
         yield from visit(top)
 
 
-def nested_function_names(tree: ast.Module) -> Dict[str, int]:
-    """Names of functions defined *inside other functions*, with def line.
-
-    Methods (functions directly inside a class body) are excluded —
-    they are importable attributes of their class.  Only defs whose
-    enclosing scope is itself a function are closure-bound and hence
-    unpicklable by name.
-    """
-    nested: Dict[str, int] = {}
-    for node, functions in walk_with_functions(tree):
-        # A def is yielded before being pushed, so ``functions`` holds
-        # only its *enclosing* functions: non-empty means closure-bound.
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and functions:
-            nested.setdefault(node.name, node.lineno)
-    return nested
-
-
 def call_name(node: ast.expr) -> Optional[str]:
     """The bare or attribute name a call targets (``sorted`` / ``keys``)."""
     if isinstance(node, ast.Name):

@@ -1,15 +1,11 @@
 """Command-line driver: ``python -m repro.checks [options] [paths…]``.
 
-Exit status is 0 when no findings (and no unparseable files) remain
-after baseline subtraction, 1 when findings exist, 2 on usage errors —
-so the CI ``checks`` job can gate on it directly.
+Exit status is 0 when there are no findings (and no unparseable
+files), 1 when findings exist, 2 on usage errors — so the CI ``checks``
+job and ``tests/test_checks.py::TestSelfScan`` gate on it directly.
 
 * ``--format json`` emits the machine-readable report CI uploads as an
-  artifact; ``--format sarif`` emits SARIF 2.1.0 for GitHub code
-  scanning.
-* ``--baseline FILE`` subtracts the committed baseline so new rules
-  land without a big-bang cleanup; ``--write-baseline`` (re)writes the
-  file from the current scan instead of failing on it.
+  artifact.
 * ``--list-rules`` prints the rule catalogue.
 
 The default scan surface is every tree the repository gates: ``src``,
@@ -23,13 +19,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import List, Optional, Sequence, TextIO
 
-from repro.checks.baseline import apply_baseline, load_baseline, save_baseline, write_baseline
 from repro.checks.findings import Finding
 from repro.checks.registry import BaseRule, ProjectRule, all_rules, select_rules, run_rules
-from repro.checks.sarif import sarif_report
-from repro.checks.source import ModuleSource, load_sources
+from repro.checks.source import load_sources
 
 #: Pseudo rule id used for files that fail to parse.
 PARSE_RULE_ID = "PARSE"
@@ -51,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
     )
@@ -59,17 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules",
         default=None,
         help="comma-separated rule ids to run (default: all registered rules)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="subtract the findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to --baseline FILE and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -92,45 +75,28 @@ def default_paths() -> List[str]:
     return present or [DEFAULT_PATHS[0]]
 
 
-def collect_findings(
-    paths: Sequence[str], rule_ids: Optional[Sequence[str]]
-) -> Tuple[List[Finding], List[ModuleSource]]:
-    """Scan ``paths``; returns sorted findings plus the parsed sources."""
+def collect_findings(paths: Sequence[str], rules: Sequence[BaseRule]) -> List[Finding]:
+    """Scan ``paths`` with ``rules``; returns the sorted findings."""
     sources, errors = load_sources(paths)
     findings = [
         Finding(path=path, line=line or 1, column=0, rule_id=PARSE_RULE_ID, message=message)
         for path, line, message in errors
     ]
-    findings.extend(run_rules(sources, select_rules(rule_ids)))
-    return sorted(findings), sources
+    findings.extend(run_rules(sources, rules))
+    return sorted(findings)
 
 
-def line_lookup(sources: Sequence[ModuleSource]) -> Callable[[str, int], str]:
-    """``(path, line) -> source text`` for fingerprints, tolerant of misses."""
-    by_path: Dict[str, Sequence[str]] = {source.path: source.lines for source in sources}
-
-    def lookup(path: str, line: int) -> str:
-        lines = by_path.get(path, ())
-        if 1 <= line <= len(lines):
-            return lines[line - 1]
-        return ""
-
-    return lookup
-
-
-def render_text(findings: Sequence[Finding], stream: TextIO, suppressed: int = 0) -> None:
+def render_text(findings: Sequence[Finding], stream: TextIO) -> None:
     for finding in findings:
         stream.write(finding.render() + "\n")
     noun = "finding" if len(findings) == 1 else "findings"
-    tail = f" ({suppressed} baselined)" if suppressed else ""
-    stream.write(f"{len(findings)} {noun}{tail}\n")
+    stream.write(f"{len(findings)} {noun}\n")
 
 
-def render_json(findings: Sequence[Finding], stream: TextIO, suppressed: int = 0) -> None:
+def render_json(findings: Sequence[Finding], stream: TextIO) -> None:
     report = {
         "findings": [finding.as_dict() for finding in findings],
         "count": len(findings),
-        "baselined": suppressed,
     }
     json.dump(report, stream, indent=2, sort_keys=True)
     stream.write("\n")
@@ -143,43 +109,17 @@ def main(argv: Optional[Sequence[str]] = None, stream: Optional[TextIO] = None) 
     if options.list_rules:
         list_rules(out)
         return 0
-    if options.write_baseline and not options.baseline:
-        parser.error("--write-baseline requires --baseline FILE")
     rule_ids: Optional[List[str]] = None
     if options.rules:
         rule_ids = [part.strip() for part in options.rules.split(",") if part.strip()]
     paths: List[str] = options.paths if options.paths else default_paths()
     try:
-        rules: List[BaseRule] = select_rules(rule_ids)
+        rules = select_rules(rule_ids)
     except KeyError as exc:
         parser.error(f"unknown rule id {exc.args[0]!r}")
-    findings, sources = collect_findings(paths, rule_ids)
-    lookup = line_lookup(sources)
-
-    if options.write_baseline:
-        save_baseline(Path(options.baseline), write_baseline(findings, lookup))
-        out.write(f"wrote {len(findings)} finding(s) to {options.baseline}\n")
-        return 0
-
-    suppressed = 0
-    if options.baseline:
-        baseline_path = Path(options.baseline)
-        if not baseline_path.is_file():
-            parser.error(
-                f"baseline file {options.baseline!r} does not exist "
-                "(create it with --write-baseline)"
-            )
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read baseline: {exc}")
-        findings, suppressed = apply_baseline(findings, baseline, lookup)
-
+    findings = collect_findings(paths, rules)
     if options.format == "json":
-        render_json(findings, out, suppressed)
-    elif options.format == "sarif":
-        json.dump(sarif_report(findings, rules, lookup), out, indent=2, sort_keys=True)
-        out.write("\n")
+        render_json(findings, out)
     else:
-        render_text(findings, out, suppressed)
+        render_text(findings, out)
     return 1 if findings else 0

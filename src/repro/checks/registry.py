@@ -1,12 +1,12 @@
 """The pluggable rule registry.
 
-A rule is a class with an ``id``, a one-line ``summary``, a
-``rationale`` tying it to the invariant it guards, an optional
+A rule is a class with an ``id``, a one-line ``summary``, an optional
 ``packages`` scope (dotted prefixes; empty means every file), and a
 ``check(...)`` method yielding :class:`~repro.checks.findings.Finding`
-objects.  Rules register themselves with the :func:`register` decorator
-at import time; the CLI and the test suite both discover them through
-:func:`all_rules`.
+objects; why each rule exists is its **Why** paragraph in
+``docs/checks.md``.  Rules register themselves with the
+:func:`register` decorator at import time; the CLI and the test suite
+both discover them through :func:`all_rules`.
 
 Two tiers share the registry:
 
@@ -41,8 +41,6 @@ class BaseRule(ABC):
     id: str = ""
     #: One-line description shown by ``--list-rules``.
     summary: str = ""
-    #: Why the rule exists — which reproduction invariant it guards.
-    rationale: str = ""
     #: Dotted package prefixes the rule applies to (empty = everywhere).
     packages: Tuple[str, ...] = ()
 
@@ -94,8 +92,6 @@ class ProjectRule(BaseRule):
         """Convenience constructor stamping this rule's id."""
         return Finding(path=path, line=line, column=column, rule_id=self.id, message=message)
 
-
-AnyRule = BaseRule
 
 _REGISTRY: Dict[str, Type[BaseRule]] = {}
 

@@ -8,6 +8,6 @@ decorate with :func:`repro.checks.registry.register`, and import the
 module before running the suite.
 """
 
-from repro.checks.rules import architecture, concurrency, contracts, determinism, exceptions, seedflow
+from repro.checks.rules import architecture, contracts, determinism, exceptions, seedflow
 
-__all__ = ["architecture", "concurrency", "contracts", "determinism", "exceptions", "seedflow"]
+__all__ = ["architecture", "contracts", "determinism", "exceptions", "seedflow"]

@@ -25,15 +25,6 @@ class LayerContractRule(ProjectRule):
 
     id = "ARCH001"
     summary = "intra-repro imports must follow the layer DAG declared in repro.checks.layers"
-    rationale = (
-        "repro.sim and the protocol layers are a seed-pure island: they "
-        "must stay importable without the experiments harness, the "
-        "renderer or the checks suite, or a cross-module import quietly "
-        "couples simulation state to driver code. The DAG in "
-        "repro/checks/layers.py is the written contract; this rule makes "
-        "every edge that leaves it a finding instead of a code review "
-        "accident."
-    )
     packages = ("repro",)
 
     def check(self, project: Project) -> Iterator[Finding]:

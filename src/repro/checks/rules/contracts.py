@@ -1,9 +1,8 @@
-"""Contract rules: PKL001 (picklable work), ENV001 (env seams).
+"""Contract rule ENV001: environment reads only in documented seams.
 
-Each guards a cross-module seam whose breakage shows up far from the
-offending line: an unpicklable callable handed to a process backend
-fails only when the fork fallback is unavailable; a stray ``os.environ``
-read silently invalidates the README's env-var table.
+It guards a cross-module seam whose breakage shows up far from the
+offending line: a stray ``os.environ`` read silently invalidates the
+README's env-var table.
 """
 
 from __future__ import annotations
@@ -11,68 +10,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Set
 
-from repro.checks.astutil import import_aliases, nested_function_names, walk_with_functions
+from repro.checks.astutil import import_aliases, walk_with_functions
 from repro.checks.findings import Finding
 from repro.checks.registry import Rule, register
 from repro.checks.source import ModuleSource
-
-
-@register
-class PicklableSubmissionRule(Rule):
-    """PKL001: work submitted to ``map``/``imap`` must be picklable."""
-
-    id = "PKL001"
-    summary = "no lambdas, nested functions or open handles through map/imap call sites"
-    rationale = (
-        "ExecutorBackend.map/imap cross a process boundary: lambdas and "
-        "closure-bound nested functions pickle only under the fork "
-        "start-method fallback, so they work on one machine and crash on "
-        "the next (the fork-fallback bug class from the parallel-runner "
-        "PR). Submit module-level functions and plain-data arguments."
-    )
-    packages = ()
-
-    def check(self, source: ModuleSource) -> Iterator[Finding]:
-        nested = nested_function_names(source.tree)
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-                continue
-            if node.func.attr not in ("map", "imap") or not node.args:
-                continue
-            yield from self._check_callable(source, node.args[0], nested)
-            for arg in [*node.args[1:], *[kw.value for kw in node.keywords]]:
-                yield from self._check_payload(source, arg)
-
-    def _check_callable(
-        self, source: ModuleSource, func: ast.expr, nested: Dict[str, int]
-    ) -> Iterator[Finding]:
-        if isinstance(func, ast.Lambda):
-            yield self.finding(
-                source, func.lineno, func.col_offset,
-                "lambda submitted through map/imap cannot be pickled; use a module-level function",
-            )
-        elif isinstance(func, ast.Name) and func.id in nested:
-            yield self.finding(
-                source, func.lineno, func.col_offset,
-                f"{func.id!r} (nested function defined at line {nested[func.id]}) "
-                "submitted through map/imap cannot be pickled; hoist it to module level",
-            )
-        elif isinstance(func, ast.Call) and self._is_partial(func.func) and func.args:
-            yield from self._check_callable(source, func.args[0], nested)
-
-    def _check_payload(self, source: ModuleSource, arg: ast.expr) -> Iterator[Finding]:
-        for node in ast.walk(arg):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
-                yield self.finding(
-                    source, node.lineno, node.col_offset,
-                    "open file handle in a map/imap payload cannot cross the process boundary; pass the path",
-                )
-
-    @staticmethod
-    def _is_partial(func: ast.expr) -> bool:
-        return (isinstance(func, ast.Name) and func.id == "partial") or (
-            isinstance(func, ast.Attribute) and func.attr == "partial"
-        )
 
 
 @register
@@ -81,15 +22,6 @@ class EnvironmentSeamRule(Rule):
 
     id = "ENV001"
     summary = "os.environ/os.getenv reads only inside *_from_env config seams"
-    rationale = (
-        "The README documents every environment variable the package "
-        "reads, and each one is read exactly once, in a function named "
-        "*_from_env (workers_from_env, profile_from_env, …). A stray "
-        "os.environ.get elsewhere is an undocumented knob that changes "
-        "behaviour between hosts without appearing in any run manifest. "
-        "Driver trees (benchmarks/, examples/) are gated too — a bench "
-        "conftest knob is still a knob."
-    )
     packages = ("repro", "benchmarks", "examples")
 
     def check(self, source: ModuleSource) -> Iterator[Finding]:

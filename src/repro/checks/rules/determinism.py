@@ -46,14 +46,6 @@ class AmbientEntropyRule(Rule):
 
     id = "DET001"
     summary = "no module-level RNG, wall-clock or uuid inside simulation packages or drivers"
-    rationale = (
-        "Runs must be bit-identical functions of the scenario seed. The only "
-        "sanctioned randomness is a random.Random seeded through the "
-        "repro.sim.random streams; time.time/perf_counter, os.urandom and "
-        "uuid inject host state that breaks replay. Benchmark drivers are "
-        "gated too (their recorded numbers must replay), with wall-clock "
-        "reads allowed — timing the run is what a benchmark is for."
-    )
     packages = _SIM_PACKAGES + _DRIVER_PACKAGES
 
     def check(self, source: ModuleSource) -> Iterator[Finding]:
@@ -168,14 +160,6 @@ class UnorderedIterationRule(Rule):
 
     id = "DET002"
     summary = "no iteration over sets / dict.keys() feeding accumulation without sorted() or a pinned order"
-    rationale = (
-        "Set iteration order is a hash-table artifact, not a contract: "
-        "feeding it into sum/min/max, list building or per-element state "
-        "updates makes results depend on interpreter details (the "
-        "SpatialGrid lesson from the engine-overhaul PR). Wrap the source "
-        "in sorted(...), or pin the insertion order and say so in a "
-        "'# repro: allow[DET002]' pragma."
-    )
     packages = _SIM_PACKAGES + ("repro.experiments",) + _DRIVER_PACKAGES
 
     def check(self, source: ModuleSource) -> Iterator[Finding]:

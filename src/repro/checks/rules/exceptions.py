@@ -59,12 +59,6 @@ class SilentSwallowRule(Rule):
 
     id = "EXC001"
     summary = "no bare/broad except with an empty body, and no contextlib.suppress(Exception)"
-    rationale = (
-        "A swallowed worker failure turns a failed sweep into a quietly "
-        "incomplete one whose aggregates still compute. Broad handlers "
-        "must retry, record or re-raise; genuinely best-effort teardown "
-        "paths carry a justified pragma backed by a test."
-    )
     packages = ("repro", "benchmarks", "examples")
 
     def check(self, source: ModuleSource) -> Iterator[Finding]:

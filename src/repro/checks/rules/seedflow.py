@@ -112,16 +112,6 @@ class SeedFlowRule(ProjectRule):
 
     id = "SEED001"
     summary = "every random.Random(...) seed must flow from spawn_seeds/preset_seeds or a seed parameter"
-    rationale = (
-        "Runs are bit-identical functions of the scenario seed only while "
-        "every RNG in the tree is seeded through the sanctioned flow "
-        "(spawn_seeds/preset_seeds, a seed parameter or attribute, or a "
-        "draw from an already-seeded stream). Ambient constants quietly "
-        "de-correlate runs from their seeds, and RNG objects captured by "
-        "closures shipped through ExecutorBackend.map/imap or the "
-        "Scheduler make worker state depend on fork-vs-spawn "
-        "semantics."
-    )
     packages = (
         "repro.sim",
         "repro.mac",

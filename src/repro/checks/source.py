@@ -1,7 +1,7 @@
 """Parsed source files as the unit every rule operates on.
 
 A :class:`ModuleSource` bundles what a rule needs to inspect one file:
-the parsed AST, the raw lines (for pragma lookup), and the *dotted
+the parsed AST, its ``# repro: allow`` pragmas, and the *dotted
 module name* derived from the file path — which is how rules scope
 themselves to the packages whose invariants they guard (``repro.sim``
 vs. ``repro.experiments`` and so on).  Files that do not parse are
@@ -29,22 +29,19 @@ class ModuleSource:
     module: str
     text: str
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
     pragmas: Dict[int, FrozenSet[str]] = field(default_factory=dict)
     spans: List[Tuple[int, int]] = field(default_factory=list)
 
     @classmethod
     def from_text(cls, text: str, path: str = "<memory>", module: str = "") -> "ModuleSource":
         """Parse source text (fixture entry point for the rule tests)."""
-        lines = text.splitlines()
         tree = ast.parse(text, filename=path)
         return cls(
             path=path,
             module=module or module_name_for(Path(path)),
             text=text,
             tree=tree,
-            lines=lines,
-            pragmas=parse_pragmas(lines),
+            pragmas=parse_pragmas(text.splitlines()),
             spans=statement_spans(tree),
         )
 

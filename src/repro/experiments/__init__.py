@@ -5,8 +5,8 @@
   energy, queue drops, source retransmissions, cache hits, fairness);
 * :mod:`repro.experiments.scenarios` — builders for the paper's scenarios
   (static linear, static random, mobile random, testbed-like);
-* :mod:`repro.experiments.runner` — runs scenarios, replicates them over
-  seeds and aggregates with confidence intervals;
+* :mod:`repro.experiments.runner` — aggregates replicated runs with
+  confidence intervals;
 * :mod:`repro.experiments.backends` — pluggable executor backends
   (:class:`SerialBackend`, and the persistent shared
   :class:`ProcessBackend` pool, whose scheduler adds backpressure, work
@@ -82,7 +82,7 @@ from repro.experiments.scenarios import (
     mobile_scenario,
     testbed_scenario,
 )
-from repro.experiments.runner import average_metrics, confidence_interval, replicate
+from repro.experiments.runner import average_metrics, confidence_interval
 from repro.experiments.backends import (
     ExecutorBackend,
     ProcessBackend,
@@ -129,7 +129,6 @@ __all__ = [
     "testbed_scenario",
     "average_metrics",
     "confidence_interval",
-    "replicate",
     "ExecutorBackend",
     "SerialBackend",
     "ProcessBackend",

@@ -480,8 +480,9 @@ def entry_point(name: str) -> Callable[..., List[dict]]:
     keyword other than ``seeds``/``workers``/``backend`` goes to the
     job's ``<name>_plan()`` builder, so the plan signature is the only
     place a figure's parameter defaults are written.  ``seeds`` defaults
-    to the job family's smoke preset.  The builder is looked up at call
-    time, like :meth:`FigureJob.planner`.
+    to the job family's smoke preset; an empty list raises
+    ``ValueError``, as it does for :func:`run_paper`.  The builder is
+    looked up at call time, like :meth:`FigureJob.planner`.
     """
     job = _JOBS_BY_NAME[name]
 
@@ -492,7 +493,8 @@ def entry_point(name: str) -> Callable[..., List[dict]]:
         backend: Optional[ExecutorBackend] = None,
         **params: Any,
     ) -> List[dict]:
-        return job.planner()(**params).run(seeds or preset_seeds("smoke", job.family), workers, backend)
+        seeds = seeds if seeds is not None else preset_seeds("smoke", job.family)
+        return job.planner()(**params).run(seeds, workers, backend)
 
     run.__name__ = run.__qualname__ = job.name
     run.__module__ = job.module

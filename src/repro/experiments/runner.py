@@ -2,23 +2,22 @@
 
 The paper averages its linear-topology results over twenty independent
 runs (and its random-topology results over ten) and reports 95%
-confidence intervals.  :func:`replicate` runs a scenario builder over a
-list of seeds — serially with ``workers=0`` or ``1`` (the default),
-returning live results, or fanned out over worker processes via
-:class:`~repro.experiments.parallel.ParallelRunner` for any other
-worker count — and :func:`average_metrics` / :func:`confidence_interval`
-aggregate the resulting metric values.  The aggregation helpers accept
-both live :class:`~repro.experiments.scenarios.ScenarioResult` objects
-and the picklable :class:`~repro.experiments.parallel.ScenarioRecord`
-summaries that parallel workers return; anything with a ``.metrics``
-attribute works.
+confidence intervals.  :meth:`ParallelRunner.replicate
+<repro.experiments.parallel.ParallelRunner.replicate>` runs a scenario
+builder over a list of seeds, and :func:`average_metrics` /
+:func:`confidence_interval` aggregate the resulting metric values.  The
+aggregation helpers accept both live
+:class:`~repro.experiments.scenarios.ScenarioResult` objects and the
+picklable :class:`~repro.experiments.parallel.ScenarioRecord` summaries
+that parallel workers return; anything with a ``.metrics`` attribute
+works.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.experiments.scenarios import ScenarioResult
 
@@ -54,42 +53,6 @@ def t_critical_95(df: int) -> float:
     if critical is None:
         critical = _T_95[max(k for k in _T_95 if k <= df)]
     return critical
-
-
-def replicate(
-    builder: Callable[[int], ScenarioResult],
-    seeds: Sequence[int],
-    workers: Optional[int] = 1,
-) -> Union[List[ScenarioResult], List["ScenarioRecord"]]:
-    """Run ``builder(seed)`` for every seed and return all results.
-
-    With ``workers=1`` (the default) or ``workers=0`` the builders run
-    serially in this process and the live :class:`ScenarioResult`
-    objects are returned — exactly the historical semantics the
-    reproducibility tests pin.  Any other value fans the runs out via
-    :class:`~repro.experiments.parallel.ParallelRunner` — ``workers=N``
-    over the shared persistent pool for that count, ``workers=None``
-    over one worker per CPU core (``os.cpu_count()``; a one-core
-    machine executes serially) — and the picklable
-    :class:`~repro.experiments.parallel.ScenarioRecord` summaries come
-    back instead, in seed order.  The fan-out return type does not
-    depend on the machine: ``workers=None`` always yields records, even
-    when ``os.cpu_count()`` resolves to a serial execution.  The
-    aggregation helpers below accept results and records alike.
-    """
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    if workers is None:
-        # Documented cpu_count fan-out: never shadowed by the serial
-        # live-result path below, which only ``workers=0``/``1`` select.
-        from repro.experiments.parallel import ParallelRunner
-
-        return ParallelRunner(workers=None).replicate(builder, seeds)
-    if workers in (0, 1):
-        return [builder(seed) for seed in seeds]
-    from repro.experiments.parallel import ParallelRunner
-
-    return ParallelRunner(workers=workers).replicate(builder, seeds)
 
 
 def metric_values(results: Iterable[ScenarioResult], attribute: str) -> List[float]:

@@ -11,6 +11,7 @@ reaches CI.
 
 import io
 import json
+import re
 from pathlib import Path
 from textwrap import dedent
 
@@ -217,65 +218,6 @@ class TestDET002:
         # Only the un-pragma'd sum-over-set in caller() remains.
         assert len(found) == 1
         assert found[0].line == 6
-
-
-# ---------------------------------------------------------------------------
-# PKL001 — picklable submissions
-# ---------------------------------------------------------------------------
-
-
-class TestPKL001:
-    def test_lambda_through_map_fires(self):
-        found = findings_for("PKL001", """\
-            def run(backend, items):
-                return backend.map(lambda x: x * 2, items)
-            """, module="repro.experiments.fixture")
-        assert len(found) == 1
-        assert "lambda" in found[0].message
-
-    def test_nested_function_through_imap_fires(self):
-        found = findings_for("PKL001", """\
-            def run(backend, items):
-                def worker(x):
-                    return x * 2
-                return list(backend.imap(worker, items))
-            """, module="repro.experiments.fixture")
-        assert len(found) == 1
-        assert "worker" in found[0].message
-
-    def test_partial_wrapping_a_lambda_fires(self):
-        found = findings_for("PKL001", """\
-            from functools import partial
-
-            def run(backend, items):
-                return backend.map(partial(lambda x, y: x + y, 1), items)
-            """, module="repro.experiments.fixture")
-        assert len(found) == 1
-
-    def test_open_handle_in_payload_fires(self):
-        found = findings_for("PKL001", """\
-            def run(backend, fn):
-                return backend.map(fn, [open("data.txt")])
-            """, module="repro.experiments.fixture")
-        assert len(found) == 1
-        assert "open file handle" in found[0].message
-
-    def test_module_level_function_is_allowed(self):
-        found = findings_for("PKL001", """\
-            def worker(x):
-                return x * 2
-
-            def run(backend, items):
-                return backend.map(worker, items)
-            """, module="repro.experiments.fixture")
-        assert found == []
-
-    def test_builtin_map_is_not_a_submission_site(self):
-        found = findings_for("PKL001", """\
-            def run(items):
-                return list(map(lambda x: x * 2, items))
-            """, module="repro.experiments.fixture")
-        assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +513,9 @@ class TestPragmas:
         pragmas = parse_pragmas([
             "x = 1",
             "y = 2  # repro: allow[DET001]",
-            "z = 3  # repro: allow[det002, PKL001] reason text",
+            "z = 3  # repro: allow[det002, ENV001] reason text",
         ])
-        assert pragmas == {2: frozenset({"DET001"}), 3: frozenset({"DET002", "PKL001"})}
+        assert pragmas == {2: frozenset({"DET001"}), 3: frozenset({"DET002", "ENV001"})}
 
     def test_allowed_on_own_line_and_line_below_only(self):
         pragmas = parse_pragmas(["# repro: allow[DET002] pinned", "for x in s:", "pass"])
@@ -644,16 +586,17 @@ class TestModuleNames:
 class TestRegistry:
     def test_the_full_catalogue_is_registered(self):
         assert [rule.id for rule in all_rules()] == [
-            "ARCH001", "ASY002", "DET001", "DET002",
-            "ENV001", "EXC001", "PKL001", "SEED001",
+            "ARCH001", "DET001", "DET002", "ENV001", "EXC001", "SEED001",
         ]
 
     def test_every_rule_has_a_docs_catalogue_entry(self):
-        # --list-rules and docs/checks.md must not drift: every
-        # registered rule carries a "### <ID> —" heading in the docs.
+        # --list-rules and docs/checks.md must not drift either way:
+        # every registered rule has a "### <ID> —" heading in the docs,
+        # and every such heading names a registered rule, so a deleted
+        # rule's section cannot linger.
         text = (REPO_ROOT / "docs" / "checks.md").read_text()
-        for rule in all_rules():
-            assert f"### {rule.id} —" in text, f"docs/checks.md misses {rule.id}"
+        documented = set(re.findall(r"^### (\S+) —", text, flags=re.MULTILINE))
+        assert documented == {rule.id for rule in all_rules()}
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(KeyError):
@@ -730,78 +673,6 @@ class TestCli:
             assert rule.id in output
         assert "[whole-program]" in output and "[per-file]" in output
 
-    def test_sarif_format_is_valid_and_fingerprinted(self, tmp_path):
-        package = tmp_path / "src" / "repro" / "sim"
-        package.mkdir(parents=True)
-        (package / "dirty.py").write_text("from time import monotonic\n")
-        stream = io.StringIO()
-        assert main([str(package), "--format", "sarif"], stream=stream) == 1
-        report = json.loads(stream.getvalue())
-        assert report["version"] == "2.1.0"
-        driver = report["runs"][0]["tool"]["driver"]
-        assert driver["name"] == "repro.checks"
-        assert {rule["id"] for rule in driver["rules"]} >= {"DET001"}
-        (result,) = report["runs"][0]["results"]
-        assert result["ruleId"] == "DET001"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["region"]["startLine"] == 1
-        assert location["region"]["startColumn"] >= 1  # SARIF is 1-based
-        assert result["partialFingerprints"]["reproChecks/v1"]
-
-    def test_baseline_roundtrip_suppresses_then_catches_new_findings(self, tmp_path):
-        package = tmp_path / "src" / "repro" / "sim"
-        package.mkdir(parents=True)
-        dirty = package / "dirty.py"
-        dirty.write_text("import random\nvalue = random.random()\n")
-        baseline = tmp_path / "checks-baseline.json"
-
-        stream = io.StringIO()
-        assert main(
-            [str(package), "--baseline", str(baseline), "--write-baseline"], stream=stream
-        ) == 0
-        assert baseline.is_file()
-        recorded = json.loads(baseline.read_text())
-        assert recorded["version"] == 1 and len(recorded["findings"]) == 1
-
-        # The recorded finding is subtracted; the gate passes.
-        stream = io.StringIO()
-        assert main([str(package), "--baseline", str(baseline)], stream=stream) == 0
-        assert "0 findings (1 baselined)" in stream.getvalue()
-
-        # A *new* finding still fails, baseline notwithstanding — and the
-        # baselined one stays quiet even though the file grew a line above.
-        dirty.write_text("import random\nextra = random.getrandbits(8)\nvalue = random.random()\n")
-        stream = io.StringIO()
-        assert main([str(package), "--baseline", str(baseline)], stream=stream) == 1
-        output = stream.getvalue()
-        assert "getrandbits" in output
-        assert "1 finding (1 baselined)" in output
-
-    def test_baseline_counts_cap_repeated_findings(self, tmp_path):
-        package = tmp_path / "src" / "repro" / "sim"
-        package.mkdir(parents=True)
-        dirty = package / "dirty.py"
-        dirty.write_text("import random\nvalue = random.random()\n")
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            [str(package), "--baseline", str(baseline), "--write-baseline"], stream=io.StringIO()
-        ) == 0
-        # Duplicate the identical line: same fingerprint, count 2 > budget 1.
-        dirty.write_text("import random\nvalue = random.random()\nvalue = random.random()\n")
-        stream = io.StringIO()
-        assert main([str(package), "--baseline", str(baseline)], stream=stream) == 1
-        assert "1 finding (1 baselined)" in stream.getvalue()
-
-    def test_missing_baseline_file_is_a_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main([str(tmp_path), "--baseline", str(tmp_path / "nope.json")])
-        assert excinfo.value.code == 2
-
-    def test_write_baseline_requires_a_baseline_path(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main([str(tmp_path), "--write-baseline"])
-        assert excinfo.value.code == 2
-
 
 # ---------------------------------------------------------------------------
 # The gate: the shipped tree scans clean
@@ -821,11 +692,3 @@ class TestSelfScan:
         stream = io.StringIO()
         status = main(paths, stream=stream)
         assert status == 0, f"the gated trees must scan clean:\n{stream.getvalue()}"
-
-    def test_committed_baseline_is_empty(self):
-        # The tree is clean, so the committed baseline must stay the
-        # empty document — a non-empty baseline would mean someone
-        # ratcheted in a finding without the PR discussion the workflow
-        # (docs/checks.md) requires.
-        document = json.loads((REPO_ROOT / "checks-baseline.json").read_text())
-        assert document == {"version": 1, "findings": {}}

@@ -1,5 +1,5 @@
 """The whole-program layer: Project indexing, the layer DAG, and the
-concurrency/exception rules.
+exception rule.
 
 ``repro.checks.project.Project`` is the substrate every ProjectRule
 stands on, so its tables are pinned directly: the module/package
@@ -7,9 +7,8 @@ tables, resolved import edges (relative levels, ``TYPE_CHECKING``
 guards), the alias-aware symbol index with re-export chains, and the
 best-effort call graph.  The layer DAG itself is checked for
 acyclicity — ARCH001 enforcing a cyclic contract would be a license to
-create import cycles.  ASY002/EXC001 get the same
-fixture-per-behaviour treatment as the per-file rules in
-``test_checks.py``.
+create import cycles.  EXC001 gets the same fixture-per-behaviour
+treatment as the per-file rules in ``test_checks.py``.
 """
 
 from textwrap import dedent
@@ -246,83 +245,6 @@ class TestLayers:
         for name in sorted(edges):
             if state[name] == WHITE:
                 visit(name)
-
-
-# ---------------------------------------------------------------------------
-# ASY002 — resource lifecycle
-# ---------------------------------------------------------------------------
-
-_SCHED_MODULE = "repro.experiments.scheduler"
-
-
-class TestASY002:
-    def test_unreleased_pipe_ends_fire(self):
-        found = findings_for("ASY002", """\
-            from multiprocessing import Pipe
-
-            def make():
-                parent, child = Pipe()
-                parent.send(1)
-            """, module=_SCHED_MODULE)
-        assert len(found) == 2
-        assert all("never closed/joined" in finding.message for finding in found)
-
-    def test_straight_line_release_after_a_risky_call_fires(self):
-        found = findings_for("ASY002", """\
-            from multiprocessing import Process
-
-            def run(work):
-                proc = Process(target=work)
-                proc.start()
-                proc.join()
-            """, module=_SCHED_MODULE)
-        assert len(found) == 1
-        assert "straight-line path" in found[0].message
-
-    def test_release_in_finally_is_clean(self):
-        found = findings_for("ASY002", """\
-            from multiprocessing import Process
-
-            def run(work):
-                proc = Process(target=work)
-                try:
-                    proc.start()
-                finally:
-                    proc.join()
-            """, module=_SCHED_MODULE)
-        assert found == []
-
-    def test_ownership_handoff_to_self_is_clean(self):
-        found = findings_for("ASY002", """\
-            from multiprocessing import Pipe
-
-            class Holder:
-                def __init__(self):
-                    parent, child = Pipe()
-                    self.conn = parent
-                    child.close()
-            """, module=_SCHED_MODULE)
-        assert found == []
-
-    def test_returned_resource_is_clean(self):
-        found = findings_for("ASY002", """\
-            from multiprocessing import Process
-
-            def make_worker(target):
-                proc = Process(target=target)
-                return proc
-            """, module=_SCHED_MODULE)
-        assert found == []
-
-    def test_out_of_scope_module_is_ignored(self):
-        found = findings_for("ASY002", """\
-            from multiprocessing import Pipe
-
-            def make():
-                parent, child = Pipe()
-                parent.send(1)
-            """, module="repro.experiments.figures")
-        assert found == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.metrics import jains_fairness_index
 from repro.experiments.report import format_series, format_table
-from repro.experiments.runner import confidence_interval, replicate, summarize
+from repro.experiments.runner import confidence_interval, summarize
 from repro.experiments.scenarios import (
     PAPER_LINK_QUALITY,
     STABLE_LINK_QUALITY,
@@ -80,20 +80,15 @@ class TestScenarios:
 
 class TestRunner:
     def test_replicate_and_summarize(self):
-        results = replicate(
-            lambda seed: linear_scenario(3, transfer_bytes=10_000, num_flows=1,
-                                         duration=200, seed=seed),
-            seeds=[1, 2, 3],
-        )
+        results = [
+            linear_scenario(3, transfer_bytes=10_000, num_flows=1, duration=200, seed=seed)
+            for seed in (1, 2, 3)
+        ]
         assert len(results) == 3
         summary = summarize(results, "energy_per_bit_microjoules")
         assert summary["n"] == 3
         assert summary["min"] <= summary["mean"] <= summary["max"]
         assert summary["ci95"] >= 0
-
-    def test_replicate_requires_seeds(self):
-        with pytest.raises(ValueError):
-            replicate(lambda seed: None, seeds=[])
 
     def test_confidence_interval_zero_for_single_sample(self):
         assert confidence_interval([5.0]) == 0.0

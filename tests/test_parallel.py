@@ -12,7 +12,7 @@ from repro.experiments.parallel import (
     ScenarioSpec,
     spawn_seeds,
 )
-from repro.experiments.runner import replicate, summarize
+from repro.experiments.runner import summarize
 from repro.experiments.scenarios import ScenarioResult
 
 SMALL_LINEAR = {"num_nodes": 3, "transfer_bytes": 10_000, "num_flows": 1, "duration": 200}
@@ -249,31 +249,3 @@ class TestSpawnSeeds:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             spawn_seeds(1, 0)
-
-
-class TestReplicateRewiring:
-    def test_workers_one_returns_live_results(self):
-        results = replicate(
-            lambda seed: ScenarioSpec("linear", SMALL_LINEAR)(seed),
-            seeds=[1, 2],
-            workers=1,
-        )
-        assert all(isinstance(r, ScenarioResult) for r in results)
-
-    def test_parallel_replicate_returns_records(self):
-        spec = ScenarioSpec("linear", SMALL_LINEAR)
-        records = replicate(spec, seeds=[1, 2], workers=2)
-        assert all(isinstance(r, ScenarioRecord) for r in records)
-        serial = replicate(spec, seeds=[1, 2], workers=1)
-        assert [r.metrics for r in records] == [r.metrics for r in serial]
-
-    def test_workers_none_is_the_documented_cpu_count_fan_out(self):
-        # workers=None must reach the ParallelRunner fan-out (records
-        # back, in seed order) and never fall into the serial
-        # live-results path — whatever os.cpu_count() resolves to.
-        spec = ScenarioSpec("linear", SMALL_LINEAR)
-        records = replicate(spec, seeds=[1, 2], workers=None)
-        assert all(isinstance(r, ScenarioRecord) for r in records)
-        assert [r.seed for r in records] == [1, 2]
-        serial = replicate(spec, seeds=[1, 2], workers=1)
-        assert [r.metrics for r in records] == [r.metrics for r in serial]

@@ -77,6 +77,14 @@ class TestMetricFigures:
             assert callable(getattr(importlib.import_module(job.module), job.name))
             assert job.family in ("linear", "random")
 
+    def test_direct_call_with_empty_seeds_raises(self):
+        # An explicit empty seed list is an error, as it is for run_paper,
+        # not a request for the smoke preset.
+        from repro.experiments import figures
+
+        with pytest.raises(ValueError, match="at least one seed is required"):
+            figures.table2(seeds=[], workers=0)
+
     def test_covers_the_trace_figures(self):
         assert [job.name for job in TRACE_JOBS] == [
             "figure3c",

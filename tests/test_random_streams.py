@@ -9,7 +9,7 @@ from repro.sim.random import RandomStreams
 def _draws(seed):
     """Worker: the first ten draws of three named streams for ``seed``.
 
-    Module-level so it pickles into worker processes (PKL001).
+    Module-level so it pickles into worker processes.
     """
     streams = RandomStreams(seed)
     return {
