@@ -34,7 +34,9 @@ bit-identical to a serial run:
   backend and worker count.  :meth:`ParallelRunner.run_grids` extends
   this to whole figure *sets*: several figures' grids go down as one
   interleaved task stream (no pool drain between figures) and come back
-  demultiplexed per grid, bit-identical to per-figure submission.  With
+  demultiplexed per grid, bit-identical to per-figure submission; a
+  ``(spec, seed)`` cell that several grids plan runs once and its record
+  goes to each of them.  With
   a ``progress=`` callback the same batch is consumed through the
   backend's streaming
   :meth:`~repro.experiments.backends.ExecutorBackend.imap`, reporting
@@ -64,6 +66,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.experiments.backends import ExecutorBackend, resolve_backend
 from repro.experiments.metrics import ScenarioMetrics
+from repro.experiments.results import cell_content
 from repro.experiments.scenarios import (
     ScenarioResult,
     linear_scenario,
@@ -178,6 +181,29 @@ def _run_task(task: Tuple[Callable[[int], ScenarioResult], int]) -> ScenarioReco
     return ScenarioRecord.from_result(builder(seed), seed, scenario, params)
 
 
+def _first_slots(tasks: Sequence[Tuple[Callable[[int], ScenarioResult], int]]) -> List[int]:
+    """For every task, the first slot that holds the same cell.
+
+    Two ``(ScenarioSpec, seed)`` tasks are the same cell when their
+    :func:`~repro.experiments.results.cell_content` forms match *and*
+    the tasks compare equal, so a collision of the stringified form can
+    never merge different specs.  Builders that are not
+    :class:`ScenarioSpec` are never shared.
+    """
+    firsts: List[int] = []
+    seen: Dict[str, List[int]] = {}
+    for slot, task in enumerate(tasks):
+        builder, seed = task
+        first = slot
+        if isinstance(builder, ScenarioSpec):
+            candidates = seen.setdefault(cell_content(builder.scenario, builder.params, seed), [])
+            first = next((other for other in candidates if tasks[other] == task), slot)
+            if first == slot:
+                candidates.append(slot)
+        firsts.append(first)
+    return firsts
+
+
 class ParallelRunner:
     """Fan ``builder(seed)`` replications out over an executor backend.
 
@@ -268,6 +294,13 @@ class ParallelRunner:
         ``(spec, seed)`` pair and records are matched back to their
         submission slot, never to a worker or a completion order.
 
+        Each distinct ``(ScenarioSpec, seed)`` cell runs **at most
+        once** per call.  Figures compare against shared baselines, so
+        grids often plan equal cells; the backend receives only the
+        first slot of each such group, and every later slot of the group
+        takes that slot's record (the same object).  Builders that are
+        not :class:`ScenarioSpec` are always run per slot.
+
         ``progress``, if given, is called as ``progress(grid_index,
         completed, total)`` once per finished cell, where ``completed``
         counts that grid's finished cells and ``total`` is the grid's
@@ -276,27 +309,33 @@ class ParallelRunner:
         :meth:`~repro.experiments.backends.ExecutorBackend.imap` — a
         worker that races ahead is reported only when its submission
         slot is reached, which keeps the event sequence deterministic.
-        The callback runs on the caller's thread; an exception it
-        raises aborts the run.  Passing ``progress=None`` uses the
-        non-streaming :meth:`~repro.experiments.backends.ExecutorBackend.map`
-        path — byte-for-byte the historical behaviour.
+        A shared slot is reported at its own position, as soon as the
+        first slot of its group has been delivered, so sharing leaves
+        the event sequence exactly as it would be with every slot
+        simulated.  The callback runs on the caller's thread; an
+        exception it raises aborts the run.  Passing ``progress=None``
+        (and neither hook below) uses the non-streaming
+        :meth:`~repro.experiments.backends.ExecutorBackend.map` path.
 
         ``reuse`` and ``on_result`` are the incremental re-run hooks
         (what :func:`~repro.experiments.presets.run_paper` wires to its
         per-cell :class:`~repro.experiments.results.CellStore`).
-        ``reuse(grid_index, spec, seed)`` is consulted once per cell
-        before submission; a non-``None`` record fills the cell's slot
-        without the backend ever seeing it.  Reused cells are counted
-        (and reported to ``progress``) first, in submission order, then
-        the remaining fresh cells stream as usual — so a resumed run's
-        event sequence is the cached burst followed by live completions.
-        ``on_result(grid_index, spec, seed, record)`` is called for each
-        **fresh** record, in submission order as it arrives (before the
-        ``progress`` event for that cell), which is what lets a caller
-        persist cells incrementally: every cell reported complete is
-        already on disk.  Neither hook changes the returned records —
-        reuse callers are responsible for returning records equal to
-        what the cell would compute.
+        ``reuse(grid_index, spec, seed)`` is consulted once per slot
+        before submission; a non-``None`` record fills the slot
+        without the backend ever seeing it, and also fills every other
+        slot of its group, so a group with any cached member is not
+        simulated at all.  Reused slots are counted (and reported to
+        ``progress``) first, in submission order, then the remaining
+        slots stream as usual — so a resumed run's event sequence is
+        the cached burst followed by live completions.
+        ``on_result(grid_index, spec, seed, record)`` is called for
+        every slot ``reuse`` did not fill — shared and cache-filled
+        slots included — in submission order as it arrives (before the
+        ``progress`` event for that slot), which is what lets a caller
+        persist cells incrementally under each grid's own key: every
+        cell reported complete is already on disk.  Neither hook
+        changes the returned records — reuse callers are responsible
+        for returning records equal to what the cell would compute.
         """
         grids = list(grids)
         per_grid_tasks: List[List[Tuple[Callable[[int], ScenarioResult], int]]] = []
@@ -314,55 +353,58 @@ class ParallelRunner:
                 if task_index < len(tasks):
                     order.append((grid_index, task_index))
         tasks = [per_grid_tasks[g][i] for g, i in order]
-        if progress is None and reuse is None and on_result is None:
-            records = self.run_tasks(tasks)
-        else:
-            totals = [len(grid_tasks) for grid_tasks in per_grid_tasks]
-            completed = [0] * len(per_grid_tasks)
-            slots: List[Optional[ScenarioRecord]] = [None] * len(order)
-            # Reused cells first: fill their slots (and report them) in
-            # submission order, without ever submitting them.
-            fresh_slots: List[int] = []
-            for slot, (grid_index, task_index) in enumerate(order):
-                cached = None
-                if reuse is not None:
-                    builder, seed = per_grid_tasks[grid_index][task_index]
-                    cached = reuse(grid_index, builder, seed)
-                if cached is None:
-                    fresh_slots.append(slot)
-                    continue
-                slots[slot] = cached
-                completed[grid_index] += 1
-                if progress is not None:
-                    progress(grid_index, completed[grid_index], totals[grid_index])
-            if fresh_slots:
-                fresh_tasks = [tasks[slot] for slot in fresh_slots]
-                streaming = progress is not None or on_result is not None
-                results_iter = (
-                    self.backend.imap(_run_task, fresh_tasks)
-                    if streaming
-                    else iter(self.run_tasks(fresh_tasks))
-                )
-                for slot, record in zip(fresh_slots, results_iter, strict=True):
-                    grid_index, task_index = order[slot]
-                    slots[slot] = record
-                    if on_result is not None:
-                        builder, seed = per_grid_tasks[grid_index][task_index]
-                        on_result(grid_index, builder, seed, record)
-                    completed[grid_index] += 1
-                    if progress is not None:
-                        progress(grid_index, completed[grid_index], totals[grid_index])
-            records = cast(List[ScenarioRecord], slots)
+        # A group of equal cells is keyed by its first slot, which always
+        # precedes the others in submission order.
+        firsts = _first_slots(tasks)
+        totals = [len(grid_tasks) for grid_tasks in per_grid_tasks]
+        completed = [0] * len(per_grid_tasks)
+        # Records are matched back to their home (grid, task index).
         demuxed: List[List[Optional[ScenarioRecord]]] = [
             [None] * len(tasks) for tasks in per_grid_tasks
         ]
-        for (grid_index, task_index), record in zip(order, records, strict=True):
-            demuxed[grid_index][task_index] = record
+        # The record of each group known so far, keyed by first slot.
+        known: Dict[int, ScenarioRecord] = {}
+        # Reused cells first: fill their slots (and report them) in
+        # submission order, without ever submitting them.
+        fresh_slots: List[int] = []
+        for slot, (grid_index, task_index) in enumerate(order):
+            cached = None
+            if reuse is not None:
+                builder, seed = tasks[slot]
+                cached = reuse(grid_index, builder, seed)
+            if cached is None:
+                fresh_slots.append(slot)
+                continue
+            known.setdefault(firsts[slot], cached)
+            demuxed[grid_index][task_index] = cached
+            completed[grid_index] += 1
+            if progress is not None:
+                progress(grid_index, completed[grid_index], totals[grid_index])
+        # Only a group's first slot is simulated, and only when no member
+        # of the group was reused.
+        run = [tasks[slot] for slot in fresh_slots if firsts[slot] == slot and slot not in known]
+        streaming = progress is not None or on_result is not None
+        results_iter = self.backend.imap(_run_task, run) if streaming else iter(self.run_tasks(run))
+        for slot in fresh_slots:
+            grid_index, task_index = order[slot]
+            if firsts[slot] not in known:
+                # ``slot`` is the group's first: its record is next.
+                known[slot] = next(results_iter)
+            record = demuxed[grid_index][task_index] = known[firsts[slot]]
+            if on_result is not None:
+                builder, seed = tasks[slot]
+                on_result(grid_index, builder, seed, record)
+            completed[grid_index] += 1
+            if progress is not None:
+                progress(grid_index, completed[grid_index], totals[grid_index])
+        # One more step lets a streaming backend close its batch.
+        if next(results_iter, None) is not None:
+            raise RuntimeError("the backend returned more records than tasks")
         grouped: List[List[List[ScenarioRecord]]] = []
         for (specs, seeds), flat in zip(grids, demuxed, strict=True):
             per_spec = len(seeds)
-            # Every slot was filled by the demux loop above, so the
-            # Optional placeholder type can be discharged wholesale.
+            # Every slot was filled above, so the Optional placeholder
+            # type can be discharged wholesale.
             filled = cast(List[ScenarioRecord], flat)
             grouped.append(
                 [filled[i * per_spec:(i + 1) * per_spec] for i in range(len(specs))]

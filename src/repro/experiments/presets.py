@@ -541,11 +541,15 @@ def run_paper(
     (:meth:`~repro.experiments.parallel.ParallelRunner.run_grids`), so
     the pool never drains between figures; each figure's rows are then
     aggregated from its demultiplexed slice — bit-identical to calling
-    the figure functions one at a time.  The trace figures (3c, 5, 7,
-    8) run serially in-process through their row adapters.  Trace
-    figures are single-run by construction: their replication seed is a
-    figure parameter (override via ``overrides``), not the ``seeds``
-    preset.
+    the figure functions one at a time.  A cell that several figures
+    plan (the same scenario, parameters and seed — figure4b's cells are
+    all figure4's, say) is simulated **at most once** per call and its
+    record handed to each figure; the ``progress`` events and the
+    persisted cells are exactly those of simulating it per figure.
+    The trace figures (3c, 5, 7, 8) run serially in-process through
+    their row adapters.  Trace figures are single-run by construction:
+    their replication seed is a figure parameter (override via
+    ``overrides``), not the ``seeds`` preset.
 
     ``progress`` streams per-cell completion: the callback is invoked
     as ``progress(figure_name, completed, total)`` — once with
@@ -584,7 +588,10 @@ def run_paper(
     from the cache instead of re-simulating them — so an interrupted
     paper-scale sweep resumes where it died.  Cells are keyed on the
     figure, scenario, parameters and seed
-    (:func:`~repro.experiments.results.cell_key`); the cache as a whole
+    (:func:`~repro.experiments.results.cell_key`), and a cell shared by
+    several figures is persisted under each figure's key, so resuming
+    any one of them hits the cache; a shared cell is served from the
+    cache when any of its figures' keys is there.  The cache as a whole
     is invalidated when the run-level provenance (seed policy, base
     seed, figure parameters) differs from the cached run's.  Cached
     cells are reported through ``progress`` as an up-front burst of
@@ -720,8 +727,9 @@ def run_paper(
         }
         if store is not None:
             # How much of the run came from the resume cache: reused =
-            # cells loaded from cells/, computed = cells simulated (and
-            # persisted) by this invocation.
+            # cells loaded from cells/, computed = cells persisted by this
+            # invocation.  A cell several figures share is simulated once
+            # but persisted (and counted) under each figure's key.
             metadata["cells"] = {"reused": store.hits, "computed": store.stored}
         if profiler is not None:
             metadata["core_profile"] = profiler.report(top=20)

@@ -220,27 +220,61 @@ def write_manifest(
     return path
 
 
+def _cell_payload(scenario: str, params: Mapping[str, object], seed: int) -> Dict[str, object]:
+    return {"scenario": scenario, "params": dict(params), "seed": seed}
+
+
+def cell_content(scenario: str, params: Mapping[str, object], seed: int) -> str:
+    """Canonical form of what determines one cell's simulated record.
+
+    The scenario name, the builder's parameter mapping and the seed —
+    the same canonicalisation :func:`cell_key` hashes, minus the figure
+    name.  :meth:`~repro.experiments.parallel.ParallelRunner.run_grids`
+    groups identical cells of different figures by it, so each distinct
+    cell is simulated once per call.  Values JSON does not know are
+    stringified, so two different values can share a form: callers
+    confirm a match with ``==`` before treating two cells as one.
+    """
+    return json.dumps(_cell_payload(scenario, params, seed), sort_keys=True, default=str)
+
+
 def cell_key(figure: str, scenario: str, params: Mapping[str, object], seed: int) -> str:
     """Content hash identifying one figure cell for the resume cache.
 
     The key covers everything that determines a cell's simulated
-    record: the figure it belongs to, the scenario name, the builder's
-    parameter mapping and the seed.  It deliberately does *not* cover
-    the backend or worker count — those change scheduling, never
+    record (:func:`cell_content`) plus the figure it belongs to, so
+    each figure's cells are persisted under keys of their own even when
+    two figures share an identical cell.  It deliberately does *not*
+    cover the backend or worker count — those change scheduling, never
     results (the cross-backend bit-identity pins in tests/test_backends
     are what make this safe).  Run-level provenance (seed policy,
     figure-parameter overrides) is handled separately by
     :class:`CellStore`, which invalidates the whole cache when it
     drifts.
     """
-    payload = {
-        "figure": figure,
-        "scenario": scenario,
-        "params": dict(params),
-        "seed": seed,
-    }
+    payload = {"figure": figure, **_cell_payload(scenario, params, seed)}
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+#: What ``pickle.loads`` raises on a cell it cannot read back: a
+#: truncated or corrupt byte stream (``UnpicklingError``, ``EOFError``
+#: and the errors a damaged opcode stream surfaces as), a foreign or
+#: newer pickle protocol (``ValueError``), or a stale cell naming a
+#: class or module that was since renamed (``AttributeError``,
+#: ``ImportError``).  Anything else (a ``MemoryError``, an ``OSError``,
+#: a ``RuntimeError``) is not a bad cell, and propagates.
+_UNREADABLE_CELL = (
+    pickle.UnpicklingError,
+    EOFError,
+    ValueError,
+    TypeError,
+    IndexError,
+    KeyError,
+    OverflowError,
+    AttributeError,
+    ImportError,
+)
 
 
 class CellStore:
@@ -260,8 +294,9 @@ class CellStore:
     Payloads are pickled, not JSON: scenario records carry mappings
     with non-string keys (e.g. per-node energy keyed by node id) that a
     JSON round-trip would silently corrupt.  A cell that fails to read
-    back (truncated write, foreign file) is deleted and recomputed —
-    corruption can cost time, never correctness.
+    back (truncated write, foreign file, a class renamed since it was
+    written) is deleted and recomputed — corruption can cost time,
+    never correctness.
     """
 
     def __init__(
@@ -305,7 +340,7 @@ class CellStore:
             return None
         try:
             payload = pickle.loads(raw)
-        except Exception:
+        except _UNREADABLE_CELL:
             path.unlink(missing_ok=True)
             return None
         self.hits += 1

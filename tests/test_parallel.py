@@ -5,15 +5,18 @@ from typing import ClassVar, List, Tuple
 
 import pytest
 
-from repro.experiments.backends import ProcessBackend, SerialBackend
+from repro.experiments import parallel
+from repro.experiments.backends import ExecutorBackend, ProcessBackend, SerialBackend
 from repro.experiments.parallel import (
     ParallelRunner,
     ScenarioRecord,
     ScenarioSpec,
     spawn_seeds,
 )
+from repro.experiments.presets import ALL_FIGURES, WORKLOAD_JOBS, preset_seeds
+from repro.experiments.results import cell_content
 from repro.experiments.runner import summarize
-from repro.experiments.scenarios import ScenarioResult
+from repro.experiments.scenarios import ScenarioResult, linear_scenario
 
 SMALL_LINEAR = {"num_nodes": 3, "transfer_bytes": 10_000, "num_flows": 1, "duration": 200}
 
@@ -210,6 +213,152 @@ class TestProgress:
 
         with pytest.raises(RuntimeError, match="stop"):
             ParallelRunner(workers=1).run_grids(self.GRIDS, progress=explode)
+
+
+class _Stringly:
+    """A parameter value whose ``str`` hides its content."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, _Stringly) and other.value == self.value
+
+    def __str__(self):
+        return "stringly"
+
+
+class _PlanOnly(ExecutorBackend):
+    """Counts the tasks it is handed and runs none of them."""
+
+    name = "plan-only"
+    workers = 1
+
+    def map(self, fn, items):
+        items = list(items)
+        self._record_submission(len(items))
+        return [None] * len(items)
+
+
+class TestSharedCells:
+    """Identical ``(spec, seed)`` cells of different grids run once."""
+
+    # Grid A's (4 nodes, seed 2) cell is grid B's first cell: it runs at
+    # slot 1 (B's task 0) and slot 6 (A's task 3) takes its record.
+    GRID_A: ClassVar[List[ScenarioSpec]] = [ScenarioSpec("linear", dict(SMALL_LINEAR, num_nodes=size)) for size in (3, 4)]
+    GRID_B: ClassVar[List[ScenarioSpec]] = [ScenarioSpec("linear", dict(SMALL_LINEAR, num_nodes=size)) for size in (4, 5)]
+    GRIDS: ClassVar[List[Tuple[List[ScenarioSpec], List[int]]]] = [(GRID_A, [1, 2]), (GRID_B, [2, 3])]
+    #: What simulating every slot would report: the round-robin interleave.
+    EVENTS: ClassVar[List[Tuple[int, int, int]]] = [
+        (0, 1, 4), (1, 1, 4), (0, 2, 4), (1, 2, 4), (0, 3, 4), (1, 3, 4), (0, 4, 4), (1, 4, 4)
+    ]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Route the grids through a counting ``"linear"`` builder."""
+        calls = []
+
+        def counting(seed, tag=None, **params):
+            calls.append((params["num_nodes"], seed))
+            return linear_scenario(seed=seed, **params)
+
+        monkeypatch.setitem(parallel.SCENARIO_BUILDERS, "linear", counting)
+        return calls
+
+    def test_each_distinct_cell_is_built_once(self, built):
+        grouped = ParallelRunner(workers=1).run_grids(self.GRIDS)
+        assert sorted(built) == [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (5, 3)]
+        assert grouped[0][1][1] is grouped[1][0][0]
+
+    def test_groups_equal_per_grid_runs(self):
+        runner = ParallelRunner(workers=1)
+        grouped = runner.run_grids(self.GRIDS)
+        assert grouped == [runner.run_grid(specs, seeds) for specs, seeds in self.GRIDS]
+
+    def test_progress_sequence_is_unchanged_on_every_backend(self):
+        reference = ParallelRunner(workers=1).run_grids(self.GRIDS)
+        with ProcessBackend(workers=2) as process:
+            for backend in (SerialBackend(), process):
+                events = []
+                grouped = ParallelRunner(backend=backend).run_grids(
+                    self.GRIDS, progress=lambda *event: events.append(event)
+                )
+                assert events == self.EVENTS
+                assert grouped == reference
+                assert backend.tasks_submitted == 7
+
+    def test_on_result_fires_once_per_slot(self, built):
+        seen = []
+        ParallelRunner(workers=1).run_grids(
+            self.GRIDS,
+            on_result=lambda grid, spec, seed, record: seen.append((grid, spec.params["num_nodes"], seed)),
+        )
+        assert seen == [(0, 3, 1), (1, 4, 2), (0, 3, 2), (1, 4, 3), (0, 4, 1), (1, 5, 2), (0, 4, 2), (1, 5, 3)]
+        assert len(built) == 7
+
+    def test_a_reused_member_spares_the_whole_group(self, built):
+        cached = ParallelRunner(workers=1).run_grid([self.GRID_A[1]], [2])[0][0]
+        built.clear()
+        events, persisted = [], []
+
+        def reuse(grid, spec, seed):
+            # Only grid A's key for the shared cell is in the cache.
+            return cached if (grid, spec.params["num_nodes"], seed) == (0, 4, 2) else None
+
+        grouped = ParallelRunner(workers=1).run_grids(
+            self.GRIDS,
+            progress=lambda *event: events.append(event),
+            reuse=reuse,
+            on_result=lambda grid, spec, seed, record: persisted.append(
+                (grid, spec.params["num_nodes"], seed, record)
+            ),
+        )
+        assert (4, 2) not in built and len(built) == 6
+        # Grid B's twin missed its own key: it takes the cached record
+        # and is handed to on_result, to be persisted under its own key.
+        assert (1, 4, 2, cached) in persisted
+        assert grouped[1][0][0] is cached
+        # The cached burst first, then live completions in slot order.
+        assert events[0] == (0, 1, 4)
+        assert [grid for grid, _, _ in events[1:]] == [0, 1, 0, 1, 0, 1, 1]
+
+    def test_a_str_collision_is_not_shared(self, built):
+        specs = [ScenarioSpec("linear", dict(SMALL_LINEAR, tag=_Stringly(value))) for value in (1, 2)]
+        assert len({cell_content(spec.scenario, spec.params, 1) for spec in specs}) == 1
+        ParallelRunner(workers=1).run_grids([([specs[0]], [1]), ([specs[1]], [1])])
+        assert built == [(3, 1), (3, 1)]
+
+    def test_plain_callables_are_never_shared(self):
+        calls = []
+
+        def builder(seed):
+            calls.append(seed)
+            return linear_scenario(seed=seed, **SMALL_LINEAR)
+
+        ParallelRunner(workers=1).run_grids([([builder], [1]), ([builder], [1])])
+        assert calls == [1, 1]
+
+    @pytest.mark.parametrize(
+        ("jobs", "smoke", "count", "slots", "distinct"),
+        [
+            # benchmarks/e2e's ``faults`` workload: every fault family at
+            # its defaults, 3 seeds.
+            pytest.param(WORKLOAD_JOBS, False, 3, 108, 90, id="faults"),
+            # ``sweep_resume``: every figure and family at smoke size, 16 seeds.
+            pytest.param(ALL_FIGURES + WORKLOAD_JOBS, True, 16, 688, 592, id="sweep_resume"),
+        ],
+    )
+    def test_benchmark_plans_submit_only_distinct_cells(self, jobs, smoke, count, slots, distinct):
+        seeds = preset_seeds(count)
+        grids = [
+            (job.planner()(**(job.smoke_kwargs if smoke else {})).specs, seeds)
+            for job in jobs
+            if job.kind == "metric"
+        ]
+        assert sum(len(specs) * len(seeds) for specs, seeds in grids) == slots
+        backend = _PlanOnly()
+        ParallelRunner(backend=backend).run_grids(grids)
+        assert backend.tasks_submitted == distinct
 
 
 class TestSweep:

@@ -10,12 +10,15 @@ force recomputation rather than serving wrong rows.
 """
 
 import json
+import pickle
 from pathlib import Path
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.backends import ProcessBackend, SerialBackend
-from repro.experiments.presets import run_paper
+from repro.experiments.parallel import ScenarioRecord
+from repro.experiments.presets import _JOBS_BY_NAME, preset_seeds, run_paper
 from repro.experiments.results import CELLS_DIR_NAME, CellStore, cell_key
 
 FIGURES = ["figure4b", "table2"]
@@ -147,11 +150,79 @@ class TestResume:
         assert cells_metadata(out) == {"reused": TOTAL_CELLS - 1, "computed": 1}
         assert figure_bytes(out) == reference
 
+    @pytest.mark.parametrize("damage", ["truncated", "renamed_class"])
+    def test_unreadable_cell_is_deleted_and_recomputed(self, tmp_path, monkeypatch, damage):
+        out = tmp_path / "run"
+        paper_smoke(out)
+        reference = figure_bytes(out)
+        victim = sorted((out / CELLS_DIR_NAME).glob("*.pkl"))[0]
+        record = pickle.loads(victim.read_bytes())
+        if damage == "truncated":
+            victim.write_bytes(victim.read_bytes()[:-7])
+            with pytest.raises(pickle.UnpicklingError, match="truncated"):
+                pickle.loads(victim.read_bytes())
+        else:
+            # The record as an older checkout would have pickled it,
+            # under a class name this one no longer has.
+            with monkeypatch.context() as patch:
+                patch.setattr(parallel, "LegacyScenarioRecord", ScenarioRecord, raising=False)
+                ScenarioRecord.__qualname__ = "LegacyScenarioRecord"
+                try:
+                    victim.write_bytes(pickle.dumps(record))
+                finally:
+                    ScenarioRecord.__qualname__ = "ScenarioRecord"
+            with pytest.raises(AttributeError, match="LegacyScenarioRecord"):
+                pickle.loads(victim.read_bytes())
+        backend = SerialBackend()
+        paper_smoke(out, backend=backend)
+        assert backend.tasks_submitted == 1
+        assert pickle.loads(victim.read_bytes()) == record
+        assert figure_bytes(out) == reference
+
     def test_trace_figures_are_never_cached(self, tmp_path):
         out = tmp_path / "run"
         run_paper(figures=["figure3c"], seeds="smoke", out_dir=out)
         assert list((out / CELLS_DIR_NAME).glob("*.pkl")) == []
         assert cells_metadata(out) == {"reused": 0, "computed": 0}
+
+
+def figure_keys(name):
+    """Every cell key of one figure at the smoke preset."""
+    job = _JOBS_BY_NAME[name]
+    seeds = preset_seeds("smoke", family=job.family)
+    plan = job.planner()(**job.smoke_kwargs)
+    return [cell_key(name, spec.scenario, spec.params, seed) for spec in plan.specs for seed in seeds]
+
+
+class TestSharedCells:
+    """figure4b's smoke cells are all figure4's: simulated once, persisted twice."""
+
+    FIGURES = ("figure4", "figure4b")
+
+    def test_every_figure_key_is_persisted(self, tmp_path):
+        out = tmp_path / "run"
+        backend = SerialBackend()
+        paper_smoke(out, list(self.FIGURES), backend=backend)
+        # 8 figure4 cells, 4 figure4b cells that repeat 4 of them.
+        assert backend.tasks_submitted == 8
+        assert cells_metadata(out) == {"reused": 0, "computed": 12}
+        for name in self.FIGURES:
+            for key in figure_keys(name):
+                assert (out / CELLS_DIR_NAME / f"{key}.pkl").exists(), name
+
+    def test_twin_in_the_cache_spares_the_cell(self, tmp_path):
+        out = tmp_path / "run"
+        paper_smoke(out, list(self.FIGURES))
+        reference = figure_bytes(out, self.FIGURES)
+        for key in figure_keys("figure4b"):
+            (out / CELLS_DIR_NAME / f"{key}.pkl").unlink()
+        backend = SerialBackend()
+        paper_smoke(out, list(self.FIGURES), backend=backend)
+        assert backend.tasks_submitted == 0
+        # figure4b's cells came from figure4's and were re-persisted.
+        assert cells_metadata(out) == {"reused": 8, "computed": 4}
+        assert all((out / CELLS_DIR_NAME / f"{key}.pkl").exists() for key in figure_keys("figure4b"))
+        assert figure_bytes(out, self.FIGURES) == reference
 
 
 class TestCrossBackendResume:
@@ -236,6 +307,20 @@ class TestCellStore:
         path.write_bytes(b"garbage")
         assert store.get(key) is None
         assert not path.exists()
+
+
+    def test_unrelated_errors_propagate(self, tmp_path, monkeypatch):
+        store = CellStore(tmp_path, self.PROVENANCE)
+        key = cell_key("figure4", "linear", {}, 1)
+        store.put(key, "payload")
+
+        def broken(raw):
+            raise RuntimeError("not a cell problem")
+
+        monkeypatch.setattr(pickle, "loads", broken)
+        with pytest.raises(RuntimeError, match="not a cell problem"):
+            store.get(key)
+        assert (store.directory / f"{key}.pkl").exists()
 
 
 class TestCellKey:

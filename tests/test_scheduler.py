@@ -221,7 +221,48 @@ class TestBitIdentityAcrossWorkerCounts:
                 )
 
 
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class _KeepPipes:
+    """A multiprocessing context that keeps a reference to every pipe end.
+
+    CPython's refcounting would close a child end the parent merely
+    drops; holding it here (as a tracing collector or a lingering
+    traceback frame would) leaves only an explicit ``close()`` to
+    release it.
+    """
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.pipes = []
+
+    def Pipe(self, duplex=True):  # noqa: N802 - mirrors the context API
+        pair = self._ctx.Pipe(duplex=duplex)
+        self.pipes.append(pair)
+        return pair
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+
 class TestWorkerProcess:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_respawns_leak_no_pipe_ends(self):
+        # The parent must close its copy of the child's pipe end once
+        # the worker is forked, or every respawn leaks an fd.
+        methods = multiprocessing.get_all_start_methods()
+        ctx = _KeepPipes(multiprocessing.get_context("fork" if "fork" in methods else "spawn"))
+        before = _open_fds()
+        for _ in range(4):
+            worker = _Worker(ctx)
+            worker.terminate()
+            # Reaping the process object releases its exit sentinel.
+            worker.process.close()
+        assert len(ctx.pipes) == 4
+        assert _open_fds() == before
+
     def test_local_terminate_is_idempotent(self):
         # _Worker.terminate carries # repro: allow[EXC001] pragmas
         # claiming its suppress(Exception) blocks are pure best-effort
