@@ -5,12 +5,11 @@ increasing length under JTP, the ATP-like explicit-rate baseline and
 rate-paced TCP-SACK, and prints energy per delivered bit and per-flow
 goodput for each — a scaled-down regeneration of the paper's Figure 9.
 
-The per-seed runs execute on a pluggable backend: ``--backend process``
-(the default) fans out over a persistent process pool, and ``--backend
-serial`` (or ``--workers 0``) runs in-process.  ``--seeds N`` scales the
-replication; ``--paper``
-uses the paper's replication count (:data:`PAPER_LINEAR` seeds per
-cell).  The printed rows are bit-identical for every backend and worker
+The per-seed runs fan out over a persistent process pool of
+``--workers N`` processes (default: one per CPU core); ``--workers 0``
+or ``1`` runs them in-process.  ``--seeds N`` scales the replication;
+``--paper`` uses the paper's replication count (:data:`PAPER_LINEAR`
+seeds per cell).  The printed rows are bit-identical for every worker
 count.
 
 ``--out DIR`` persists the rows through the results store
@@ -23,12 +22,12 @@ renders the run to ``DIR/plots/figure9.png`` through :mod:`repro.plots`
 
 Run with::
 
-    python examples/protocol_shootout.py [--workers N] [--backend NAME] [--seeds N | --paper] [--out DIR [--plots]]
+    python examples/protocol_shootout.py [--workers N] [--seeds N | --paper] [--out DIR [--plots]]
 """
 
 import argparse
 
-from repro.experiments.backends import BACKENDS, make_backend, resolve_backend
+from repro.experiments.backends import resolve_backend
 from repro.experiments.figures import figure9
 from repro.experiments.presets import PAPER_LINEAR, SMOKE_LINEAR, preset_seeds
 from repro.experiments.report import format_table
@@ -39,8 +38,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count (default: one per CPU core; 0 or 1 = serial)")
-    parser.add_argument("--backend", choices=sorted(BACKENDS), default=None,
-                        help="executor backend (default: the shared persistent process pool)")
     parser.add_argument("--seeds", type=int, default=None,
                         help=f"independent replications per cell (default: {SMOKE_LINEAR})")
     parser.add_argument("--paper", action="store_true",
@@ -60,12 +57,7 @@ def main() -> None:
     else:
         seeds = preset_seeds("smoke", family="linear")
 
-    if args.backend is not None:
-        # Passed verbatim: pooled backends reject workers<=0 loudly
-        # rather than silently falling back to a cpu_count pool.
-        backend = make_backend(args.backend, workers=args.workers)
-    else:
-        backend = resolve_backend(workers=args.workers)
+    backend = resolve_backend(workers=args.workers)
 
     rows = figure9(
         net_sizes=(3, 5, 7),

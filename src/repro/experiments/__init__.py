@@ -9,11 +9,11 @@
   confidence intervals;
 * :mod:`repro.experiments.backends` — pluggable executor backends
   (:class:`SerialBackend`, and the persistent shared
-  :class:`ProcessBackend` pool, whose scheduler adds backpressure, work
-  stealing and retry over local worker processes —
+  :class:`ProcessBackend` pool, whose scheduler adds backpressure and
+  retry over local worker processes —
   ``docs/distributed.md``);
 * :mod:`repro.experiments.parallel` — :class:`ParallelRunner` fans
-  replications and parameter sweeps out over a backend, returning
+  replications and figure grids out over a backend, returning
   picklable :class:`ScenarioRecord` summaries (bit-identical aggregates
   for any backend and worker count);
 * :mod:`repro.experiments.presets` — the figure registry
@@ -88,7 +88,6 @@ from repro.experiments.backends import (
     ProcessBackend,
     SerialBackend,
     close_shared_backends,
-    make_backend,
     resolve_backend,
     shared_backend,
     workers_from_env,
@@ -132,7 +131,6 @@ __all__ = [
     "ExecutorBackend",
     "SerialBackend",
     "ProcessBackend",
-    "make_backend",
     "resolve_backend",
     "shared_backend",
     "close_shared_backends",

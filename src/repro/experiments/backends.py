@@ -21,11 +21,11 @@ execution strategy into a first-class object:
   workers start on first use and are reused across figure calls (the
   same worker PIDs serve every call), amortising fork cost over a whole
   paper run.  Cells are sharded across workers behind a bounded
-  in-flight window (backpressure against a slow consumer), stragglers
-  are work-stolen by idle workers, and crashed / raising / hung cells
-  are retried with capped exponential backoff before the batch fails
-  loudly with :class:`~repro.experiments.scheduler.CellError`.  See
-  ``docs/distributed.md`` for the architecture and every knob.
+  in-flight window (backpressure against a slow consumer), and crashed
+  / raising / hung cells are retried with capped exponential backoff
+  before the batch fails loudly with
+  :class:`~repro.experiments.scheduler.CellError`.  See
+  ``docs/distributed.md`` for the architecture and both knobs.
 
 Module helpers:
 
@@ -39,10 +39,6 @@ Module helpers:
   shared :class:`ProcessBackend`.
 * :func:`workers_from_env` — ``REPRO_WORKERS`` plumbing shared by the
   benchmark harness and the examples (``0`` means the serial backend).
-* :func:`async_retries_from_env` / :func:`async_timeout_from_env` —
-  the ``REPRO_ASYNC_*`` env seams, applied by
-  ``make_backend("process")``.  The :class:`ProcessBackend` constructor
-  and the shared pools read no environment.
 
 Every backend must preserve the harness invariant: because each
 simulation run is fully determined by its seed and results come back in
@@ -74,14 +70,10 @@ __all__ = [
     "SerialBackend",
     "ProcessBackend",
     "CellError",
-    "BACKENDS",
-    "make_backend",
     "resolve_backend",
     "shared_backend",
     "close_shared_backends",
     "workers_from_env",
-    "async_retries_from_env",
-    "async_timeout_from_env",
 ]
 
 
@@ -96,43 +88,13 @@ def workers_from_env(default: Optional[int] = None) -> Optional[int]:
     value = os.environ.get("REPRO_WORKERS", "").strip()
     if not value:
         return default
-    workers = int(value)
+    try:
+        workers = int(value)
+    except ValueError:
+        raise ValueError(f"REPRO_WORKERS must be an integer, got {value!r}") from None
     if workers < 0:
         raise ValueError(f"REPRO_WORKERS must be >= 0, got {workers}")
     return workers
-
-
-def async_retries_from_env(default: int = 2) -> int:
-    """Retry budget for ``make_backend("process")`` cells via ``REPRO_ASYNC_RETRIES``.
-
-    The number of *additional* attempts a failed cell gets (crash,
-    exception or timeout) before the batch fails with
-    :class:`~repro.experiments.scheduler.CellError`.  ``0``
-    disables retries; unset (or empty) returns ``default``.
-    """
-    value = os.environ.get("REPRO_ASYNC_RETRIES", "").strip()
-    if not value:
-        return default
-    retries = int(value)
-    if retries < 0:
-        raise ValueError(f"REPRO_ASYNC_RETRIES must be >= 0, got {retries}")
-    return retries
-
-
-def async_timeout_from_env(default: Optional[float] = None) -> Optional[float]:
-    """Per-cell timeout (seconds) for ``make_backend("process")`` via ``REPRO_ASYNC_TIMEOUT``.
-
-    A cell running longer than this is killed (its worker is respawned)
-    and retried.  ``0`` (or a negative value) disables the timeout;
-    unset (or empty) returns ``default``.
-    """
-    value = os.environ.get("REPRO_ASYNC_TIMEOUT", "").strip()
-    if not value:
-        return default
-    timeout = float(value)
-    if timeout <= 0:
-        return None
-    return timeout
 
 
 class ExecutorBackend(ABC):
@@ -150,7 +112,7 @@ class ExecutorBackend(ABC):
       them.
     """
 
-    #: Short backend name, also the key in :data:`BACKENDS`.
+    #: Short backend name, recorded in run manifests.
     name: str = "abstract"
     #: Degree of parallelism this backend was configured for.
     workers: int = 1
@@ -247,10 +209,10 @@ class ProcessBackend(ExecutorBackend):
 
     One :class:`~repro.experiments.scheduler.Scheduler` shards each
     batch across ``workers`` long-lived worker processes behind a
-    bounded in-flight ``window`` (backpressure against a slow ``imap``
-    consumer), work-steals stragglers onto idle workers, and retries
-    crashed, raising or hung cells with capped exponential backoff —
-    respawning dead workers as it goes.  A cell that exhausts
+    bounded in-flight window of ``2 * workers`` results (backpressure
+    against a slow ``imap`` consumer), and retries crashed, raising or
+    hung cells with capped exponential backoff — respawning dead
+    workers as it goes.  A cell that exhausts
     ``max_retries`` fails the whole batch with a
     :class:`~repro.experiments.scheduler.CellError` naming every
     failed cell, so a result grid can never contain a silent hole.  The
@@ -262,8 +224,8 @@ class ProcessBackend(ExecutorBackend):
     frontier completes), the workers start lazily on the first
     :meth:`map` and are reused until :meth:`close`, :meth:`close` is
     idempotent with lazy restart, and aggregates are bit-identical to
-    :class:`SerialBackend` for every worker count — retries and steals
-    re-run pure seed-determined simulations, never reorder delivery.
+    :class:`SerialBackend` for every worker count — retries re-run
+    pure seed-determined simulations, never reorder delivery.
     Workers are daemon processes, so an interpreter that never closes
     its backend still exits.
 
@@ -273,14 +235,10 @@ class ProcessBackend(ExecutorBackend):
 
     ``max_retries`` (default 2) is the number of extra attempts a failed
     cell gets; ``task_timeout`` (default: none) kills and retries a cell
-    running longer than that many seconds.  ``window`` defaults to
-    ``2 * workers`` and is clamped to at least ``workers``;
-    ``steal_after`` is the straggler age (seconds) before an idle worker
-    duplicates it.  The constructor reads no environment: the ``REPRO_ASYNC_*``
-    seams apply through ``make_backend("process")``.  ``stats`` exposes
-    cumulative scheduler counters (``retries``, ``steals``,
-    ``respawns``, ``timeouts``, ``failures``) for tests and diagnostics.
-    See ``docs/distributed.md`` for the full architecture notes.
+    running longer than that many seconds.  ``stats`` exposes
+    cumulative scheduler counters (``retries``, ``respawns``,
+    ``timeouts``, ``failures``) for tests and diagnostics.  See
+    ``docs/distributed.md`` for the full architecture notes.
     """
 
     name = "process"
@@ -289,33 +247,19 @@ class ProcessBackend(ExecutorBackend):
         self,
         workers: Optional[int] = None,
         *,
-        window: Optional[int] = None,
         max_retries: int = 2,
-        retry_base_delay: float = 0.05,
-        retry_max_delay: float = 2.0,
         task_timeout: Optional[float] = None,
-        steal_after: float = 0.25,
     ) -> None:
         self.workers = _positive_workers(workers)
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if window is None:
-            window = 2 * self.workers
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self._scheduler = Scheduler(
-            workers=self.workers,
-            window=window,
-            max_retries=max_retries,
-            retry_base_delay=retry_base_delay,
-            retry_max_delay=retry_max_delay,
-            task_timeout=task_timeout,
-            steal_after=steal_after,
-        )
+        if task_timeout is not None and task_timeout <= 0:
+            raise ValueError(f"task_timeout must be > 0 seconds or None, got {task_timeout}")
+        self._scheduler = Scheduler(self.workers, max_retries, task_timeout)
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Cumulative scheduler counters: retries, steals, respawns, timeouts, failures."""
+        """Cumulative scheduler counters: retries, respawns, timeouts, failures."""
         return self._scheduler.stats
 
     @property
@@ -348,42 +292,9 @@ class ProcessBackend(ExecutorBackend):
         return self._scheduler.start(fn, items)
 
 
-def _serial_factory(workers: Optional[int] = None) -> SerialBackend:
-    if workers is not None and int(workers) > 1:
-        raise ValueError(
-            f"the serial backend runs in-process; workers={workers} conflicts "
-            "(use the process backend for parallelism)"
-        )
-    return SerialBackend()
-
-
-def _process_factory(workers: Optional[int] = None) -> ProcessBackend:
-    """A :class:`ProcessBackend` configured from the ``REPRO_ASYNC_*`` env seams."""
-    return ProcessBackend(
-        workers=workers,
-        max_retries=async_retries_from_env(2),
-        task_timeout=async_timeout_from_env(None),
-    )
-
-
-#: Backend registry for CLI flags and configuration strings.
-BACKENDS: Dict[str, Callable[..., ExecutorBackend]] = {
-    "serial": _serial_factory,
-    "process": _process_factory,
-}
-
-def make_backend(name: str, workers: Optional[int] = None) -> ExecutorBackend:
-    """Build a backend by registry name (``serial``/``process``)."""
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown backend {name!r}; known: {sorted(BACKENDS)}") from None
-    return factory(workers=workers)
-
-
 # -- the shared default pool -----------------------------------------------------------
 
-_SHARED_BACKENDS: Dict[int, ProcessBackend] = {}
+_SHARED_POOLS: Dict[int, ProcessBackend] = {}
 _SHARED_LOCK = threading.Lock()
 
 
@@ -399,18 +310,18 @@ def shared_backend(workers: Optional[int] = None) -> ProcessBackend:
     """
     key = _positive_workers(workers)
     with _SHARED_LOCK:
-        backend = _SHARED_BACKENDS.get(key)
+        backend = _SHARED_POOLS.get(key)
         if backend is None:
             backend = ProcessBackend(workers=key)
-            _SHARED_BACKENDS[key] = backend
+            _SHARED_POOLS[key] = backend
         return backend
 
 
 def close_shared_backends() -> None:
     """Close and forget every shared backend (they restart lazily on reuse)."""
     with _SHARED_LOCK:
-        backends = list(_SHARED_BACKENDS.values())
-        _SHARED_BACKENDS.clear()
+        backends = list(_SHARED_POOLS.values())
+        _SHARED_POOLS.clear()
     for backend in backends:
         backend.close()
 

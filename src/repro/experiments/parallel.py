@@ -18,7 +18,7 @@ bit-identical to a serial run:
 * :class:`ScenarioSpec` — a picklable ``builder(seed)`` callable naming
   one of the scenario families ("linear", "random", "mobile",
   "testbed") plus its keyword arguments.  Specs are the unit of work
-  for grid sweeps and the recommended builder for parallel runs.
+  for figure grids and the recommended builder for parallel runs.
 * :class:`ParallelRunner` — the execution front-end.  It delegates to a
   pluggable :class:`~repro.experiments.backends.ExecutorBackend`:
   ``workers=0`` or ``1`` select the in-process
@@ -28,7 +28,7 @@ bit-identical to a serial run:
   :class:`~repro.experiments.backends.ProcessBackend` for that worker
   count, so consecutive figure calls reuse one pool instead of forking
   a new one each; and ``backend=`` accepts any backend instance (a
-  private or TCP-connected ``ProcessBackend``, say) outright.  Because every
+  private ``ProcessBackend``, say) outright.  Because every
   scenario is fully determined by its seed and results are collected in
   submission order, the aggregated output is bit-identical for every
   backend and worker count.  :meth:`ParallelRunner.run_grids` extends
@@ -59,10 +59,8 @@ backend (``workers=0`` or ``1``) accepts any callable.
 
 from __future__ import annotations
 
-import itertools
-import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union, cast
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, cast
 
 from repro.experiments.backends import ExecutorBackend, resolve_backend
 from repro.experiments.metrics import ScenarioMetrics
@@ -76,8 +74,6 @@ from repro.experiments.scenarios import (
 )
 from repro.sim.random import RandomStreams
 
-Row = Dict[str, object]
-
 #: Scenario families a :class:`ScenarioSpec` may name.
 SCENARIO_BUILDERS: Dict[str, Callable[..., ScenarioResult]] = {
     "linear": linear_scenario,
@@ -85,10 +81,6 @@ SCENARIO_BUILDERS: Dict[str, Callable[..., ScenarioResult]] = {
     "mobile": mobile_scenario,
     "testbed": testbed_scenario,
 }
-
-#: Metrics summarised by :meth:`ParallelRunner.sweep` unless overridden.
-DEFAULT_SWEEP_ATTRIBUTES = ("energy_per_bit_microjoules", "goodput_kbps")
-
 
 @dataclass(frozen=True)
 class ScenarioRecord:
@@ -410,47 +402,3 @@ class ParallelRunner:
                 [filled[i * per_spec:(i + 1) * per_spec] for i in range(len(specs))]
             )
         return grouped
-
-    # -- sweeps -----------------------------------------------------------------------
-
-    def sweep(
-        self,
-        scenario: str,
-        grid: Mapping[str, Sequence[object]],
-        seeds: Union[int, Sequence[int]],
-        base_params: Optional[Mapping[str, object]] = None,
-        attributes: Sequence[str] = DEFAULT_SWEEP_ATTRIBUTES,
-        base_seed: int = 0,
-    ) -> List[Row]:
-        """Run a parameter grid and return tidy per-cell summary rows.
-
-        ``grid`` maps parameter names (e.g. ``protocol``, ``num_nodes``,
-        ``link_quality``, ``speed``) to the values to sweep; the cross
-        product of all axes defines the cells.  ``seeds`` is either an
-        explicit seed list or a replicate count, in which case the seeds
-        are derived deterministically with :func:`spawn_seeds` from
-        ``base_seed``.  Every row echoes its cell's parameters and, for
-        each requested metric attribute, carries ``<attr>_mean`` and the
-        95% confidence half-width ``<attr>_ci95``.
-        """
-        from repro.experiments.runner import confidence_interval
-
-        if isinstance(seeds, int):
-            seeds = spawn_seeds(base_seed, seeds)
-        axes = list(grid)
-        combos = list(itertools.product(*(grid[name] for name in axes)))
-        specs = [
-            ScenarioSpec(scenario, {**dict(base_params or {}), **dict(zip(axes, combo, strict=True))})
-            for combo in combos
-        ]
-        rows: List[Row] = []
-        for spec, records in zip(specs, self.run_grid(specs, seeds), strict=True):
-            row: Row = {"scenario": scenario}
-            row.update({name: spec.params[name] for name in axes})
-            row["n"] = len(records)
-            for attribute in attributes:
-                values = [float(getattr(record.metrics, attribute)) for record in records]
-                row[f"{attribute}_mean"] = statistics.fmean(values)
-                row[f"{attribute}_ci95"] = confidence_interval(values)
-            rows.append(row)
-        return rows

@@ -133,29 +133,20 @@ def _parse_seeds(value: str) -> object:
 
 def _run_command(args: "argparse.Namespace") -> int:
     """Execute ``--run``: regenerate figures into the run directory."""
-    from repro.experiments.backends import make_backend
     from repro.experiments.presets import run_paper
     from repro.experiments.progress import ProgressBars
     from repro.experiments.results import load_run
 
     figures = args.figures.split(",") if args.figures else None
-    backend = None
-    if args.backend is not None:
-        backend = make_backend(args.backend, workers=args.workers)
-    try:
-        run_paper(
-            figures=figures,
-            backend=backend,
-            seeds=_parse_seeds(args.seeds),
-            workers=None if backend is not None else args.workers,
-            base_seed=args.base_seed,
-            out_dir=args.run_dir,
-            resume=not args.fresh,
-            progress=ProgressBars(),
-        )
-    finally:
-        if backend is not None:
-            backend.close()
+    run_paper(
+        figures=figures,
+        seeds=_parse_seeds(args.seeds),
+        workers=args.workers,
+        base_seed=args.base_seed,
+        out_dir=args.run_dir,
+        resume=not args.fresh,
+        progress=ProgressBars(),
+    )
     run = load_run(args.run_dir)
     cells = run.metadata.get("cells", {})
     print(f"wrote {run.directory}: " + ", ".join(f"{name} ({len(rows)} rows)" for name, rows in run.rows.items()))
@@ -177,7 +168,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     import argparse
 
-    from repro.experiments.backends import BACKENDS
     from repro.experiments.results import load_run
 
     parser = argparse.ArgumentParser(
@@ -199,10 +189,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="comma-separated figure subset (default: every figure)")
     group.add_argument("--seeds", default="paper",
                        help="seed preset ('paper'/'smoke') or replication count (default: paper)")
-    group.add_argument("--backend", choices=sorted(BACKENDS), default=None,
-                       help="executor backend (default: the shared process pool)")
     group.add_argument("--workers", type=int, default=None,
-                       help="worker count for the chosen backend")
+                       help="worker count (default: one per CPU core; 0 or 1 = serial)")
     group.add_argument("--base-seed", type=int, default=0,
                        help="root seed for spawned seed lists (default: 0)")
     group.add_argument("--fresh", action="store_true",

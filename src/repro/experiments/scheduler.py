@@ -8,26 +8,24 @@ idempotent close) lives in :mod:`repro.experiments.backends`; this
 module owns the worker processes and the scheduling policy:
 
 * **Bounded in-flight window (backpressure).**  Task ``i`` is only
-  dispatched once fewer than ``window`` results are unconsumed, i.e.
-  ``i < consumed + window`` where ``consumed`` counts results the
-  caller has actually pulled from the stream.  A slow ``imap`` consumer
-  therefore throttles dispatch instead of accumulating an unbounded
-  reorder buffer, and the reorder buffer (results completed out of
-  submission order) can never exceed the window either.
-* **Work stealing.**  When no fresh task is dispatchable and no retry
-  is due, an idle worker duplicates the longest-running in-flight task
-  (at most one duplicate per task, after ``steal_after`` seconds).
-  Whichever copy finishes first wins; the loser's result is discarded
-  by sequence number.  Duplicating a pure, seed-determined simulation
-  is always safe, so stragglers cannot serialise the tail of a batch.
+  dispatched once fewer than ``2 * workers`` results are unconsumed,
+  i.e. ``i < consumed + 2 * workers`` where ``consumed`` counts results
+  the caller has actually pulled from the stream.  A slow ``imap``
+  consumer therefore throttles dispatch instead of accumulating an
+  unbounded reorder buffer, and the reorder buffer (results completed
+  out of submission order) can never exceed the window either.
 * **Retry with capped exponential backoff.**  A task attempt ends in
   success, a worker-side exception, a dead worker (crash / SIGKILL /
   broken pipe), or a per-task timeout.  Failed attempts are retried up
-  to ``max_retries`` times, waiting ``min(retry_max_delay,
-  retry_base_delay * 2**(attempt-1))`` between attempts; dead workers
-  are respawned as fresh processes.  A task that exhausts its retries
-  fails the batch with :class:`CellError` naming every failed cell —
-  never a silent hole in a result grid.
+  to ``max_retries`` times, waiting ``min(2.0, 0.05 * 2**(attempt-1))``
+  seconds between attempts; dead workers are respawned as fresh
+  processes.  A task that exhausts its retries fails the batch with
+  :class:`CellError` naming every failed cell — never a silent hole in
+  a result grid.
+* **No duplicate work.**  Each task runs on one worker at a time: the
+  workers are identical local processes and every task is
+  seed-determined, so a second copy of a slow task would finish no
+  sooner.
 
 The loop runs in the consumer's own thread: :meth:`Scheduler.start`
 returns a generator, and each ``next()`` fills idle workers, blocks in
@@ -39,7 +37,7 @@ workers are never forked from a second thread.  One stream may be open
 per scheduler at a time; opening another raises :class:`RuntimeError`
 naming the open one.
 
-Determinism: scheduling (stealing, retries, worker death) never
+Determinism: scheduling (retries, worker death) never
 reorders *delivery* — results are matched to submission slots by index
 — so aggregates are bit-identical to a serial run regardless of worker
 count, timing, or how many attempts a cell needed.
@@ -53,20 +51,27 @@ import multiprocessing
 import pickle
 import time
 import traceback
-from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as connection_wait
-from typing import Any, Callable, Deque, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 __all__ = ["CellError", "CellFailure", "Scheduler"]
 
-#: Upper bound on one selector wait; also the granularity of timeout,
-#: retry-due and straggler checks.  Small enough that a due retry is
-#: dispatched promptly, large enough that waiting costs nothing
-#: measurable.
+#: Upper bound on one selector wait; also the granularity of timeout
+#: and retry-due checks.  Small enough that a due retry is dispatched
+#: promptly, large enough that waiting costs nothing measurable.
 _TICK_SECONDS = 0.05
+
+#: Unconsumed results allowed per worker before dispatch pauses.
+_WINDOW_PER_WORKER = 2
+
+#: Backoff before a failed cell's first retry; doubles per attempt.
+_RETRY_BASE_DELAY = 0.05
+
+#: Cap on the retry backoff.
+_RETRY_MAX_DELAY = 2.0
 
 #: How much of a failing item's repr() survives into error messages.
 _ITEM_REPR_LIMIT = 200
@@ -124,8 +129,8 @@ class _Worker:
 
     ``current`` is the in-flight assignment ``(index, seq, started)`` or
     ``None`` when idle; the globally unique ``seq`` is what lets the
-    dispatcher discard stale results (from a stolen task's losing copy,
-    or from a batch that was aborted mid-flight).
+    dispatcher discard stale results from a batch that was aborted
+    mid-flight.
     """
 
     def __init__(self, ctx: Any) -> None:
@@ -200,31 +205,18 @@ class Scheduler:
     Batches run one at a time — the backend's ordered-delivery contract
     has no use for interleaved batches, so a second stream opened while
     one is still open raises instead of waiting on it.
-    ``stats`` accumulates scheduling events (``retries``, ``steals``,
-    ``respawns``, ``timeouts``, ``failures``) across the scheduler's
-    lifetime, which is what the fault-injection tests assert against.
+    ``stats`` accumulates scheduling events (``retries``, ``respawns``,
+    ``timeouts``, ``failures``) across the scheduler's lifetime, which
+    is what the fault-injection tests assert against.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        window: int,
-        max_retries: int,
-        retry_base_delay: float,
-        retry_max_delay: float,
-        task_timeout: Optional[float],
-        steal_after: float,
-    ) -> None:
+    def __init__(self, workers: int, max_retries: int, task_timeout: Optional[float]) -> None:
         self.workers = int(workers)
-        self.window = max(int(window), self.workers)
+        self.window = _WINDOW_PER_WORKER * self.workers
         self.max_retries = int(max_retries)
-        self.retry_base_delay = float(retry_base_delay)
-        self.retry_max_delay = float(retry_max_delay)
         self.task_timeout = None if task_timeout is None else float(task_timeout)
-        self.steal_after = float(steal_after)
         self.stats: Dict[str, int] = {
             "retries": 0,
-            "steals": 0,
             "respawns": 0,
             "timeouts": 0,
             "failures": 0,
@@ -301,24 +293,16 @@ class Scheduler:
         total = len(items)
 
         results: Dict[int, Any] = {}
-        resolved: Dict[int, bool] = {}
         attempts: Dict[int, int] = {}
-        live: Dict[int, int] = {}
         failures: Dict[int, CellFailure] = {}
-        ready: Deque[int] = deque()
         retry_heap: List[Tuple[float, int]] = []
         next_fresh = 0
         consumed = 0
 
         def fail_attempt(index: int, error: str) -> None:
-            """One assignment of ``index`` ended badly; retry or give up."""
-            if index in resolved:
-                return
+            """An attempt at ``index`` ended badly; retry or give up."""
             attempts[index] = attempts.get(index, 0) + 1
-            if live.get(index, 0) > 0:
-                return  # a stolen duplicate is still running this cell
             if attempts[index] > self.max_retries:
-                resolved[index] = True
                 failures[index] = CellFailure(
                     index=index,
                     item=repr(items[index])[:_ITEM_REPR_LIMIT],
@@ -327,20 +311,13 @@ class Scheduler:
                 )
                 self.stats["failures"] += 1
             else:
-                delay = min(
-                    self.retry_max_delay,
-                    self.retry_base_delay * (2 ** (attempts[index] - 1)),
-                )
+                delay = min(_RETRY_MAX_DELAY, _RETRY_BASE_DELAY * (2 ** (attempts[index] - 1)))
                 heapq.heappush(retry_heap, (time.monotonic() + delay, index))
                 self.stats["retries"] += 1
 
         def end_assignment(worker: _Worker) -> Optional[int]:
             current, worker.current = worker.current, None
-            if current is None:
-                return None
-            index = current[0]
-            live[index] = max(live.get(index, 1) - 1, 0)
-            return index
+            return None if current is None else current[0]
 
         def worker_died(worker: _Worker, error: str) -> None:
             if worker not in self._workers:
@@ -356,13 +333,10 @@ class Scheduler:
                     seq, ok, payload = worker.conn.recv()
                     current = worker.current
                     if current is None or current[1] != seq:
-                        continue  # stale: an aborted batch or a steal's losing copy
+                        continue  # stale: a reply from an aborted batch
                     index = end_assignment(worker)
                     assert index is not None
-                    if index in resolved:
-                        continue
                     if ok:
-                        resolved[index] = True
                         results[index] = payload
                     else:
                         fail_attempt(index, payload)
@@ -372,49 +346,24 @@ class Scheduler:
         def dispatch_to_idle() -> None:
             nonlocal next_fresh
             now = time.monotonic()
-            while retry_heap and retry_heap[0][0] <= now:
-                ready.append(heapq.heappop(retry_heap)[1])
             while True:
                 worker = next((w for w in self._workers if w.current is None), None)
                 if worker is None:
                     return
-                index: Optional[int] = None
-                stolen = False
-                while ready:
-                    candidate = ready.popleft()
-                    if candidate not in resolved:
-                        index = candidate
-                        break
-                if index is None and next_fresh < total and next_fresh < consumed + self.window:
+                if retry_heap and retry_heap[0][0] <= now:
+                    index = heapq.heappop(retry_heap)[1]
+                elif next_fresh < total and next_fresh < consumed + self.window:
                     index = next_fresh
                     next_fresh += 1
-                if index is None:
-                    # Nothing fresh or due: duplicate the oldest straggler.
-                    candidates = [
-                        w
-                        for w in self._workers
-                        if w.current is not None
-                        and live.get(w.current[0], 0) == 1
-                        and w.current[0] not in resolved
-                        and now - w.current[2] >= self.steal_after
-                    ]
-                    if not candidates:
-                        return
-                    victim = min(candidates, key=lambda w: w.current[2] if w.current else now)
-                    assert victim.current is not None
-                    index = victim.current[0]
-                    stolen = True
+                else:
+                    return
                 self._seq += 1
                 seq = self._seq
                 worker.current = (index, seq, now)
-                live[index] = live.get(index, 0) + 1
                 try:
                     worker.conn.send((seq, token, fn_bytes, items[index]))
                 except (OSError, ValueError) as exc:
                     worker_died(worker, f"worker unreachable at dispatch: {exc}")
-                    continue
-                if stolen:
-                    self.stats["steals"] += 1
 
         def step(timeout: float) -> None:
             """Fill idle workers, wait up to ``timeout``, handle what happened."""

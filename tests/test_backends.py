@@ -1,5 +1,6 @@
 """Executor backends: lifecycle, pool reuse, env plumbing, bit-identity."""
 
+import inspect
 import multiprocessing
 import os
 import pickle
@@ -13,14 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.backends import (
-    BACKENDS,
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
-    async_retries_from_env,
-    async_timeout_from_env,
     close_shared_backends,
-    make_backend,
     resolve_backend,
     shared_backend,
     workers_from_env,
@@ -238,6 +235,12 @@ class TestAsyncBackend:
         assert isinstance(backend, ExecutorBackend)
         assert backend.workers == 3
         assert backend.name == "process"
+        assert list(inspect.signature(ProcessBackend).parameters) == [
+            "workers",
+            "max_retries",
+            "task_timeout",
+        ]
+        assert set(backend.stats) == {"retries", "respawns", "timeouts", "failures"}
         backend.close()
 
     def test_map_and_imap_agree(self):
@@ -276,9 +279,9 @@ class TestAsyncBackend:
         with pytest.raises(ValueError):
             ProcessBackend(workers=0)
         with pytest.raises(ValueError):
-            ProcessBackend(workers=2, window=0)
-        with pytest.raises(ValueError):
             ProcessBackend(workers=2, max_retries=-1)
+        with pytest.raises(ValueError):
+            ProcessBackend(workers=2, task_timeout=0)
 
 
 class TestCrossBackendBitIdentity:
@@ -353,22 +356,6 @@ class TestResolveBackend:
     def test_parallel_workers_resolve_to_a_process_backend(self):
         assert isinstance(resolve_backend(workers=2), ProcessBackend)
 
-    def test_env_seams_do_not_reach_the_shared_pool(self, monkeypatch):
-        # REPRO_ASYNC_* configure make_backend("process"), never the
-        # pool that workers=N resolves to.
-        close_shared_backends()
-        monkeypatch.setenv("REPRO_ASYNC_RETRIES", "5")
-        monkeypatch.setenv("REPRO_ASYNC_TIMEOUT", "2.5")
-        assert make_backend("process", workers=2)._scheduler.max_retries == 5
-        backend = resolve_backend(workers=2)
-        try:
-            assert backend.workers == 2
-            assert backend._scheduler.max_retries == 2
-            assert backend._scheduler.task_timeout is None
-            assert backend.map(_pid, range(4)) and len(backend.worker_pids()) == 2
-        finally:
-            close_shared_backends()
-
     def test_close_shared_backends_forgets_the_cache(self):
         before = shared_backend(2)
         close_shared_backends()
@@ -376,24 +363,21 @@ class TestResolveBackend:
         assert shared_backend(2) is not before
         close_shared_backends()
 
-
-class TestMakeBackend:
-    def test_registry_names(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("process", workers=2), ProcessBackend)
-        assert set(BACKENDS) == {"serial", "process"}
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            make_backend("distributed")
-        with pytest.raises(ValueError):
-            make_backend("async")
-
-    def test_serial_with_parallel_workers_rejected(self):
-        with pytest.raises(ValueError):
-            make_backend("serial", workers=8)
-        assert isinstance(make_backend("serial", workers=1), SerialBackend)
-        assert isinstance(make_backend("serial", workers=0), SerialBackend)
+    def test_shootout_example_selects_by_workers_only(self):
+        # --workers is the one backend selector on every CLI; no test
+        # imports the example otherwise, so this also catches a stale
+        # import in it.
+        completed = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "examples" / "protocol_shootout.py"), "--help"],
+            cwd=REPO_ROOT,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            timeout=60,
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "--workers" in completed.stdout
+        assert "--backend" not in completed.stdout
 
 
 class TestWorkersFromEnv:
@@ -416,34 +400,10 @@ class TestWorkersFromEnv:
         with pytest.raises(ValueError):
             workers_from_env()
 
-
-class TestAsyncEnvSeams:
-    def test_async_workers(self, monkeypatch):
-        # The workers argument is the only worker-count knob, so a stale
-        # REPRO_ASYNC_WORKERS setting must be ignored.
-        monkeypatch.setenv("REPRO_ASYNC_WORKERS", "3")
-        assert make_backend("process").workers == (os.cpu_count() or 1)
-        assert make_backend("process", workers=2).workers == 2
-        monkeypatch.setenv("REPRO_ASYNC_WORKERS", "0")
-        assert make_backend("process").workers == (os.cpu_count() or 1)
-
-    def test_async_retries(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ASYNC_RETRIES", raising=False)
-        assert async_retries_from_env() == 2
-        monkeypatch.setenv("REPRO_ASYNC_RETRIES", "0")
-        assert async_retries_from_env() == 0
-        monkeypatch.setenv("REPRO_ASYNC_RETRIES", "-1")
-        with pytest.raises(ValueError):
-            async_retries_from_env()
-
-    def test_async_timeout(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ASYNC_TIMEOUT", raising=False)
-        assert async_timeout_from_env() is None
-        monkeypatch.setenv("REPRO_ASYNC_TIMEOUT", "2.5")
-        assert async_timeout_from_env() == 2.5
-        # Zero or negative disables the per-cell timeout entirely.
-        monkeypatch.setenv("REPRO_ASYNC_TIMEOUT", "0")
-        assert async_timeout_from_env() is None
+    def test_non_integer_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "two")
+        with pytest.raises(ValueError, match="REPRO_WORKERS.*'two'"):
+            workers_from_env()
 
 
 @st.composite
@@ -462,14 +422,14 @@ class TestAsyncPropertyBitIdentity:
     def test_imap_order_and_aggregates_match_serial_under_faults(self, grid):
         # For random grids, worker counts and injected fault schedules,
         # imap delivery order and the aggregate payload must be
-        # byte-identical to the serial backend: retries and steals
-        # re-run deterministic cells, never reorder delivery.
+        # byte-identical to the serial backend: retries re-run
+        # deterministic cells, never reorder delivery.
         values, fails, workers = grid
         pure_items = [(".", i, v, 0) for i, v in enumerate(values)]
         serial = SerialBackend().map(_flaky_eval, pure_items)
         with tempfile.TemporaryDirectory() as tmp:
             items = [(tmp, i, v, f) for i, (v, f) in enumerate(zip(values, fails))]
-            with ProcessBackend(workers=workers, max_retries=3, retry_base_delay=0.01) as backend:
+            with ProcessBackend(workers=workers, max_retries=3) as backend:
                 streamed = list(backend.imap(_flaky_eval, items))
         assert streamed == serial
         assert pickle.dumps(streamed) == pickle.dumps(serial)

@@ -361,34 +361,6 @@ class TestSharedCells:
         assert backend.tasks_submitted == distinct
 
 
-class TestSweep:
-    def test_sweep_rows_echo_grid_and_carry_cis(self):
-        rows = ParallelRunner(workers=2).sweep(
-            "linear",
-            grid={"num_nodes": (3, 4), "protocol": ("jtp",)},
-            seeds=[1, 2],
-            base_params={"transfer_bytes": 10_000, "num_flows": 1, "duration": 200},
-        )
-        assert len(rows) == 2
-        for row in rows:
-            assert row["scenario"] == "linear"
-            assert row["protocol"] == "jtp"
-            assert row["n"] == 2
-            assert row["energy_per_bit_microjoules_mean"] > 0
-            assert row["energy_per_bit_microjoules_ci95"] >= 0
-            assert row["goodput_kbps_mean"] > 0
-        assert [row["num_nodes"] for row in rows] == [3, 4]
-
-    def test_sweep_derives_seeds_from_count(self):
-        rows = ParallelRunner(workers=1).sweep(
-            "linear",
-            grid={"num_nodes": (3,)},
-            seeds=2,
-            base_params={"transfer_bytes": 10_000, "num_flows": 1, "duration": 200},
-        )
-        assert rows[0]["n"] == 2
-
-
 class TestSpawnSeeds:
     def test_deterministic_and_distinct(self):
         assert spawn_seeds(7, 5) == spawn_seeds(7, 5)

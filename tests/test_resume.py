@@ -344,7 +344,7 @@ class TestRunCli:
 
         out = tmp_path / "run"
         argv = [str(out), "--run", "--seeds", "smoke", "--figures",
-                ",".join(FIGURES), "--backend", "serial"]
+                ",".join(FIGURES), "--workers", "0"]
         assert main(argv) == 0
         assert "computed: 7" in capsys.readouterr().out
         assert main(argv) == 0

@@ -1,10 +1,11 @@
 """Fault injection for the ProcessBackend scheduler.
 
 Every failure mode the scheduler claims to survive is injected here for
-real: a worker SIGKILLed mid-cell, a cell that raises, a cell that
-hangs past the per-cell timeout, and a straggler that must be
-work-stolen.  Each must end in either a retried successful cell or a
-clear :class:`CellError` — never a silent hole in the batch.
+real: a worker SIGKILLed mid-cell, a cell that raises, and a cell that
+hangs past the per-cell timeout.  Each must end in either a retried
+successful cell or a clear :class:`CellError` — never a silent hole in
+the batch.  A slow cell, by contrast, is no failure: it must leave the
+pool exactly as it found it.
 
 The injection helpers are module-level (workers are separate
 processes, so they must be picklable) and coordinate through marker
@@ -33,12 +34,11 @@ def _square(value):
 
 
 def _mark_first(marker):
-    """Atomically claim the first-execution marker; True for one winner.
+    """Claim the first-execution marker; True for the first caller only.
 
-    The original cell and a stolen duplicate can race through the
-    fault helpers concurrently, so a check-then-touch marker would let
-    both copies think they are "first" (and e.g. both sleep 30s).
-    O_CREAT|O_EXCL underneath guarantees exactly one winner.
+    ``touch(exist_ok=False)`` creates the file with O_CREAT|O_EXCL, so
+    the claim is atomic: the helpers stay correct even if two workers
+    reach the same marker at once.
     """
     try:
         Path(marker).touch(exist_ok=False)
@@ -78,19 +78,17 @@ def _boom_if_odd(value):
     return value * 10
 
 
-def _maybe_slow(arg):
-    """Sleep a long time on first execution of the flagged item only."""
-    marker, value, slow = arg
-    if slow and _mark_first(marker):
-        time.sleep(30)
-    return value * 3
-
-
 def _touch_and_square(arg):
-    """Record that the item started, then square it."""
-    directory, value = arg
+    """Record that the item started, sleep as asked, then square it."""
+    directory, value, delay = arg
     (Path(directory) / f"started-{value}").touch()
+    time.sleep(delay)
     return value * value
+
+
+def _sleep(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 def _always_kill(_value):  # pragma: no cover - runs (and dies) in a worker
@@ -101,7 +99,7 @@ class TestWorkerCrash:
     def test_sigkilled_worker_is_respawned_and_cell_retried(self, tmp_path):
         marker = tmp_path / "killed"
         items = [(str(marker), v) for v in range(5)]
-        with ProcessBackend(workers=2, retry_base_delay=0.01) as backend:
+        with ProcessBackend(workers=2) as backend:
             assert backend.map(_kill_once, items) == [v * 2 for v in range(5)]
             assert backend.stats["retries"] >= 1
             assert backend.stats["respawns"] >= 1
@@ -111,11 +109,8 @@ class TestWorkerCrash:
     def test_crash_loop_fails_loudly_not_silently(self):
         # A cell that kills its worker on every attempt must exhaust
         # the retry budget and surface as an aggregated error, not hang
-        # or drop the cell.  steal_after is large because this pins the
-        # exact attempt count: a stolen duplicate would add attempts.
-        with ProcessBackend(
-            workers=2, max_retries=1, retry_base_delay=0.01, steal_after=5.0
-        ) as backend:
+        # or drop the cell.
+        with ProcessBackend(workers=2, max_retries=1) as backend:
             with pytest.raises(CellError) as excinfo:
                 backend.map(_always_kill, [0, 1])
             assert excinfo.value.failures
@@ -126,11 +121,7 @@ class TestWorkerCrash:
 
 class TestRaisingCell:
     def test_exception_aggregated_with_traceback(self):
-        # steal_after is large for the same reason as the crash-loop
-        # test: this pins the exact attempt count.
-        with ProcessBackend(
-            workers=2, max_retries=1, retry_base_delay=0.01, steal_after=5.0
-        ) as backend:
+        with ProcessBackend(workers=2, max_retries=1) as backend:
             with pytest.raises(CellError) as excinfo:
                 backend.map(_boom, [7])
         failure = excinfo.value.failures[0]
@@ -140,7 +131,7 @@ class TestRaisingCell:
         assert "RuntimeError" in failure.error
 
     def test_batch_fails_fast_but_backend_stays_usable(self):
-        with ProcessBackend(workers=2, max_retries=0, retry_base_delay=0.01) as backend:
+        with ProcessBackend(workers=2, max_retries=0) as backend:
             with pytest.raises(CellError):
                 backend.map(_boom_if_odd, range(6))
             # Exhausted cells abort the batch; the pool survives it.
@@ -158,7 +149,7 @@ class TestRaisingCell:
 class TestHungCell:
     def test_timeout_kills_retries_and_succeeds(self, tmp_path):
         marker = tmp_path / "hung"
-        with ProcessBackend(workers=2, task_timeout=1.0, retry_base_delay=0.01) as backend:
+        with ProcessBackend(workers=2, task_timeout=1.0) as backend:
             start = time.monotonic()
             result = backend.map(_hang_once, [(str(marker), v) for v in range(3)])
             elapsed = time.monotonic() - start
@@ -166,47 +157,43 @@ class TestHungCell:
         assert elapsed < 60, f"retry after timeout took {elapsed:.1f}s"
 
     def test_timeout_exhaustion_is_a_clear_error(self):
-        with ProcessBackend(
-            workers=1, task_timeout=0.5, max_retries=0, retry_base_delay=0.01
-        ) as backend:
+        with ProcessBackend(workers=1, task_timeout=0.5, max_retries=0) as backend:
             with pytest.raises(CellError) as excinfo:
                 backend.map(_hang_forever, [1])
         assert "task_timeout" in excinfo.value.failures[0].error
         assert backend.stats["timeouts"] >= 1
 
 
-class TestWorkStealing:
-    def test_idle_worker_steals_the_straggler(self, tmp_path):
-        # Worker A draws the slow item (30s on first run); worker B
-        # finishes its fast items and must steal the straggler rather
-        # than idle.  The batch completing in seconds — not 30 — is the
-        # observable proof, the steals counter the explicit one.
-        marker = tmp_path / "slow"
-        items = [(str(marker), 0, True)] + [(str(marker), v, False) for v in (1, 2, 3)]
-        with ProcessBackend(workers=2, steal_after=0.1, retry_base_delay=0.01) as backend:
-            start = time.monotonic()
-            result = backend.map(_maybe_slow, items)
-            elapsed = time.monotonic() - start
-        assert result == [0, 3, 6, 9]
-        assert backend.stats["steals"] >= 1
-        assert elapsed < 25, f"steal did not rescue the straggler ({elapsed:.1f}s)"
-
-
 class TestBackpressure:
     def test_window_bounds_inflight_dispatch(self, tmp_path):
-        # window=1 on one worker: the scheduler may run at most one
-        # task ahead of the consumer, so after consuming k results at
-        # most k+1 items can ever have started.
-        items = [(str(tmp_path), v) for v in range(6)]
-        with ProcessBackend(workers=1, window=1) as backend:
+        # The window is 2 * workers unconsumed results.  One worker can
+        # never run ahead of the consumer by more than the cell it holds,
+        # so two are needed to show the bound: while item 0 holds the
+        # stream for a second, the other worker finishes fast items and
+        # must stop at the window instead of draining the whole batch.
+        items = [(str(tmp_path), v, 1.0 if v == 0 else 0.0) for v in range(12)]
+        with ProcessBackend(workers=2) as backend:
             iterator = backend.imap(_touch_and_square, items)
-            for consumed, expected in enumerate([0, 1, 4], start=1):
-                assert next(iterator) == expected
+            for consumed in (1, 2, 3):
+                assert next(iterator) == (consumed - 1) ** 2
                 started = len(list(tmp_path.glob("started-*")))
-                assert started <= consumed + 1, (
-                    f"{started} items started after {consumed} consumed with window=1"
+                assert started <= consumed + 4, (
+                    f"{started} items started after {consumed} consumed with a window of 4"
                 )
-            assert list(iterator) == [9, 16, 25]
+            assert list(iterator) == [v * v for v in range(3, 12)]
+
+
+class TestBackToBackBatches:
+    def test_slow_last_cell_leaves_the_pool_intact(self):
+        # A slow cell at the end of a batch is finished by the worker
+        # that holds it; the next batch must find every worker idle and
+        # reuse it, not kill and respawn one.
+        with ProcessBackend(workers=2) as backend:
+            assert backend.map(_sleep, [0.05] * 6 + [1.0]) == [0.05] * 6 + [1.0]
+            pids = backend.worker_pids()
+            assert backend.map(_square, range(4)) == [0, 1, 4, 9]
+            assert backend.worker_pids() == pids
+            assert backend.stats["respawns"] == 0
 
 
 class TestBitIdentityAcrossWorkerCounts:
