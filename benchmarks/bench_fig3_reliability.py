@@ -29,10 +29,14 @@ def test_figure3_energy_and_delivery(benchmark):
 
 
 def test_figure3c_attempt_bound_series(benchmark):
-    series = run_once(
+    rows = run_once(
         benchmark, figures.figure3c,
-        num_nodes=4, tolerances=(0.10, 0.20), transfer_bytes=80_000, duration=600,
+        num_nodes=4, tolerances=(0.10, 0.20), transfer_bytes=80_000, duration=600, workers=bench_workers(),
     )
+    series = {
+        label: [(row["time"], row["attempts"]) for row in rows if row["protocol"] == label]
+        for label in ("jtp10", "jtp20")
+    }
     print()
     for label, points in series.items():
         print(format_series(points, label=f"Figure 3(c) max attempts at node 3 [{label}]"))

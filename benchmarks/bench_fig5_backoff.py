@@ -7,17 +7,25 @@ the source back-off for locally recovered packets.
 
 import statistics
 
-from conftest import run_once
+from conftest import bench_workers, run_once
 
 from repro.experiments import figures
 from repro.experiments.report import format_series
 
 
 def test_figure5_backoff_fairness(benchmark):
-    output = run_once(
+    rows = run_once(
         benchmark, figures.figure5,
-        num_nodes=6, duration=700, transfer_bytes=300_000, seed=2,
+        num_nodes=6, duration=700, transfer_bytes=300_000, seed=2, workers=bench_workers(),
     )
+    output = {
+        variant: {
+            name: [(row["time"], row["rate_pps"]) for row in rows
+                   if row["variant"] == variant and row["series"] == name]
+            for name in ("flow1_short", "flow1_long", "flow2_short", "flow2_long")
+        }
+        for variant in ("with_backoff", "without_backoff")
+    }
     print()
     for variant, series in output.items():
         print(f"-- {variant}")

@@ -5,7 +5,7 @@ rate, plus the variable-rate operating point, for an 8-node chain with
 one long-lived flow and several short-lived flows.
 """
 
-from conftest import run_once
+from conftest import bench_workers, run_once
 
 from repro.experiments import figures
 from repro.experiments.report import format_table
@@ -16,6 +16,7 @@ def test_figure7_feedback_rate(benchmark):
         benchmark, figures.figure7,
         feedback_rates=(0.05, 0.1, 0.33, 0.5), num_nodes=8, duration=700,
         long_transfer_bytes=400_000, short_transfer_bytes=30_000, num_short_flows=3, seed=1,
+        workers=bench_workers(),
     )
     print()
     print(format_table(

@@ -7,23 +7,27 @@ short-lived competitor, plus the long-lived flow's path-monitor view
 
 import statistics
 
-from conftest import run_once
+from conftest import bench_workers, run_once
 
 from repro.experiments import figures
 from repro.experiments.report import format_series
 
 
 def test_figure8_competing_flows(benchmark):
-    output = run_once(
+    rows = run_once(
         benchmark, figures.figure8,
-        num_nodes=6, duration=800, flow2_start=250.0, flow2_duration=200.0, seed=4,
+        num_nodes=6, duration=800, flow2_start=250.0, flow2_duration=200.0, seed=4, workers=bench_workers(),
     )
+    output = {
+        name: [(row["time"], row["value"]) for row in rows if row["series"] == name]
+        for name in ("flow1_rate", "flow2_rate", "flow1_monitor_mean", "flow2_interval")
+    }
     print()
     print(format_series(output["flow1_rate"], label="flow 1 reception rate (pps)"))
     print(format_series(output["flow2_rate"], label="flow 2 reception rate (pps)"))
     print(format_series(output["flow1_monitor_mean"], label="flow 1 monitor mean (pps)"))
 
-    start, end = output["flow2_interval"]
+    ((start, end),) = output["flow2_interval"]
 
     def mean_rate(series, lo, hi):
         values = [rate for t, rate in series if lo <= t <= hi]

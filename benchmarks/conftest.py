@@ -186,10 +186,9 @@ def run_once(benchmark, experiment: Callable, *args, **kwargs):
     to a few seconds each; a single round keeps the whole harness fast
     while still recording the wall-clock cost of regenerating the figure.
 
-    With ``REPRO_RUN_DIR`` set, a row-list result (every metric figure,
-    ``figure7`` and ``table1``) is also persisted into that run
-    directory under the experiment's name; series-shaped results are
-    left to the driver to rowify first.  With ``REPRO_PLOTS_DIR`` set,
+    With ``REPRO_RUN_DIR`` set, a row-list result (every figure and
+    ``table1``) is also persisted into that run directory under the
+    experiment's name.  With ``REPRO_PLOTS_DIR`` set,
     row lists whose experiment has a PlotSpec in
     :func:`~repro.plots.render.default_specs` are rendered to
     ``<figure>.png`` there as well.  With ``REPRO_PROFILE`` set, the

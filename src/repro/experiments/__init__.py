@@ -4,7 +4,8 @@
   metrics the paper reports (energy per delivered bit, goodput, per-node
   energy, queue drops, source retransmissions, cache hits, fairness);
 * :mod:`repro.experiments.scenarios` — builders for the paper's scenarios
-  (static linear, static random, mobile random, testbed-like);
+  (static linear, static random, mobile random, testbed-like, and the
+  single-run trace scenarios behind Figures 3(c), 5, 7 and 8);
 * :mod:`repro.experiments.runner` — aggregates replicated runs with
   confidence intervals;
 * :mod:`repro.experiments.backends` — pluggable executor backends
@@ -21,13 +22,13 @@
   record per figure or workload, declaring its plot spec, smoke
   parameters and description once), paper-scale seed presets
   (``PAPER_LINEAR=20``, ``PAPER_RANDOM=10``, smoke presets for CI) and
-  the :func:`run_paper` full-paper driver: metric figures batched into
-  one interleaved pool submission, trace figures (3c, 5, 7, 8) run
-  serially behind the same row interface;
+  the :func:`run_paper` full-paper driver: every figure's cells batched
+  into one interleaved pool submission;
 * :mod:`repro.experiments.figures` — the figures and tables of the
-  paper: each metric figure is a ``figureN_plan()`` grid builder (its
-  direct-call ``figureN()`` is generated from its record), each trace
-  figure a function plus a ``figureN_rows()`` adapter;
+  paper: each figure is a ``figureN_plan()`` grid builder (its
+  direct-call ``figureN()`` is generated from its record); the trace
+  figures (3c, 5, 7, 8) are grids of one run per configuration at the
+  figure's own ``seed``;
 * :mod:`repro.experiments.workloads` — the fault-injection resilience
   workload families (``churn``, ``partition_heal``, ``flapping_links``,
   ``blackout``), metric jobs pairing the figure grids with

@@ -1,16 +1,14 @@
 """One experiment definition per figure and table of the paper.
 
-Every function returns plain data (lists of row dictionaries or time
-series) so it can be used three ways: printed by the benchmark harness,
-asserted on by the integration tests, and post-processed by anyone who
-wants to plot the curves.  Default parameters are scaled down from the
-paper's (fewer seeds, shorter runs, smaller transfers) so a full
-regeneration finishes in minutes on a laptop; every parameter can be
-turned back up.
+Every function returns plain data (lists of row dictionaries) so it can
+be used three ways: printed by the benchmark harness, asserted on by the
+integration tests, and post-processed by anyone who wants to plot the
+curves.  Default parameters are scaled down from the paper's (fewer
+seeds, shorter runs, smaller transfers) so a full regeneration finishes
+in minutes on a laptop; every parameter can be turned back up.
 
-The figures that only need per-run metrics (3, 4, 4b, 6, 9, 10, 11 and
-Table 2) are written once, as a ``figureN_plan()`` builder returning a
-:class:`FigurePlan` — the figure's grid of
+Every figure is written once, as a ``figureN_plan()`` builder returning
+a :class:`FigurePlan` — the figure's grid of
 :class:`~repro.experiments.parallel.ScenarioSpec` cells plus an
 ``aggregate`` turning record groups into rows.  The plan split is what
 lets :func:`~repro.experiments.presets.run_paper` batch **every**
@@ -27,12 +25,13 @@ parameters as keywords plus ``seeds`` (default: the smoke preset),
 ``workers``/``backend``, not both).  Either way the rows are
 bit-identical, because every run is fully determined by its seed.
 
-The figures that inspect live simulator state after the run (3c, 5, 7,
-8) always execute serially in-process and return series-shaped
-dictionaries; their ``figureNc_rows``-style adapters re-express those
-series as flat row lists with a stable schema so ``run_paper`` and the
-on-disk results store (:mod:`repro.experiments.results`) can treat all
-figures uniformly.
+The figures that read live simulator state during the run (3c, 5, 7, 8)
+are drawn from one run per configuration.  Each of their cells is one
+of the trace scenarios of :mod:`repro.experiments.scenarios`, whose
+record carries the figure's tidy rows, and the aggregate concatenates
+those rows in spec order.  Their plans pin the replication seeds to the
+figure's own ``seed`` parameter (:attr:`FigurePlan.seeds`), so the
+``seeds`` preset never applies to them.
 
 What each figure shows in the paper, its plot spec and its CI-sized
 smoke parameters are declared once, on its record in
@@ -46,10 +45,11 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import CachePolicy, FeedbackMode, JTPConfig
+from repro.core.config import CachePolicy, JTPConfig
 from repro.experiments.backends import ExecutorBackend
+from repro.experiments.metrics import collect_metrics
 from repro.experiments.parallel import ParallelRunner, ScenarioRecord, ScenarioSpec
 from repro.experiments.presets import entry_point
 from repro.experiments.runner import mean_ci
@@ -58,15 +58,15 @@ from repro.experiments.scenarios import (
     PAPER_LINK_QUALITY,
     linear_scenario,
 )
+from repro.sim.network import Network
 from repro.transport.registry import make_protocol
-from repro.transport.udp import UdpConfig, UdpProtocol
 
 Row = Dict[str, object]
 
 
 @dataclass(frozen=True)
 class FigurePlan:
-    """A metric figure split into its grid and its aggregation.
+    """A figure split into its grid and its aggregation.
 
     ``specs`` lists one :class:`ScenarioSpec` per figure cell and
     ``aggregate`` turns the per-spec record groups that
@@ -79,6 +79,10 @@ class FigurePlan:
     each figure's ``aggregate`` consumes its own demultiplexed slice —
     producing rows bit-identical to a standalone figure call.
 
+    ``seeds`` is ``None`` for a figure replicated over the preset seeds.
+    A figure drawn from one run per configuration (3c, 5, 7, 8) pins it
+    to ``(seed,)`` from its own ``seed`` parameter instead.
+
     Every ``figureN_plan()`` builder takes the figure's simulation
     parameters (everything except ``seeds``/``workers``/``backend``,
     which belong to execution, not to the figure).
@@ -87,6 +91,7 @@ class FigurePlan:
     name: str
     specs: Tuple[ScenarioSpec, ...]
     aggregate: Callable[[Sequence[Sequence[ScenarioRecord]]], List[Row]]
+    seeds: Optional[Tuple[int, ...]] = None
 
     def run(
         self,
@@ -148,35 +153,32 @@ def figure3_plan(
 figure3 = entry_point("figure3")
 
 
-def figure3c(
+def _trace_aggregate(groups: Sequence[Sequence[ScenarioRecord]]) -> List[Row]:
+    """A trace figure's aggregate: every cell's rows, in spec order."""
+    return [row for records in groups for record in records for row in record.rows]
+
+
+def figure3c_plan(
     num_nodes: int = 4,
     tolerances: Sequence[float] = (0.10, 0.20),
     transfer_bytes: float = 120_000.0,
     duration: float = 900.0,
     seed: int = 1,
-) -> Dict[str, List[Tuple[float, int]]]:
-    """Figure 3(c): iJTP's per-packet attempt bound over time at the third node.
+) -> FigurePlan:
+    """Figure 3(c): iJTP's per-packet attempt bound over time at the third node."""
+    specs = tuple(
+        ScenarioSpec("attempt_bound", {
+            "num_nodes": num_nodes,
+            "loss_tolerance": tolerance,
+            "transfer_bytes": transfer_bytes,
+            "duration": duration,
+        })
+        for tolerance in tolerances
+    )
+    return FigurePlan("figure3c", specs, _trace_aggregate, seeds=(seed,))
 
-    Returns, per reliability label, the ``(time, attempts)`` series
-    recorded at node index 2 (the third node of the chain), exactly the
-    quantity plotted in the paper.
-    """
-    series: Dict[str, List[Tuple[float, int]]] = {}
-    for tolerance in tolerances:
-        label = f"jtp{int(round(tolerance * 100))}"
-        result = linear_scenario(
-            num_nodes,
-            protocol=label,
-            jtp_config=JTPConfig(loss_tolerance=tolerance),
-            transfer_bytes=transfer_bytes,
-            num_flows=1,
-            duration=duration,
-            seed=seed,
-            trace_enabled=True,
-        )
-        events = result.network.trace.events("ijtp_attempts", node=2)
-        series[label] = [(event.time, int(event["attempts"])) for event in events]
-    return series
+
+figure3c = entry_point("figure3c")
 
 
 # ---------------------------------------------------------------------------
@@ -265,51 +267,30 @@ figure4b = entry_point("figure4b")
 # Figure 5 — fairness of in-network caching (source back-off)
 # ---------------------------------------------------------------------------
 
-def figure5(
+def figure5_plan(
     num_nodes: int = 6,
     duration: float = 900.0,
     transfer_bytes: float = 400_000.0,
     seed: int = 2,
     short_window: float = 20.0,
     long_window: float = 120.0,
-) -> Dict[str, Dict[str, List[Tuple[float, float]]]]:
-    """Figure 5: reception-rate series of two competing flows, back-off on/off.
+) -> FigurePlan:
+    """Figure 5: reception-rate series of two competing flows, back-off on/off."""
+    specs = tuple(
+        ScenarioSpec("backoff", {
+            "num_nodes": num_nodes,
+            "backoff_enabled": backoff,
+            "duration": duration,
+            "transfer_bytes": transfer_bytes,
+            "short_window": short_window,
+            "long_window": long_window,
+        })
+        for backoff in (True, False)
+    )
+    return FigurePlan("figure5", specs, _trace_aggregate, seeds=(seed,))
 
-    Flow 1 is a UDP-like flow (no retransmission requests); flow 2 is a
-    fully reliable JTP flow that exercises the in-network caches.  The
-    result maps "with_backoff"/"without_backoff" to per-flow short- and
-    long-term reception-rate time series.
-    """
-    output: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}
-    for backoff in (True, False):
-        jtp_config = JTPConfig(backoff_enabled=backoff)
-        jtp = make_protocol("jtp", jtp_config)
-        udp = UdpProtocol(UdpConfig(rate_pps=2.0))
-        result_key = "with_backoff" if backoff else "without_backoff"
 
-        network_result = linear_scenario(
-            num_nodes,
-            protocol=jtp,
-            transfer_bytes=transfer_bytes,
-            num_flows=1,
-            duration=1.0,  # run() is called again below once both flows exist
-            seed=seed,
-            jtp_config=jtp_config,
-            link_quality=LOSSY_LINK_QUALITY,
-        )
-        network = network_result.network
-        udp_flow = udp.create_flow(network, 0, num_nodes - 1, transfer_bytes, start_time=0.0)
-        network.run(duration)
-
-        end = network.sim.now
-        jtp_flow = network_result.flows[0]
-        output[result_key] = {
-            "flow1_short": udp_flow.stats.reception_rate_series(short_window, short_window / 2, end),
-            "flow1_long": udp_flow.stats.reception_rate_series(long_window, long_window / 2, end),
-            "flow2_short": jtp_flow.stats.reception_rate_series(short_window, short_window / 2, end),
-            "flow2_long": jtp_flow.stats.reception_rate_series(long_window, long_window / 2, end),
-        }
-    return output
+figure5 = entry_point("figure5")
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +339,7 @@ figure6 = entry_point("figure6")
 # Figure 7 — variable vs constant feedback rate
 # ---------------------------------------------------------------------------
 
-def figure7(
+def figure7_plan(
     feedback_rates: Sequence[float] = (0.05, 0.1, 0.2, 0.33, 0.5),
     num_nodes: int = 8,
     duration: float = 900.0,
@@ -366,98 +347,55 @@ def figure7(
     short_transfer_bytes: float = 40_000.0,
     num_short_flows: int = 3,
     seed: int = 1,
-) -> List[Row]:
+) -> FigurePlan:
     """Figure 7: energy and queue drops vs. feedback rate, plus the variable point.
 
-    One long-lived flow spans the whole chain while several short-lived
-    flows come and go, so slow feedback lets the long-lived sender keep
-    transmitting into a congested path (queue drops) while fast feedback
-    burns energy on acknowledgments.  Variable-rate feedback should sit
-    near the bottom-left of both curves.
+    Slow feedback lets the long-lived sender keep transmitting into a
+    congested path (queue drops) while fast feedback burns energy on
+    acknowledgments.  Variable-rate feedback should sit near the
+    bottom-left of both curves.
     """
-    rows: List[Row] = []
-    configurations: List[Tuple[str, JTPConfig]] = [
-        (f"constant_{rate:g}", JTPConfig(feedback_mode=FeedbackMode.CONSTANT,
-                                         constant_feedback_period=1.0 / rate))
-        for rate in feedback_rates
-    ]
-    configurations.append(("variable", JTPConfig(feedback_mode=FeedbackMode.VARIABLE)))
-
-    for label, config in configurations:
-        protocol = make_protocol("jtp", config)
-        base = linear_scenario(
-            num_nodes,
-            protocol=protocol,
-            jtp_config=config,
-            transfer_bytes=long_transfer_bytes,
-            num_flows=1,
-            duration=1.0,
-            seed=seed,
-        )
-        network = base.network
-        flows = list(base.flows)
-        for index in range(num_short_flows):
-            start = 100.0 + index * (duration / (num_short_flows + 1))
-            flows.append(protocol.create_flow(network, 1, num_nodes - 2, short_transfer_bytes, start_time=start))
-        network.run(duration)
-        stats = network.stats
-        rows.append({
-            "feedback": label,
-            "feedback_rate_pps": (1.0 / config.constant_feedback_period
-                                  if config.feedback_mode is FeedbackMode.CONSTANT else None),
-            "energy_mJ": stats.total_energy_joules() * 1e3,
-            "queue_drops": network.total_queue_drops(),
-            "acks": sum(f.stats.acks_sent for f in flows),
-            "delivered_fraction": statistics.fmean(f.delivered_fraction for f in flows),
+    specs = tuple(
+        ScenarioSpec("feedback_rate", {
+            "num_nodes": num_nodes,
+            "feedback_rate": rate,
+            "duration": duration,
+            "long_transfer_bytes": long_transfer_bytes,
+            "short_transfer_bytes": short_transfer_bytes,
+            "num_short_flows": num_short_flows,
         })
-    return rows
+        for rate in (*feedback_rates, None)
+    )
+    return FigurePlan("figure7", specs, _trace_aggregate, seeds=(seed,))
+
+
+figure7 = entry_point("figure7")
 
 
 # ---------------------------------------------------------------------------
 # Figure 8 — rate adaptation of competing flows
 # ---------------------------------------------------------------------------
 
-def figure8(
+def figure8_plan(
     num_nodes: int = 6,
     duration: float = 900.0,
     flow2_start: float = 300.0,
     flow2_duration: float = 250.0,
     seed: int = 4,
     window: float = 30.0,
-) -> Dict[str, object]:
-    """Figure 8: two competing JTP flows, one long-lived and one short-lived.
+) -> FigurePlan:
+    """Figure 8: two competing JTP flows and the long-lived flow's path monitor."""
+    spec = ScenarioSpec("rate_adaptation", {
+        "num_nodes": num_nodes,
+        "duration": duration,
+        "flow2_start": flow2_start,
+        "flow2_duration": flow2_duration,
+        "window": window,
+    })
+    return FigurePlan("figure8", (spec,), _trace_aggregate, seeds=(seed,))
 
-    Returns the reception-rate series of both flows plus flow 1's path
-    monitor readings (reported available rate, filtered mean and control
-    limits) so the flip-flop behaviour around the arrival and departure
-    of flow 2 can be inspected.
-    """
-    protocol = make_protocol("jtp")
-    base = linear_scenario(
-        num_nodes,
-        protocol=protocol,
-        transfer_bytes=2_000_000.0,
-        num_flows=1,
-        duration=1.0,
-        seed=seed,
-        trace_enabled=True,
-    )
-    network = base.network
-    flow1 = base.flows[0]
-    flow2_bytes = 800.0 * 3.0 * flow2_duration  # roughly 3 pkt/s for its lifetime
-    flow2 = protocol.create_flow(network, 0, num_nodes - 1, flow2_bytes, start_time=flow2_start)
-    network.run(duration)
-    end = network.sim.now
 
-    monitor_events = network.trace.events("jtp_receive", flow=flow1.flow_id)
-    return {
-        "flow1_rate": flow1.stats.reception_rate_series(window, window / 2, end),
-        "flow2_rate": flow2.stats.reception_rate_series(window, window / 2, end),
-        "flow1_reported_rate": [(e.time, e["rate_stamp"]) for e in monitor_events],
-        "flow1_monitor_mean": [(e.time, e["monitor_mean"]) for e in monitor_events],
-        "flow1_control_limits": [(e.time, e["monitor_lcl"], e["monitor_ucl"]) for e in monitor_events],
-        "flow2_interval": (flow2_start, flow2_start + flow2_duration),
-    }
+figure8 = entry_point("figure8")
 
 
 # ---------------------------------------------------------------------------
@@ -628,77 +566,6 @@ table2 = entry_point("table2")
 
 
 # ---------------------------------------------------------------------------
-# Tidy-row adapters for the serial trace figures (3c, 5, 7, 8)
-# ---------------------------------------------------------------------------
-#
-# The trace figures inspect live simulator state (trace events, per-flow
-# statistics objects) and therefore run serially in-process, returning
-# series-shaped dictionaries.  The ``*_rows`` adapters below re-express
-# each of them as a flat list of row dictionaries with a stable key set,
-# which is the one shape the whole pipeline speaks: ``run_paper`` returns
-# rows for every figure, the results store persists rows, and ``report``
-# renders rows.  The raw series functions stay available unchanged.
-
-
-def figure3c_rows(**kwargs: Any) -> List[Row]:
-    """Figure 3(c) as tidy rows: ``protocol``, ``time``, ``attempts``.
-
-    Accepts exactly the keyword arguments of :func:`figure3c`.
-    """
-    rows: List[Row] = []
-    for label, points in figure3c(**kwargs).items():
-        rows.extend(
-            {"protocol": label, "time": time, "attempts": attempts}
-            for time, attempts in points
-        )
-    return rows
-
-
-def figure5_rows(**kwargs: Any) -> List[Row]:
-    """Figure 5 as tidy rows: ``variant``, ``series``, ``time``, ``rate_pps``.
-
-    ``variant`` is ``with_backoff``/``without_backoff`` and ``series``
-    one of the four per-flow reception-rate series.  Accepts exactly the
-    keyword arguments of :func:`figure5`.
-    """
-    rows: List[Row] = []
-    for variant, series_map in figure5(**kwargs).items():
-        for series, points in series_map.items():
-            rows.extend(
-                {"variant": variant, "series": series, "time": time, "rate_pps": rate}
-                for time, rate in points
-            )
-    return rows
-
-
-def figure7_rows(**kwargs: Any) -> List[Row]:
-    """Figure 7 rows — :func:`figure7` already returns tidy rows."""
-    return figure7(**kwargs)
-
-
-def figure8_rows(**kwargs: Any) -> List[Row]:
-    """Figure 8 as tidy rows: ``series``, ``time``, ``value``.
-
-    The reception-rate and monitor series keep their names; the control
-    limits become the ``flow1_lcl``/``flow1_ucl`` series, and flow 2's
-    activity interval is one ``flow2_interval`` row whose ``time`` is
-    the start and ``value`` the end.  Accepts exactly the keyword
-    arguments of :func:`figure8`.
-    """
-    output = figure8(**kwargs)
-    rows: List[Row] = []
-    for series in ("flow1_rate", "flow2_rate", "flow1_reported_rate", "flow1_monitor_mean"):
-        points = cast(List[Tuple[float, float]], output[series])
-        rows.extend({"series": series, "time": time, "value": value} for time, value in points)
-    for time, lcl, ucl in cast(List[Tuple[float, float, float]], output["flow1_control_limits"]):
-        rows.append({"series": "flow1_lcl", "time": time, "value": lcl})
-        rows.append({"series": "flow1_ucl", "time": time, "value": ucl})
-    start, end = cast(Tuple[float, float], output["flow2_interval"])
-    rows.append({"series": "flow2_interval", "time": start, "value": end})
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # Ablations called out in DESIGN.md
 # ---------------------------------------------------------------------------
 
@@ -742,19 +609,15 @@ def ablation_mac_type(
 ) -> List[Row]:
     """TDMA vs. CSMA/CA MAC under JTP (footnote 3 of the paper)."""
     rows: List[Row] = []
-    from repro.sim.network import Network
-    from repro.transport.registry import make_protocol as _mk
-
     for mac_type in ("tdma", "csma"):
         energy, goodput = [], []
         for seed in seeds:
             network = Network.linear(num_nodes, seed=seed, link_quality=PAPER_LINK_QUALITY, mac_type=mac_type)
-            protocol = _mk("jtp")
+            protocol = make_protocol("jtp")
             protocol.install(network)
             flows = [protocol.create_flow(network, 0, num_nodes - 1, transfer_bytes, start_time=5.0 * i)
                      for i in range(2)]
             network.run(duration)
-            from repro.experiments.metrics import collect_metrics
             metrics = collect_metrics(network, flows, duration, f"jtp/{mac_type}")
             energy.append(metrics.energy_per_bit_microjoules)
             goodput.append(metrics.goodput_kbps)

@@ -16,8 +16,9 @@ bit-identical to a serial run:
   :func:`~repro.experiments.runner.metric_values` and
   :func:`~repro.experiments.runner.average_metrics` accept either.
 * :class:`ScenarioSpec` — a picklable ``builder(seed)`` callable naming
-  one of the scenario families ("linear", "random", "mobile",
-  "testbed") plus its keyword arguments.  Specs are the unit of work
+  one of the scenario families of :data:`SCENARIO_BUILDERS` ("linear",
+  "random", "mobile", "testbed" and the four single-run trace
+  scenarios) plus its keyword arguments.  Specs are the unit of work
   for figure grids and the recommended builder for parallel runs.
 * :class:`ParallelRunner` — the execution front-end.  It delegates to a
   pluggable :class:`~repro.experiments.backends.ExecutorBackend`:
@@ -66,10 +67,15 @@ from repro.experiments.backends import ExecutorBackend, resolve_backend
 from repro.experiments.metrics import ScenarioMetrics
 from repro.experiments.results import cell_content
 from repro.experiments.scenarios import (
+    Row,
     ScenarioResult,
+    attempt_bound_scenario,
+    backoff_scenario,
+    feedback_rate_scenario,
     linear_scenario,
     mobile_scenario,
     random_scenario,
+    rate_adaptation_scenario,
     testbed_scenario,
 )
 from repro.sim.random import RandomStreams
@@ -80,6 +86,10 @@ SCENARIO_BUILDERS: Dict[str, Callable[..., ScenarioResult]] = {
     "random": random_scenario,
     "mobile": mobile_scenario,
     "testbed": testbed_scenario,
+    "attempt_bound": attempt_bound_scenario,
+    "backoff": backoff_scenario,
+    "feedback_rate": feedback_rate_scenario,
+    "rate_adaptation": rate_adaptation_scenario,
 }
 
 @dataclass(frozen=True)
@@ -87,9 +97,10 @@ class ScenarioRecord:
     """A picklable summary of one finished scenario run.
 
     Unlike :class:`~repro.experiments.scenarios.ScenarioResult` it keeps
-    no simulator state — only the extracted metrics and an echo of what
-    was run — so it can be returned from a worker process and stored or
-    serialised cheaply.
+    no simulator state — only the extracted metrics, the tidy rows of a
+    trace scenario (empty for every other) and an echo of what was run —
+    so it can be returned from a worker process and stored or serialised
+    cheaply.
     """
 
     seed: int
@@ -97,6 +108,7 @@ class ScenarioRecord:
     params: Dict[str, object]
     duration: float
     metrics: ScenarioMetrics
+    rows: List[Row] = field(default_factory=list)
 
     @classmethod
     def from_result(
@@ -113,6 +125,7 @@ class ScenarioRecord:
             params=dict(params or {}),
             duration=result.duration,
             metrics=result.metrics,
+            rows=result.rows,
         )
 
 

@@ -25,18 +25,17 @@ presets instead of being re-hardcoded by every driver:
 * :func:`preset_seeds` — turn a preset name (or an explicit count) plus
   a scenario family into the seed list.
 * :func:`run_paper` — regenerate **every** figure of the paper in one
-  call.  The metric figures (3, 4, 4b, 6, 9, 10, 11, Table 2) are
-  planned up front (:class:`~repro.experiments.figures.FigurePlan`) and
-  their grids submitted as **one batched, interleaved stream** over a
-  single shared executor backend
+  call.  Every figure is planned up front
+  (:class:`~repro.experiments.figures.FigurePlan`) and all their grids
+  are submitted as **one batched, interleaved stream** over a single
+  shared executor backend
   (:meth:`~repro.experiments.parallel.ParallelRunner.run_grids`), so
   short cells from one figure keep workers busy while another figure's
   long cells run and the pool never drains at a figure boundary.  The
-  serial trace figures (3c, 5, 7, 8) run in-process behind the same
-  interface via their row adapters, so the returned mapping holds tidy
-  rows for every figure.  With ``out_dir=`` the whole run — rows,
-  seeds, preset, backend, git provenance — is persisted as a run
-  directory via :mod:`repro.experiments.results`, loadable with
+  trace figures (3c, 5, 7, 8) are grids like the rest, of one run per
+  configuration at the figure's own ``seed``.  With ``out_dir=`` the
+  whole run — rows, seeds, preset, backend, git provenance — is
+  persisted as a run directory via :mod:`repro.experiments.results`, loadable with
   :func:`~repro.experiments.results.load_run` and renderable with
   ``python -m repro.experiments <run_dir>``.
 
@@ -114,12 +113,9 @@ class FigureJob:
     """One figure of the paper (or one fault-injection workload family).
 
     The record is the figure's single declaration: how to run it, how to
-    shrink it for CI, how to describe it and how to plot it.  ``kind``
-    selects the execution path: ``"metric"`` jobs expose a
-    ``<name>_plan()`` builder whose grid joins the batched pool
-    submission, while ``"trace"`` figures expose a ``<name>_rows()``
-    adapter and run serially in-process (they inspect live simulator
-    state, which cannot cross a worker boundary).
+    shrink it for CI, how to describe it and how to plot it.  Every job
+    exposes a ``<name>_plan()`` builder whose grid joins the batched
+    pool submission.
     """
 
     name: str
@@ -131,31 +127,26 @@ class FigureJob:
     #: Parameter overrides applied for ``seeds="smoke"`` so a full smoke
     #: sweep stays CI-sized; paper runs use the figure defaults.
     smoke_kwargs: Dict[str, object] = field(default_factory=dict)
-    #: ``"metric"`` (batched grid) or ``"trace"`` (serial row adapter).
+    #: Descriptive only: ``"trace"`` means one run per configuration at
+    #: the figure's own ``seed`` parameter (its plan pins its seeds),
+    #: ``"metric"`` a grid replicated over the preset seeds.
     kind: str = "metric"
     #: One-line description of what the figure shows in the paper —
     #: printed by ``python -m repro.experiments --list-figures`` and the
     #: README's figure index (tests pin the two against this field).
     description: str = ""
-    #: The module exposing the job's ``<name>_plan``/``<name>_rows``
-    #: builders.  Paper figures live in :mod:`repro.experiments.figures`;
-    #: the fault-injection workload families live in
+    #: The module exposing the job's ``<name>_plan`` builder.  Paper
+    #: figures live in :mod:`repro.experiments.figures`; the
+    #: fault-injection workload families live in
     #: :mod:`repro.experiments.workloads`.
     module: str = "repro.experiments.figures"
 
     def planner(self) -> Callable[..., "FigurePlan"]:
-        """The figure's ``<name>_plan()`` builder (metric figures only)."""
+        """The figure's ``<name>_plan()`` builder."""
         return getattr(importlib.import_module(self.module), f"{self.name}_plan")
 
-    def rows_func(self) -> Callable[..., List[dict]]:
-        """The figure's ``<name>_rows()`` adapter (trace figures only)."""
-        return getattr(importlib.import_module(self.module), f"{self.name}_rows")
 
-
-#: Every figure :func:`run_paper` regenerates, in paper order.  Trace
-#: figures inspect live simulator state (trace events, per-flow
-#: statistics) and therefore execute in-process, not on the pool; their
-#: smoke kwargs shrink each to a CI-sized single run.
+#: Every figure :func:`run_paper` regenerates, in paper order.
 ALL_FIGURES: Tuple[FigureJob, ...] = (
     FigureJob(
         "figure3",
@@ -374,8 +365,9 @@ _RESILIENCE_AXES = (
 )
 
 #: The fault-injection workload families (:mod:`repro.experiments.workloads`).
-#: They are metric jobs in every respect — planned grids, batched cells,
-#: cell-cache resume — but are listed separately from the paper figures:
+#: They are jobs like the figures in every respect — planned grids,
+#: batched cells, cell-cache resume — but are listed separately from the
+#: paper figures:
 #: :func:`run_paper` accepts their names alongside figure names, while
 #: the default run (and the README's paper-figure index) stays exactly
 #: the paper's figures.
@@ -474,15 +466,17 @@ _JOBS_BY_NAME: Dict[str, FigureJob] = {job.name: job for job in ALL_FIGURES + WO
 
 
 def entry_point(name: str) -> Callable[..., List[dict]]:
-    """The direct-call function of metric job ``name``, built from its record.
+    """The direct-call function of job ``name``, built from its record.
 
     ``figures.figure9(workers=4)`` and friends are these functions: every
     keyword other than ``seeds``/``workers``/``backend`` goes to the
     job's ``<name>_plan()`` builder, so the plan signature is the only
     place a figure's parameter defaults are written.  ``seeds`` defaults
     to the job family's smoke preset; an empty list raises
-    ``ValueError``, as it does for :func:`run_paper`.  The builder is
-    looked up at call time, like :meth:`FigureJob.planner`.
+    ``ValueError``, as it does for :func:`run_paper`.  A plan that pins
+    its seeds (a trace figure) runs at those and rejects ``seeds`` with
+    ``ValueError``: its replication seed is its ``seed`` parameter.  The
+    builder is looked up at call time, like :meth:`FigureJob.planner`.
     """
     job = _JOBS_BY_NAME[name]
 
@@ -493,8 +487,14 @@ def entry_point(name: str) -> Callable[..., List[dict]]:
         backend: Optional[ExecutorBackend] = None,
         **params: Any,
     ) -> List[dict]:
-        seeds = seeds if seeds is not None else preset_seeds("smoke", job.family)
-        return job.planner()(**params).run(seeds, workers, backend)
+        plan = job.planner()(**params)
+        if plan.seeds is not None:
+            if seeds is not None:
+                raise ValueError(f"{name} runs once per configuration at its seed= parameter; it takes no seeds=")
+            seeds = plan.seeds
+        elif seeds is None:
+            seeds = preset_seeds("smoke", job.family)
+        return plan.run(seeds, workers, backend)
 
     run.__name__ = run.__qualname__ = job.name
     run.__module__ = job.module
@@ -523,12 +523,14 @@ def run_paper(
 
     ``figures`` names a subset (default: all of :data:`ALL_FIGURES`);
     fault-injection workload names from :data:`WORKLOAD_JOBS`
-    (``"churn"``, ``"partition_heal"``, …) may be mixed in and run as
-    ordinary metric jobs — the default all-figures run regenerates the
-    paper only and leaves the workloads opt-in.
+    (``"churn"``, ``"partition_heal"``, …) may be mixed in and run like
+    any figure — the default all-figures run regenerates the paper only
+    and leaves the workloads opt-in.
     ``seeds`` is a preset name (``"paper"``/``"smoke"``), a replication
-    count, or an explicit seed list; ``backend``/``workers`` select the
-    executor exactly as in
+    count, or an explicit seed list; it does not apply to the trace
+    figures (3c, 5, 7, 8), whose plans pin their replication seed to the
+    figure's ``seed`` parameter (override it via ``overrides``).
+    ``backend``/``workers`` select the executor exactly as in
     :class:`~repro.experiments.parallel.ParallelRunner` (pass at most
     one — the default is the shared persistent process pool).
     ``overrides`` maps figure names to extra keyword arguments, applied
@@ -536,8 +538,9 @@ def run_paper(
     no registered figure or workload raises :class:`ValueError`, while
     registered names outside ``figures`` are ignored.
 
-    The metric figures are planned first and all their cells submitted
-    to the backend as **one** interleaved task stream
+    Every figure is planned before anything runs, so a bad parameter
+    fails before the first simulation.  All their cells are then
+    submitted to the backend as **one** interleaved task stream
     (:meth:`~repro.experiments.parallel.ParallelRunner.run_grids`), so
     the pool never drains between figures; each figure's rows are then
     aggregated from its demultiplexed slice — bit-identical to calling
@@ -546,30 +549,23 @@ def run_paper(
     all figure4's, say) is simulated **at most once** per call and its
     record handed to each figure; the ``progress`` events and the
     persisted cells are exactly those of simulating it per figure.
-    The trace figures (3c, 5, 7, 8) run serially in-process through
-    their row adapters.  Trace figures are single-run by construction:
-    their replication seed is a figure parameter (override via
-    ``overrides``), not the ``seeds`` preset.
 
     ``progress`` streams per-cell completion: the callback is invoked
     as ``progress(figure_name, completed, total)`` — once with
     ``completed=0`` when a figure's work is announced, then once per
-    finished cell.  For metric figures ``total`` is the figure's
-    ``cells × seeds`` task count and completions arrive during the
-    batched submission (in submission order, so a paper-scale run
-    reports every figure's percentage while the pool is busy); each
-    trace figure is a single in-process job reported as ``0/1`` then
-    ``1/1``.  The callback runs on the calling thread and an exception
-    it raises aborts the run.
+    finished cell.  ``total`` is the figure's ``cells × seeds`` task
+    count and completions arrive during the batched submission (in
+    submission order, so a paper-scale run reports every figure's
+    percentage while the pool is busy).  The callback runs on the
+    calling thread and an exception it raises aborts the run.
 
     ``profile`` (default: the ``REPRO_PROFILE`` environment variable)
     turns on the simulation-core profiler (:mod:`repro.sim.profile`)
     for the whole run: aggregate events/sec, per-callback-class time
     attribution and the event-heap high-water mark.  The report covers
-    the simulations executed *in this process* — all of them on the
-    serial backend, only the trace figures when a worker pool runs the
-    metric figures (profile with ``workers=0`` for complete
-    attribution) — and is stored under
+    the simulations executed *in this process*: all of them on the
+    serial backend, none when a worker pool runs the cells (profile
+    with ``workers=0``).  It is stored under
     ``core_profile`` (with ``out_dir``) or summarised to stderr
     (without).  Expect roughly 2x wall-clock while profiling; results
     are unaffected.
@@ -582,7 +578,7 @@ def run_paper(
     the core profile.
 
     With ``out_dir`` the run is also **incremental**: every finished
-    metric cell is persisted into ``<out_dir>/cells/``
+    cell is persisted into ``<out_dir>/cells/``
     (:class:`~repro.experiments.results.CellStore`) as it completes, and
     a rerun pointed at the same directory loads already-computed cells
     from the cache instead of re-simulating them — so an interrupted
@@ -597,8 +593,7 @@ def run_paper(
     cells are reported through ``progress`` as an up-front burst of
     completions.  ``resume=False`` discards any cached cells and
     recomputes everything (the fresh results are still persisted for
-    the next run).  Trace figures are cheap single runs and are never
-    cached.  See ``docs/distributed.md`` for the full semantics.
+    the next run).  See ``docs/distributed.md`` for the full semantics.
     """
     if figures is None:
         jobs = list(ALL_FIGURES)
@@ -632,14 +627,14 @@ def run_paper(
             kwargs.update(overrides[job.name])
         return kwargs
 
-    # Plan every metric figure up front, submit all their grids as one
+    # Plan every figure up front, submit all their grids as one
     # interleaved batch, then aggregate each figure from its own slice.
-    planned = [
-        (job, job.planner()(**job_kwargs(job)), preset_seeds(seeds, family=job.family, base_seed=base_seed))
-        for job in jobs
-        if job.kind == "metric"
+    plans = [job.planner()(**job_kwargs(job)) for job in jobs]
+    seed_lists = [
+        plan.seeds if plan.seeds is not None else preset_seeds(seeds, family=job.family, base_seed=base_seed)
+        for job, plan in zip(jobs, plans, strict=True)
     ]
-    names = [job.name for job, _, _ in planned]
+    names = [job.name for job in jobs]
 
     store: Optional[CellStore] = None
     provenance: Dict[str, object] = {}
@@ -664,7 +659,7 @@ def run_paper(
 
     reuse = None
     on_result = None
-    if store is not None and planned:
+    if store is not None:
         cache = store
 
         def _cache_key(grid_index: int, spec: object, seed: int) -> Optional[str]:
@@ -684,36 +679,23 @@ def run_paper(
             if key is not None:
                 cache.put(key, record)
 
-    rows_by_name: Dict[str, List[dict]] = {}
+    grid_progress = None
+    if progress is not None:
+        for name, plan, seed_list in zip(names, plans, seed_lists, strict=True):
+            progress(name, 0, len(plan.specs) * len(seed_list))
+
+        def grid_progress(grid_index: int, completed: int, total: int) -> None:
+            progress(names[grid_index], completed, total)
+
     profile_context = nullcontext() if profiler is None else core_profile.profiled(profiler)
     with profile_context:
-        if planned:
-            grid_progress = None
-            if progress is not None:
-                totals = [len(plan.specs) * len(seed_list) for _, plan, seed_list in planned]
-                for name, total in zip(names, totals, strict=True):
-                    progress(name, 0, total)
-
-                def grid_progress(grid_index: int, completed: int, total: int) -> None:
-                    progress(names[grid_index], completed, total)
-
-            grouped = ParallelRunner(backend=resolved).run_grids(
-                [(plan.specs, seed_list) for _, plan, seed_list in planned],
-                progress=grid_progress,
-                reuse=reuse,
-                on_result=on_result,
-            )
-            for (job, plan, _), groups in zip(planned, grouped, strict=True):
-                rows_by_name[job.name] = plan.aggregate(groups)
-        for job in jobs:
-            if job.kind == "trace":
-                if progress is not None:
-                    progress(job.name, 0, 1)
-                rows_by_name[job.name] = job.rows_func()(**job_kwargs(job))
-                if progress is not None:
-                    progress(job.name, 1, 1)
-
-    results = {job.name: rows_by_name[job.name] for job in jobs}
+        grouped = ParallelRunner(backend=resolved).run_grids(
+            [(plan.specs, seed_list) for plan, seed_list in zip(plans, seed_lists, strict=True)],
+            progress=grid_progress,
+            reuse=reuse,
+            on_result=on_result,
+        )
+    results = {name: plan.aggregate(groups) for name, plan, groups in zip(names, plans, grouped, strict=True)}
     if out_dir is not None:
         metadata = {
             "driver": "run_paper",

@@ -159,7 +159,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: render a persisted run directory as paper-style tables.
 
     ``--list-figures`` instead prints every figure ``run_paper()``
-    regenerates — name, execution kind (metric/trace) and a one-line
+    regenerates — name, kind (metric/trace) and a one-line
     description — without needing a run directory.  ``--run`` flips the
     CLI from rendering a run to producing one: it regenerates the
     selected figures into the run directory with the incremental cell

@@ -40,10 +40,9 @@ Layout of a run directory::
   the subdirectory.
 
 Rows are lists of flat dictionaries (the one shape every figure in
-:mod:`repro.experiments.figures` now produces, trace figures included
-via their ``*_rows`` adapters).  Values that JSON does not know are
-stringified rather than rejected, so an enum-valued row cannot poison a
-whole run's persistence.
+:mod:`repro.experiments.figures` produces).  Values that JSON does not
+know are stringified rather than rejected, so an enum-valued row cannot
+poison a whole run's persistence.
 
 :func:`load_run` returns a :class:`RunResults` whose ``rows`` mapping
 is directly consumable by :func:`repro.experiments.report.format_run`

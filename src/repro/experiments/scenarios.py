@@ -14,14 +14,21 @@ Four scenario families cover every figure and table:
   links and Poisson flow arrivals (mean inter-arrival 400 s, mean
   transfer 100 KB), standing in for the paper's Linux/JAVeLEN
   deployment; Table 2.
+
+Figures 3(c), 5, 7 and 8 read live simulator state (trace events,
+per-flow reception series), so each has a trace scenario on the linear
+chain — **attempt_bound**, **backoff**, **feedback_rate** and
+**rate_adaptation** — that returns the figure's tidy rows on
+:attr:`ScenarioResult.rows` next to the run's metrics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+import statistics
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
-from repro.core.config import JTPConfig
+from repro.core.config import FeedbackMode, JTPConfig
 from repro.experiments.metrics import ScenarioMetrics, collect_metrics
 from repro.mac.tdma import MacConfig
 from repro.sim.channel import LinkQuality
@@ -31,6 +38,7 @@ from repro.sim.network import Network
 from repro.sim.random import RandomStreams
 from repro.transport.base import FlowHandle, TransportProtocol
 from repro.transport.registry import make_protocol
+from repro.transport.udp import UdpConfig, UdpProtocol
 from repro.util.validation import require_positive
 
 #: Link quality used in the simulation experiments: each link spends
@@ -50,6 +58,8 @@ STABLE_LINK_QUALITY = LinkQuality.stable(loss=0.02)
 #: small transfer sizes the benchmarks use.
 LOSSY_LINK_QUALITY = LinkQuality(good_loss=0.5, bad_loss=0.5, bad_fraction=0.0)
 
+Row = Dict[str, object]
+
 
 @dataclass
 class ScenarioResult:
@@ -60,6 +70,9 @@ class ScenarioResult:
     flows: List[FlowHandle]
     duration: float
     metrics: ScenarioMetrics
+    #: The figure's tidy rows, read from live simulator state (the
+    #: single-run trace scenarios only).
+    rows: List[Row] = field(default_factory=list)
 
     @property
     def stats(self):
@@ -258,3 +271,177 @@ def _random_flows(
             dst += 1
         flows.append(proto.create_flow(network, src, dst, transfer_bytes, start_time=5.0 * index))
     return flows
+
+
+def attempt_bound_scenario(
+    num_nodes: int,
+    loss_tolerance: float,
+    transfer_bytes: float,
+    duration: float,
+    seed: int = 0,
+) -> ScenarioResult:
+    """Figure 3(c)'s cell: iJTP's attempt bound over time at node index 2.
+
+    Rows: ``protocol`` (the ``jtpNN`` reliability label), ``time``,
+    ``attempts``.
+    """
+    label = f"jtp{int(round(loss_tolerance * 100))}"
+    result = linear_scenario(
+        num_nodes,
+        protocol=label,
+        jtp_config=JTPConfig(loss_tolerance=loss_tolerance),
+        transfer_bytes=transfer_bytes,
+        num_flows=1,
+        duration=duration,
+        seed=seed,
+        trace_enabled=True,
+    )
+    events = result.network.trace.events("ijtp_attempts", node=2)
+    result.rows = [{"protocol": label, "time": event.time, "attempts": int(event["attempts"])} for event in events]
+    return result
+
+
+def backoff_scenario(
+    num_nodes: int,
+    backoff_enabled: bool,
+    duration: float,
+    transfer_bytes: float,
+    short_window: float,
+    long_window: float,
+    seed: int = 0,
+) -> ScenarioResult:
+    """Figure 5's cell: a UDP-like flow against a reliable JTP flow.
+
+    Flow 1 is the UDP-like flow (no retransmission requests); flow 2 is
+    a fully reliable JTP flow that exercises the in-network caches.
+    Rows: ``variant`` (``with_backoff``/``without_backoff``), ``series``
+    (each flow's short- and long-window reception rate), ``time``,
+    ``rate_pps``.
+    """
+    jtp_config = JTPConfig(backoff_enabled=backoff_enabled)
+    jtp = make_protocol("jtp", jtp_config)
+    udp = UdpProtocol(UdpConfig(rate_pps=2.0))
+    base = linear_scenario(
+        num_nodes,
+        protocol=jtp,
+        transfer_bytes=transfer_bytes,
+        num_flows=1,
+        duration=1.0,  # _finish runs the rest once both flows exist
+        seed=seed,
+        jtp_config=jtp_config,
+        link_quality=LOSSY_LINK_QUALITY,
+    )
+    udp_flow = udp.create_flow(base.network, 0, num_nodes - 1, transfer_bytes, start_time=0.0)
+    jtp_flow = base.flows[0]
+    result = _finish(base.network, jtp, [jtp_flow, udp_flow], duration)
+    end = result.network.sim.now
+    series = {
+        "flow1_short": udp_flow.stats.reception_rate_series(short_window, short_window / 2, end),
+        "flow1_long": udp_flow.stats.reception_rate_series(long_window, long_window / 2, end),
+        "flow2_short": jtp_flow.stats.reception_rate_series(short_window, short_window / 2, end),
+        "flow2_long": jtp_flow.stats.reception_rate_series(long_window, long_window / 2, end),
+    }
+    variant = "with_backoff" if backoff_enabled else "without_backoff"
+    result.rows = [
+        {"variant": variant, "series": name, "time": time, "rate_pps": rate}
+        for name, points in series.items()
+        for time, rate in points
+    ]
+    return result
+
+
+def feedback_rate_scenario(
+    num_nodes: int,
+    feedback_rate: Optional[float],
+    duration: float,
+    long_transfer_bytes: float,
+    short_transfer_bytes: float,
+    num_short_flows: int,
+    seed: int = 0,
+) -> ScenarioResult:
+    """Figure 7's cell: a long-lived flow and short-lived ones at one feedback setting.
+
+    ``feedback_rate`` is a constant feedback rate in pkt/s, or ``None``
+    for variable-rate feedback.  One row: ``feedback``,
+    ``feedback_rate_pps``, ``energy_mJ``, ``queue_drops``, ``acks``,
+    ``delivered_fraction``.
+    """
+    if feedback_rate is None:
+        label, config = "variable", JTPConfig(feedback_mode=FeedbackMode.VARIABLE)
+    else:
+        label = f"constant_{feedback_rate:g}"
+        config = JTPConfig(feedback_mode=FeedbackMode.CONSTANT, constant_feedback_period=1.0 / feedback_rate)
+    protocol = make_protocol("jtp", config)
+    base = linear_scenario(
+        num_nodes,
+        protocol=protocol,
+        jtp_config=config,
+        transfer_bytes=long_transfer_bytes,
+        num_flows=1,
+        duration=1.0,
+        seed=seed,
+    )
+    flows = list(base.flows)
+    for index in range(num_short_flows):
+        start = 100.0 + index * (duration / (num_short_flows + 1))
+        flows.append(protocol.create_flow(base.network, 1, num_nodes - 2, short_transfer_bytes, start_time=start))
+    result = _finish(base.network, protocol, flows, duration)
+    result.rows = [{
+        "feedback": label,
+        "feedback_rate_pps": None if feedback_rate is None else 1.0 / config.constant_feedback_period,
+        "energy_mJ": result.metrics.energy_joules * 1e3,
+        "queue_drops": result.metrics.queue_drops,
+        "acks": result.metrics.acks_sent,
+        "delivered_fraction": statistics.fmean(f.delivered_fraction for f in flows),
+    }]
+    return result
+
+
+def rate_adaptation_scenario(
+    num_nodes: int,
+    duration: float,
+    flow2_start: float,
+    flow2_duration: float,
+    window: float,
+    seed: int = 0,
+) -> ScenarioResult:
+    """Figure 8's cell: two competing JTP flows, one long- and one short-lived.
+
+    Rows: ``series``, ``time``, ``value``.  The series are both flows'
+    reception rates and flow 1's path-monitor readings (reported
+    available rate, filtered mean, and the ``flow1_lcl``/``flow1_ucl``
+    control limits); flow 2's activity interval is one
+    ``flow2_interval`` row whose ``time`` is its start and ``value`` its
+    end.
+    """
+    protocol = make_protocol("jtp")
+    base = linear_scenario(
+        num_nodes,
+        protocol=protocol,
+        transfer_bytes=2_000_000.0,
+        num_flows=1,
+        duration=1.0,
+        seed=seed,
+        trace_enabled=True,
+    )
+    flow1 = base.flows[0]
+    flow2_bytes = 800.0 * 3.0 * flow2_duration  # roughly 3 pkt/s for its lifetime
+    flow2 = protocol.create_flow(base.network, 0, num_nodes - 1, flow2_bytes, start_time=flow2_start)
+    result = _finish(base.network, protocol, [flow1, flow2], duration)
+    end = result.network.sim.now
+    monitor = result.network.trace.events("jtp_receive", flow=flow1.flow_id)
+    series = {
+        "flow1_rate": flow1.stats.reception_rate_series(window, window / 2, end),
+        "flow2_rate": flow2.stats.reception_rate_series(window, window / 2, end),
+        "flow1_reported_rate": [(event.time, event["rate_stamp"]) for event in monitor],
+        "flow1_monitor_mean": [(event.time, event["monitor_mean"]) for event in monitor],
+    }
+    rows: List[Row] = [
+        {"series": name, "time": time, "value": value} for name, points in series.items() for time, value in points
+    ]
+    for event in monitor:
+        rows.append({"series": "flow1_lcl", "time": event.time, "value": event["monitor_lcl"]})
+        rows.append({"series": "flow1_ucl", "time": event.time, "value": event["monitor_ucl"]})
+    rows.append({"series": "flow2_interval", "time": flow2_start, "value": flow2_start + flow2_duration})
+    result.rows = rows
+    return result

@@ -344,17 +344,14 @@ class TestSharedCells:
             # benchmarks/e2e's ``faults`` workload: every fault family at
             # its defaults, 3 seeds.
             pytest.param(WORKLOAD_JOBS, False, 3, 108, 90, id="faults"),
-            # ``sweep_resume``: every figure and family at smoke size, 16 seeds.
-            pytest.param(ALL_FIGURES + WORKLOAD_JOBS, True, 16, 688, 592, id="sweep_resume"),
+            # ``sweep_resume``: every figure and family at smoke size, 16
+            # seeds; the 8 trace-figure cells run at their one pinned seed.
+            pytest.param(ALL_FIGURES + WORKLOAD_JOBS, True, 16, 696, 600, id="sweep_resume"),
         ],
     )
     def test_benchmark_plans_submit_only_distinct_cells(self, jobs, smoke, count, slots, distinct):
-        seeds = preset_seeds(count)
-        grids = [
-            (job.planner()(**(job.smoke_kwargs if smoke else {})).specs, seeds)
-            for job in jobs
-            if job.kind == "metric"
-        ]
+        plans = [job.planner()(**(job.smoke_kwargs if smoke else {})) for job in jobs]
+        grids = [(plan.specs, plan.seeds or preset_seeds(count)) for plan in plans]
         assert sum(len(specs) * len(seeds) for specs, seeds in grids) == slots
         backend = _PlanOnly()
         ParallelRunner(backend=backend).run_grids(grids)

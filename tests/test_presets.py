@@ -17,7 +17,8 @@ from repro.experiments.presets import (
 )
 from repro.experiments.results import load_run
 
-METRIC_JOBS = [job for job in ALL_FIGURES + WORKLOAD_JOBS if job.kind == "metric"]
+ALL_JOBS = list(ALL_FIGURES + WORKLOAD_JOBS)
+METRIC_JOBS = [job for job in ALL_JOBS if job.kind == "metric"]
 TRACE_JOBS = [job for job in ALL_FIGURES if job.kind == "trace"]
 
 
@@ -68,11 +69,11 @@ class TestMetricFigures:
         ]
 
     def test_every_job_resolves_to_a_figure_function(self):
-        # Every metric record, paper figure or workload, names a module
+        # Every record, paper figure or workload, names a module
         # exposing its <name>_plan builder and its generated <name> function.
         import importlib
 
-        for job in METRIC_JOBS:
+        for job in ALL_JOBS:
             assert callable(job.planner())
             assert callable(getattr(importlib.import_module(job.module), job.name))
             assert job.family in ("linear", "random")
@@ -92,8 +93,9 @@ class TestMetricFigures:
             "figure7",
             "figure8",
         ]
-        for job in TRACE_JOBS:
-            assert callable(job.rows_func())
+        # "trace" describes exactly the jobs whose plans pin their seeds.
+        for job in ALL_JOBS:
+            assert (job.kind == "trace") == (job.planner()(**job.smoke_kwargs).seeds is not None), job.name
 
     def test_every_job_has_a_one_line_description(self):
         # --list-figures and the README index both print this field.
@@ -179,7 +181,7 @@ class TestRunPaper:
         assert combined["figure4b"] == alone_4b["figure4b"]
         assert combined["table2"] == alone_t2["table2"]
 
-    @pytest.mark.parametrize("job", METRIC_JOBS, ids=lambda job: job.name)
+    @pytest.mark.parametrize("job", ALL_JOBS, ids=lambda job: job.name)
     def test_direct_call_matches_run_paper(self, job):
         # figures.figureN / workloads.<family> are generated from the
         # job's record and must compute exactly what run_paper does.
@@ -187,8 +189,27 @@ class TestRunPaper:
 
         alias = getattr(importlib.import_module(job.module), job.name)
         assert alias.__name__ == job.name
-        direct = alias(seeds=preset_seeds("smoke", job.family), backend=SerialBackend(), **job.smoke_kwargs)
+        seeds = None if job.kind == "trace" else preset_seeds("smoke", job.family)
+        direct = alias(seeds=seeds, backend=SerialBackend(), **job.smoke_kwargs)
         assert direct == run_paper(figures=[job.name], seeds="smoke", backend=SerialBackend())[job.name]
+
+    def test_trace_entry_point_rejects_seeds(self):
+        # A trace figure's replication seed is its seed= parameter; a
+        # seeds= list would otherwise be silently ignored.
+        from repro.experiments import figures
+
+        with pytest.raises(ValueError, match="seed= parameter"):
+            figures.figure8(seeds=[1, 2], backend=SerialBackend())
+
+    def test_bad_trace_override_fails_before_any_simulation(self):
+        # Every plan is built before the batch is submitted, so a
+        # misspelled trace-figure parameter cannot cost a metric batch.
+        backend = SerialBackend()
+        with pytest.raises(TypeError, match="sed"):
+            run_paper(
+                figures=["figure4b", "figure8"], seeds="smoke", backend=backend, overrides={"figure8": {"sed": 3}}
+            )
+        assert backend.tasks_submitted == 0
 
     def test_misspelled_override_key_rejected(self):
         # An override for a name no figure or workload has would run the
@@ -242,8 +263,9 @@ class TestRunPaperProgress:
             counts = [done for n, done, _ in events if n == name]
             assert counts == list(range(total + 1))
             assert all(t == total for n, _, t in events if n == name)
-        # Trace figures are one in-process job: announced, then done.
-        assert [e for e in events if e[0] == "figure3c"] == [("figure3c", 0, 1), ("figure3c", 1, 1)]
+        # figure3c is a grid too: 2 tolerances x its one pinned seed.
+        figure3c = [(done, total) for name, done, total in events if name == "figure3c"]
+        assert figure3c == [(0, 2), (1, 2), (2, 2)]
 
     def test_progress_leaves_rows_bit_identical(self):
         noisy, _ = self.run(backend=SerialBackend())
@@ -263,7 +285,7 @@ class TestRunPaperProgress:
 
 
 class TestRunPaperTraceFigures:
-    #: The stable row schema of each serial trace figure's adapter.
+    #: The stable row schema of each trace figure.
     EXPECTED_KEYS: ClassVar[Dict[str, Set[str]]] = {
         "figure3c": {"protocol", "time", "attempts"},
         "figure5": {"variant", "series", "time", "rate_pps"},

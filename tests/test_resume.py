@@ -24,6 +24,7 @@ from repro.experiments.results import CELLS_DIR_NAME, CellStore, cell_key
 FIGURES = ["figure4b", "table2"]
 #: figure4b: 2 specs x 2 smoke seeds; table2: 3 specs x 1 smoke seed.
 TOTAL_CELLS = 7
+TRACE_FIGURES = ["figure3c", "figure5", "figure7", "figure8"]
 
 
 def paper_smoke(out_dir, figures=FIGURES, **kwargs):
@@ -179,11 +180,22 @@ class TestResume:
         assert pickle.loads(victim.read_bytes()) == record
         assert figure_bytes(out) == reference
 
-    def test_trace_figures_are_never_cached(self, tmp_path):
+    def test_trace_figures_resume_from_the_cache(self, tmp_path):
+        # figure3c 2 tolerances, figure5 back-off on/off, figure7 2
+        # constant rates + variable, figure8 one run: 8 cells, each at
+        # its figure's own seed.
         out = tmp_path / "run"
-        run_paper(figures=["figure3c"], seeds="smoke", out_dir=out)
-        assert list((out / CELLS_DIR_NAME).glob("*.pkl")) == []
-        assert cells_metadata(out) == {"reused": 0, "computed": 0}
+        paper_smoke(out, TRACE_FIGURES, backend=SerialBackend())
+        assert cells_metadata(out) == {"reused": 0, "computed": 8}
+        reference = figure_bytes(out, TRACE_FIGURES)
+        for path in (out / CELLS_DIR_NAME).glob("*.pkl"):
+            record = pickle.loads(path.read_bytes())
+            assert record.rows and record.metrics.link_transmissions > 0
+        backend = SerialBackend()
+        paper_smoke(out, TRACE_FIGURES, backend=backend)
+        assert backend.tasks_submitted == 0
+        assert cells_metadata(out) == {"reused": 8, "computed": 0}
+        assert figure_bytes(out, TRACE_FIGURES) == reference
 
 
 def figure_keys(name):
