@@ -23,10 +23,7 @@ CLI are all importable for programmatic use (the fixture tests drive
 """
 
 from repro.checks.findings import Finding
-from repro.checks.project import Project
 from repro.checks.registry import (
-    BaseRule,
-    ProjectRule,
     Rule,
     all_rules,
     get_rule,
@@ -37,11 +34,8 @@ from repro.checks.registry import (
 from repro.checks.source import ModuleSource, load_sources
 
 __all__ = [
-    "BaseRule",
     "Finding",
     "ModuleSource",
-    "Project",
-    "ProjectRule",
     "Rule",
     "all_rules",
     "get_rule",

@@ -150,11 +150,3 @@ def walk_with_functions(
     for top in ast.iter_child_nodes(tree):
         yield from visit(top)
 
-
-def call_name(node: ast.expr) -> Optional[str]:
-    """The bare or attribute name a call targets (``sorted`` / ``keys``)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None

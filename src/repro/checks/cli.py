@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, TextIO
 
 from repro.checks.findings import Finding
-from repro.checks.registry import BaseRule, ProjectRule, all_rules, select_rules, run_rules
+from repro.checks.registry import Rule, all_rules, select_rules, run_rules
 from repro.checks.source import load_sources
 
 #: Pseudo rule id used for files that fail to parse.
@@ -65,9 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
 def list_rules(stream: TextIO) -> None:
     for rule in all_rules():
         scope = ", ".join(rule.packages) if rule.packages else "all packages"
-        tier = "whole-program" if isinstance(rule, ProjectRule) else "per-file"
         stream.write(f"{rule.id}  {rule.summary}\n")
-        stream.write(f"        scope: {scope} [{tier}]\n")
+        stream.write(f"        scope: {scope}\n")
 
 
 def default_paths() -> List[str]:
@@ -75,7 +74,7 @@ def default_paths() -> List[str]:
     return present or [DEFAULT_PATHS[0]]
 
 
-def collect_findings(paths: Sequence[str], rules: Sequence[BaseRule]) -> List[Finding]:
+def collect_findings(paths: Sequence[str], rules: Sequence[Rule]) -> List[Finding]:
     """Scan ``paths`` with ``rules``; returns the sorted findings."""
     sources, errors = load_sources(paths)
     findings = [

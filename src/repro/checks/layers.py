@@ -1,12 +1,12 @@
-"""The declared layer DAG that ARCH001 enforces.
+"""The declared layer DAG of the ``repro`` package.
 
 The reproduction is layered so that simulation physics can never grow a
 dependency on the harness that drives it: ``repro.sim`` must stay
 importable (and bit-identical) without ``repro.experiments`` or
 ``repro.plots`` on the path, and nothing in the library may import the
 analysis package that audits it.  :data:`LAYERS` writes that contract
-down; ``repro.checks.rules.architecture`` turns every import edge that
-steps outside it into an ARCH001 finding.
+down; ``tests/test_layers.py`` fails on every import edge under
+``src/repro`` that steps outside it.
 
 Layer names are dotted paths relative to the ``repro`` package.  A
 module belongs to the *longest* declared prefix of its dotted tail, so
@@ -55,8 +55,8 @@ def layer_of(module: str) -> Optional[str]:
     The longest declared prefix wins (``repro.plots.spec`` is
     ``plots.spec``, not ``plots``).  A module under ``repro`` whose top
     package is not declared at all comes back as that *undeclared* top
-    name — ARCH001 reports it, so new packages must be added to
-    :data:`LAYERS` deliberately.
+    name, which :func:`layer_allows` keeps apart from every declared
+    layer, so new packages must be added to :data:`LAYERS` deliberately.
     """
     if module != "repro" and not module.startswith("repro."):
         return None

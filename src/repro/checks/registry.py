@@ -2,22 +2,13 @@
 
 A rule is a class with an ``id``, a one-line ``summary``, an optional
 ``packages`` scope (dotted prefixes; empty means every file), and a
-``check(...)`` method yielding :class:`~repro.checks.findings.Finding`
-objects; why each rule exists is its **Why** paragraph in
-``docs/checks.md``.  Rules register themselves with the
-:func:`register` decorator at import time; the CLI and the test suite
-both discover them through :func:`all_rules`.
+``check(source)`` method yielding :class:`~repro.checks.findings.Finding`
+objects for one :class:`~repro.checks.source.ModuleSource`; why each
+rule exists is its **Why** paragraph in ``docs/checks.md``.  Rules
+register themselves with the :func:`register` decorator at import time;
+the CLI and the test suite both discover them through :func:`all_rules`.
 
-Two tiers share the registry:
-
-* :class:`Rule` — per-file: ``check(source)`` sees one
-  :class:`~repro.checks.source.ModuleSource` at a time;
-* :class:`ProjectRule` — whole-program: ``check(project)`` sees the
-  :class:`~repro.checks.project.Project` built from *every* scanned
-  module at once (import graph, symbol index, call graph), which is
-  what cross-module rules like ARCH001 and SEED001 need.
-
-Pragma handling is centralised here: the ``run`` methods filter out any
+Pragma handling is centralised here: :meth:`Rule.run` filters out any
 finding whose line carries a matching ``# repro: allow[...]`` pragma,
 so individual rules never need to re-implement suppression.
 """
@@ -25,17 +16,14 @@ so individual rules never need to re-implement suppression.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.checks.findings import Finding
 from repro.checks.source import ModuleSource
 
-if TYPE_CHECKING:
-    from repro.checks.project import Project
 
-
-class BaseRule(ABC):
-    """Metadata shared by both rule tiers."""
+class Rule(ABC):
+    """Base class for one static-analysis rule."""
 
     #: Stable identifier, e.g. ``"DET001"`` — what pragmas refer to.
     id: str = ""
@@ -43,10 +31,6 @@ class BaseRule(ABC):
     summary: str = ""
     #: Dotted package prefixes the rule applies to (empty = everywhere).
     packages: Tuple[str, ...] = ()
-
-
-class Rule(BaseRule):
-    """Base class for one per-file static-analysis rule."""
 
     @abstractmethod
     def check(self, source: ModuleSource) -> Iterator[Finding]:
@@ -71,32 +55,10 @@ class Rule(BaseRule):
         return Finding(path=source.path, line=line, column=column, rule_id=self.id, message=message)
 
 
-class ProjectRule(BaseRule):
-    """Base class for one whole-program static-analysis rule."""
-
-    @abstractmethod
-    def check(self, project: "Project") -> Iterator[Finding]:
-        """Yield raw findings over the whole project (pragmas not yet applied)."""
-
-    def run(self, project: "Project") -> List[Finding]:
-        """Check the project, honouring each file's allowlist pragmas."""
-        kept: List[Finding] = []
-        for finding in self.check(project):
-            source = project.by_path.get(finding.path)
-            if source is not None and source.allows(finding.rule_id, finding.line):
-                continue
-            kept.append(finding)
-        return kept
-
-    def finding(self, path: str, line: int, column: int, message: str) -> Finding:
-        """Convenience constructor stamping this rule's id."""
-        return Finding(path=path, line=line, column=column, rule_id=self.id, message=message)
+_REGISTRY: Dict[str, Type[Rule]] = {}
 
 
-_REGISTRY: Dict[str, Type[BaseRule]] = {}
-
-
-def register(rule_cls: Type[BaseRule]) -> Type[BaseRule]:
+def register(rule_cls: Type[Rule]) -> Type[Rule]:
     """Class decorator adding a rule to the registry (id must be unique)."""
     rule_id = rule_cls.id
     if not rule_id:
@@ -108,19 +70,19 @@ def register(rule_cls: Type[BaseRule]) -> Type[BaseRule]:
     return rule_cls
 
 
-def all_rules() -> List[BaseRule]:
-    """Instantiate every registered rule (both tiers), sorted by id."""
+def all_rules() -> List[Rule]:
+    """Instantiate every registered rule, sorted by id."""
     _load_builtin_rules()
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 
-def get_rule(rule_id: str) -> BaseRule:
+def get_rule(rule_id: str) -> Rule:
     """Instantiate one rule by id (``KeyError`` if unknown)."""
     _load_builtin_rules()
     return _REGISTRY[rule_id.upper()]()
 
 
-def select_rules(rule_ids: Optional[Sequence[str]] = None) -> List[BaseRule]:
+def select_rules(rule_ids: Optional[Sequence[str]] = None) -> List[Rule]:
     """The rules to run: all of them, or the ids named in ``rule_ids``."""
     if not rule_ids:
         return all_rules()
@@ -128,30 +90,14 @@ def select_rules(rule_ids: Optional[Sequence[str]] = None) -> List[BaseRule]:
 
 
 def run_rules(
-    sources: Iterable[ModuleSource], rules: Optional[Sequence[BaseRule]] = None
+    sources: Iterable[ModuleSource], rules: Optional[Sequence[Rule]] = None
 ) -> List[Finding]:
-    """Run ``rules`` (default: all registered) over ``sources``, sorted.
-
-    Per-file rules see each module independently; project rules see one
-    :class:`~repro.checks.project.Project` built from all of them —
-    whole-program context is exactly what distinguishes the tier, so a
-    partial source list (e.g. scanning only ``benchmarks/``) simply
-    gives project rules a smaller world to reason about.
-    """
+    """Run ``rules`` (default: all registered) over ``sources``, sorted."""
     active = list(rules) if rules is not None else all_rules()
-    source_list = list(sources)
-    file_rules = [rule for rule in active if isinstance(rule, Rule)]
-    project_rules = [rule for rule in active if isinstance(rule, ProjectRule)]
     findings: List[Finding] = []
-    for source in source_list:
-        for rule in file_rules:
+    for source in sources:
+        for rule in active:
             findings.extend(rule.run(source))
-    if project_rules:
-        from repro.checks.project import Project
-
-        project = Project(source_list)
-        for project_rule in project_rules:
-            findings.extend(project_rule.run(project))
     return sorted(findings)
 
 

@@ -2,12 +2,11 @@
 
 Importing this package registers every built-in rule with
 :mod:`repro.checks.registry`.  Third-party or experiment-local rules can
-be added the same way: subclass :class:`repro.checks.registry.Rule` (or
-:class:`repro.checks.registry.ProjectRule` for whole-program rules),
+be added the same way: subclass :class:`repro.checks.registry.Rule`,
 decorate with :func:`repro.checks.registry.register`, and import the
 module before running the suite.
 """
 
-from repro.checks.rules import architecture, contracts, determinism, exceptions, seedflow
+from repro.checks.rules import contracts, determinism, exceptions
 
-__all__ = ["architecture", "contracts", "determinism", "exceptions", "seedflow"]
+__all__ = ["contracts", "determinism", "exceptions"]

@@ -53,7 +53,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.experiments.backends import ExecutorBackend, resolve_backend
+from repro.experiments.backends import ExecutorBackend, SerialBackend, resolve_backend
 from repro.experiments.parallel import ParallelRunner, ScenarioRecord, ScenarioSpec, spawn_seeds
 from repro.experiments.results import CellStore, PathLike, cell_key, git_metadata, save_run
 from repro.plots.spec import AxesSpec, PlotSpec
@@ -562,10 +562,10 @@ def run_paper(
     ``profile`` (default: the ``REPRO_PROFILE`` environment variable)
     turns on the simulation-core profiler (:mod:`repro.sim.profile`)
     for the whole run: aggregate events/sec, per-callback-class time
-    attribution and the event-heap high-water mark.  The report covers
-    the simulations executed *in this process*: all of them on the
-    serial backend, none when a worker pool runs the cells (profile
-    with ``workers=0``).  It is stored under
+    attribution and the event-heap high-water mark.  The profiler sees
+    only simulations executed *in this process*, so profiling needs the
+    serial backend (``workers=0``); on a worker pool it raises
+    :class:`ValueError` before anything runs.  The report is stored under
     ``core_profile`` (with ``out_dir``) or summarised to stderr
     (without).  Expect roughly 2x wall-clock while profiling; results
     are unaffected.
@@ -617,6 +617,10 @@ def run_paper(
 
     if profile is None:
         profile = core_profile.profile_from_env()
+    if profile and not isinstance(resolved, SerialBackend):
+        # The profiler sees only simulations run in this process; on a
+        # worker pool that is none of them.
+        raise ValueError(f"profiling needs workers=0; the {resolved.name} backend runs every cell in a worker")
     profiler = core_profile.CoreProfiler() if profile else None
 
     def job_kwargs(job: FigureJob) -> Dict[str, object]:

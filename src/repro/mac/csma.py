@@ -71,9 +71,9 @@ class CsmaMac(TdmaMac):
         channel: Channel,
         stats: NetworkStats,
         medium: SharedMedium,
+        rng: random.Random,
         config: Optional[MacConfig] = None,
         trace: Optional[TraceRecorder] = None,
-        rng: Optional[random.Random] = None,
         collision_base: float = 0.15,
         max_backoff: float = 0.02,
     ):
@@ -81,12 +81,7 @@ class CsmaMac(TdmaMac):
         self.medium = medium
         self.collision_base = require_in_range(collision_base, 0.0, 1.0, "collision_base")
         self.max_backoff = max_backoff
-        # Network always passes a stream-derived rng (see Network._build);
-        # the node-id fallback only covers direct construction in unit
-        # tests, where determinism-per-node is the point.  Pinned by
-        # test_checks.py::TestSeedFlowJustifications.
-        # repro: allow[SEED001] fallback unused by Network; stream rng is always injected
-        self._rng = rng or random.Random(node_id)
+        self._rng = rng
         self.collisions = 0
 
     # Every attempt draws a fresh contention backoff.

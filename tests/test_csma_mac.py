@@ -86,12 +86,27 @@ def test_invalid_collision_base_rejected():
     stats = NetworkStats()
     channel = Channel(linear_positions(2, 40), radio_range=50.0, rng=random.Random(0))
     with pytest.raises(ValueError):
-        CsmaMac(0, sim, channel, stats, medium=SharedMedium(), collision_base=1.5)
+        CsmaMac(0, sim, channel, stats, medium=SharedMedium(), rng=random.Random(0), collision_base=1.5)
 
 
 def test_network_builder_supports_csma():
     network = Network.linear(4, seed=1, mac_type="csma", link_quality=LinkQuality.perfect())
     assert all(isinstance(node.mac, CsmaMac) for node in network.nodes)
+
+
+def test_network_always_injects_a_stream_rng_into_csma():
+    # Every CsmaMac gets rng=streams.stream(f"csma-{node_id}"): two
+    # networks with the same seed hand their MACs identical RNG state, a
+    # different seed changes it, and no MAC is seeded from its node id.
+    def mac_states(seed):
+        network = Network.linear(3, seed=seed, mac_type="csma")
+        return [node.mac._rng.getstate() for node in network.nodes]
+
+    first, again, other = mac_states(7), mac_states(7), mac_states(8)
+    assert first == again
+    assert first != other
+    for node_id, state in enumerate(first):
+        assert state != random.Random(node_id).getstate()
 
 
 def test_network_config_rejects_unknown_mac_type():

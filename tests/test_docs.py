@@ -103,7 +103,7 @@ class TestReadmeIndexes:
 
     def test_architecture_layers_section_names_the_real_layers(self):
         # The "Architecture layers" prose and the machine-checked DAG
-        # (repro.checks.layers.LAYERS, enforced by ARCH001) must not
+        # (repro.checks.layers.LAYERS, enforced by test_layers.py) must not
         # drift: every declared layer is named in the README section.
         from repro.checks.layers import LAYERS
 
@@ -113,7 +113,7 @@ class TestReadmeIndexes:
             if not layer:
                 continue  # the package root has no prose name
             assert f"`{layer}`" in section, f"README layer map misses `{layer}`"
-        assert "ARCH001" in section
+        assert "tests/test_layers.py" in section
 
     def test_results_doc_is_linked_and_exists(self):
         assert "docs/results.md" in self.README

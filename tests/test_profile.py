@@ -173,6 +173,20 @@ class TestRunPaperIntegration:
         manifest = load_run(tmp_path / "run").manifest
         assert "core_profile" not in manifest["metadata"]
 
+    def test_profiling_on_a_worker_pool_is_rejected(self, tmp_path, monkeypatch):
+        # A pool runs every cell in a worker, where the parent's profiler
+        # sees nothing: refuse before any cell runs instead of recording
+        # a profile of zeros.
+        from repro.experiments.presets import run_paper
+
+        with pytest.raises(ValueError, match="workers=0"):
+            run_paper(figures=["figure4b"], seeds="smoke", workers=2,
+                      out_dir=tmp_path / "run", profile=True)
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        with pytest.raises(ValueError, match="workers=0"):
+            run_paper(figures=["figure4b"], seeds="smoke", workers=2, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_profile_without_out_dir_prints_summary(self, capsys):
         from repro.experiments.presets import run_paper
 

@@ -1,9 +1,23 @@
-"""Named random streams: determinism and independence."""
+"""Named random streams: determinism, independence, and the only RNG sites."""
+
+import ast
+from pathlib import Path
+from textwrap import dedent
 
 import pytest
 
+from repro.checks.astutil import ImportMap
+from repro.checks.source import ModuleSource, load_sources
 from repro.experiments.backends import ProcessBackend
 from repro.sim.random import RandomStreams
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: The only places ``src/repro`` may construct a ``random.Random``.
+SANCTIONED_RNG_SITES = {
+    ("repro.sim.random", "RandomStreams.stream"),
+    ("repro.sim.channel", "Channel._link"),  # seeded from the channel's own stream
+}
 
 
 def _draws(seed):
@@ -67,3 +81,51 @@ def test_same_seed_gives_identical_draws_across_processes(seed):
         remote_a, remote_b = backend.map(_draws, [seed, seed])
     assert remote_a == local
     assert remote_b == local
+
+
+def rng_sites(sources):
+    """``(module, enclosing def)`` of every call that resolves to ``random.Random``."""
+    sites = set()
+
+    def visit(node, scope, module, imap):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and imap.resolve(child.func) == "random.Random":
+                sites.add((module, ".".join(scope) or "<module>"))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, (*scope, child.name) if named else scope, module, imap)
+
+    for source in sources:
+        is_package = source.path.endswith("__init__.py")
+        visit(source.tree, (), source.module, ImportMap.from_tree(source.tree, source.module, is_package))
+    return sites
+
+
+def test_random_random_is_only_constructed_at_sanctioned_sites():
+    """New randomness comes from ``RandomStreams.stream(name)``.
+
+    A run is a bit-identical function of its scenario seed only while
+    every RNG descends from the scenario's :class:`RandomStreams`.  A
+    ``random.Random(7)`` in code that no pinned digest runs yet is
+    invisible to every output test; this scan is not.
+    """
+    sources, errors = load_sources([SRC / "repro"])
+    assert errors == []
+    assert rng_sites(sources) == SANCTIONED_RNG_SITES
+
+
+def test_rng_site_scan_follows_import_aliases():
+    # A constant seed behind a from-import alias, and a seedless
+    # construction behind a module alias chain, are both new sites.
+    source = ModuleSource.from_text(dedent("""\
+        import random as rnd
+        from random import Random as R
+
+        _r = rnd
+        STREAM = R(99)
+
+        class Mobility:
+            def reset(self):
+                self.rng = _r.Random()
+                return self.rng.random()
+        """), path="src/repro/sim/fixture.py")
+    assert rng_sites([source]) == {("repro.sim.fixture", "<module>"), ("repro.sim.fixture", "Mobility.reset")}

@@ -328,7 +328,7 @@ class TestRandomPlanBitIdentity:
 
 
 class TestStaticAnalysisScope:
-    """Satellite: the determinism/seed-flow gates cover the new modules."""
+    """Satellite: the determinism gates and the RNG-site scan cover the new modules."""
 
     def test_det001_scopes_cover_faults_and_workloads(self):
         from repro.checks.registry import get_rule
@@ -348,14 +348,20 @@ class TestStaticAnalysisScope:
             source = ModuleSource.from_text(snippet, path=f"<{module}>", module=module)
             assert list(get_rule("DET001").run(source)), f"DET001 silent in {module}"
 
-    def test_seed001_scopes_cover_faults_and_workloads(self):
-        from repro.checks.registry import get_rule
-        from repro.checks.source import ModuleSource
+    def test_rng_site_scan_covers_faults_and_workloads(self):
+        # The RNG-site test in test_random_streams.py scans every module
+        # under src/repro: a constant-seeded RNG added to either module
+        # is an unsanctioned site there.
+        from test_random_streams import SRC, rng_sites
 
-        rule = get_rule("SEED001")
+        from repro.checks.source import ModuleSource, load_sources
+
+        scanned = {source.module: source for source in load_sources([SRC / "repro"])[0]}
         for module in ("repro.sim.faults", "repro.experiments.workloads"):
-            source = ModuleSource.from_text("x = 1\n", path=f"<{module}>", module=module)
-            assert source.in_package(rule.packages), f"SEED001 does not scan {module}"
+            source = scanned[module]
+            mutated = ModuleSource.from_text(source.text + "\nimport random\n_RNG = random.Random(7)\n", path=source.path)
+            assert rng_sites([source]) == set()
+            assert rng_sites([mutated]) == {(module, "<module>")}
 
     def test_ci_runs_mypy_strict_on_the_new_modules(self):
         from pathlib import Path
