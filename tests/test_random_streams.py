@@ -113,19 +113,43 @@ def test_random_random_is_only_constructed_at_sanctioned_sites():
     assert rng_sites(sources) == SANCTIONED_RNG_SITES
 
 
-def test_rng_site_scan_follows_import_aliases():
-    # A constant seed behind a from-import alias, and a seedless
-    # construction behind a module alias chain, are both new sites.
-    source = ModuleSource.from_text(dedent("""\
-        import random as rnd
-        from random import Random as R
+def _fixture_sites(text):
+    source = ModuleSource.from_text(dedent(text), path="src/repro/sim/fixture.py")
+    return rng_sites([source])
 
-        _r = rnd
-        STREAM = R(99)
+
+def test_rng_site_scan_catches_a_constant_seed():
+    assert _fixture_sites("""\
+        import random
+
+        RNG = random.Random(1234)
+        """) == {("repro.sim.fixture", "<module>")}
+
+
+def test_rng_site_scan_catches_a_seedless_construction():
+    assert _fixture_sites("""\
+        import random
 
         class Mobility:
             def reset(self):
-                self.rng = _r.Random()
+                self.rng = random.Random()
                 return self.rng.random()
-        """), path="src/repro/sim/fixture.py")
-    assert rng_sites([source]) == {("repro.sim.fixture", "<module>"), ("repro.sim.fixture", "Mobility.reset")}
+        """) == {("repro.sim.fixture", "Mobility.reset")}
+
+
+def test_rng_site_scan_resolves_a_from_import_alias():
+    assert _fixture_sites("""\
+        from random import Random as R
+
+        STREAM = R(99)
+        """) == {("repro.sim.fixture", "<module>")}
+
+
+def test_rng_site_scan_folds_a_module_alias_chain():
+    assert _fixture_sites("""\
+        import random as rnd
+
+        _r = rnd
+
+        STREAM = _r.Random(5)
+        """) == {("repro.sim.fixture", "<module>")}
