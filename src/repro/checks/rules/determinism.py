@@ -25,15 +25,12 @@ _BANNED_TIME_ATTRS = frozenset(
 
 #: Packages whose behaviour must be a pure function of the seed.
 #: ``repro.sim`` covers the fault-injection engine (``repro.sim.faults``)
-#: by prefix; the workload families compose FaultPlans into scenario
-#: grids and are held to the same contract explicitly.
-_SIM_PACKAGES = (
-    "repro.sim",
-    "repro.transport",
-    "repro.routing",
-    "repro.mac",
-    "repro.experiments.workloads",
-)
+#: by prefix.
+_SIM_PACKAGES = ("repro.sim", "repro.transport", "repro.routing", "repro.mac")
+
+#: The workload families compose FaultPlans into scenario grids and are
+#: held to DET001 explicitly; DET002 covers them through ``repro.experiments``.
+_WORKLOAD_PACKAGES = ("repro.experiments.workloads",)
 
 #: Driver trees gated alongside the library (benchmarks get a
 #: wall-clock carve-out: measuring elapsed time is their whole job).
@@ -46,7 +43,7 @@ class AmbientEntropyRule(Rule):
 
     id = "DET001"
     summary = "no module-level RNG, wall-clock or uuid inside simulation packages or drivers"
-    packages = _SIM_PACKAGES + _DRIVER_PACKAGES
+    packages = _SIM_PACKAGES + _WORKLOAD_PACKAGES + _DRIVER_PACKAGES
 
     def check(self, source: ModuleSource) -> Iterator[Finding]:
         imap = ImportMap.from_tree(source.tree, module=source.module)

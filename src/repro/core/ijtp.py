@@ -65,7 +65,7 @@ class IntermediateJTP:
         self.mac = mac
         self.config = config or JTPConfig()
         self.stats = stats
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
+        self.trace = trace if trace is not None else TraceRecorder()
         self.send_fn = send_fn
         self.cache: Optional[PacketCache] = (
             PacketCache(self.config.cache_size, self.config.cache_policy)
@@ -117,11 +117,12 @@ class IntermediateJTP:
         if packet.energy_used > packet.energy_budget:
             self.energy_budget_drops += 1
             self._count_flow(packet, "energy_budget_drops")
-            self.trace.record(
-                "energy_budget_drop", context.now, node=self.node_id,
-                flow=packet.flow_id, seq=packet.seq,
-                used=packet.energy_used, budget=packet.energy_budget,
-            )
+            if "energy_budget_drop" in self.trace.kinds:
+                self.trace.record(
+                    "energy_budget_drop", context.now, node=self.node_id,
+                    flow=packet.flow_id, seq=packet.seq,
+                    used=packet.energy_used, budget=packet.energy_budget,
+                )
             return False
 
         if packet.is_data:
@@ -137,7 +138,7 @@ class IntermediateJTP:
                 self.config.max_attempts,
             )
             packet.max_link_attempts = attempts
-            if self.trace.enabled:
+            if "ijtp_attempts" in self.trace.kinds:
                 self.trace.record(
                     "ijtp_attempts", context.now, node=self.node_id, flow=packet.flow_id,
                     seq=packet.seq, attempts=attempts, loss_rate=context.loss_rate,
@@ -199,10 +200,11 @@ class IntermediateJTP:
                 self.local_retransmissions += 1
                 self._count_flow(ack_packet, "cache_recoveries")
                 self._count_flow(ack_packet, "cache_hits")
-                self.trace.record(
-                    "cache_recovery", now, node=self.node_id,
-                    flow=ack_packet.flow_id, seq=seq,
-                )
+                if "cache_recovery" in self.trace.kinds:
+                    self.trace.record(
+                        "cache_recovery", now, node=self.node_id,
+                        flow=ack_packet.flow_id, seq=seq,
+                    )
         if recovered:
             ack.locally_recovered = tuple(sorted(set(ack.locally_recovered) | set(recovered)))
         if len(self._recent_recoveries) > 4 * self.config.cache_size:

@@ -60,7 +60,7 @@ class JTPReceiver:
         self.total_packets = int(require_positive(total_packets, "total_packets"))
         self.config = config or JTPConfig()
         self.flow_stats = flow_stats or FlowStats(flow_id, src, node.node_id)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
+        self.trace = trace if trace is not None else TraceRecorder()
         self.delivery_rate_limit_pps = delivery_rate_limit_pps
         self.on_complete = on_complete
 
@@ -121,14 +121,15 @@ class JTPReceiver:
             self.monitor.observe_rtt(2.0 * max(0.0, now - packet.timestamp))
         self._last_data_timestamp = packet.timestamp
 
-        self.trace.record(
-            "jtp_receive", now, flow=self.flow_id, seq=packet.seq,
-            rate_stamp=packet.available_rate_pps, energy_used=packet.energy_used,
-            monitor_mean=sample.available_rate.mean,
-            monitor_ucl=sample.available_rate.upper_control_limit,
-            monitor_lcl=sample.available_rate.lower_control_limit,
-            duplicate=duplicate,
-        )
+        if "jtp_receive" in self.trace.kinds:
+            self.trace.record(
+                "jtp_receive", now, flow=self.flow_id, seq=packet.seq,
+                rate_stamp=packet.available_rate_pps, energy_used=packet.energy_used,
+                monitor_mean=sample.available_rate.mean,
+                monitor_ucl=sample.available_rate.upper_control_limit,
+                monitor_lcl=sample.available_rate.lower_control_limit,
+                duplicate=duplicate,
+            )
 
         if sample.significant_change and now - self._last_feedback_time >= self.MIN_FEEDBACK_SPACING:
             self._send_feedback(early=True)
@@ -252,9 +253,10 @@ class JTPReceiver:
         if self.satisfied_time is not None:
             self._final_feedbacks_sent += 1
 
-        self.trace.record(
-            "jtp_feedback", now, flow=self.flow_id, early=early,
-            cumulative=cumulative, snack=len(snack),
-            rate=self.rate_controller.rate_pps, period=period,
-        )
+        if "jtp_feedback" in self.trace.kinds:
+            self.trace.record(
+                "jtp_feedback", now, flow=self.flow_id, early=early,
+                cumulative=cumulative, snack=len(snack),
+                rate=self.rate_controller.rate_pps, period=period,
+            )
         self._schedule_feedback(period)

@@ -58,7 +58,7 @@ class JTPSender:
         self.transfer_bytes = require_positive(transfer_bytes, "transfer_bytes")
         self.config = config or JTPConfig()
         self.flow_stats = flow_stats or FlowStats(flow_id, node.node_id, dst, transfer_bytes)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
+        self.trace = trace if trace is not None else TraceRecorder()
         self.on_complete = on_complete
 
         self._segments: List[float] = self._fragment(self.transfer_bytes, self.config.packet_size_bytes)
@@ -162,10 +162,11 @@ class JTPSender:
         self._last_sent_at[seq] = now
         accepted = self.node.send(packet)
         self.flow_stats.record_send(now, self._segments[seq], retransmission=retransmission)
-        self.trace.record(
-            "jtp_send", now, flow=self.flow_id, seq=seq,
-            retransmission=retransmission, rate=self._rate_pps, accepted=accepted,
-        )
+        if "jtp_send" in self.trace.kinds:
+            self.trace.record(
+                "jtp_send", now, flow=self.flow_id, seq=seq,
+                retransmission=retransmission, rate=self._rate_pps, accepted=accepted,
+            )
         self._schedule_send(1.0 / self._rate_pps)
 
     def _next_seq_to_send(self) -> Optional[int]:
@@ -223,10 +224,11 @@ class JTPSender:
         self._apply_cache_backoff(ack.locally_recovered, now)
         self._detect_tail_losses(ack)
 
-        self.trace.record(
-            "jtp_ack", now, flow=self.flow_id, cumulative=ack.cumulative_ack,
-            snack=len(ack.snack), recovered=len(ack.locally_recovered), rate=self._rate_pps,
-        )
+        if "jtp_ack" in self.trace.kinds:
+            self.trace.record(
+                "jtp_ack", now, flow=self.flow_id, cumulative=ack.cumulative_ack,
+                snack=len(ack.snack), recovered=len(ack.locally_recovered), rate=self._rate_pps,
+            )
         self._maybe_complete()
 
     def _apply_cumulative_ack(self, cumulative_ack: int) -> None:
@@ -298,8 +300,9 @@ class JTPSender:
         backoff = recovered_count / max(self._rate_pps, self.config.min_rate_pps)
         self._backoff_until = max(self._backoff_until, now + backoff)
         self.flow_stats.sender_backoffs += 1
-        self.trace.record("jtp_backoff", now, flow=self.flow_id,
-                          recovered=recovered_count, backoff=backoff)
+        if "jtp_backoff" in self.trace.kinds:
+            self.trace.record("jtp_backoff", now, flow=self.flow_id,
+                              recovered=recovered_count, backoff=backoff)
 
     # -- feedback-loss watchdog ---------------------------------------------------------------------
 
@@ -314,7 +317,8 @@ class JTPSender:
                 self._rate_pps * self.config.kd, self.config.min_rate_pps, self.config.max_rate_pps
             )
             self._last_feedback_time = now
-            self.trace.record("jtp_feedback_timeout", now, flow=self.flow_id, rate=self._rate_pps)
+            if "jtp_feedback_timeout" in self.trace.kinds:
+                self.trace.record("jtp_feedback_timeout", now, flow=self.flow_id, rate=self._rate_pps)
         self._watchdog_event = self.sim.schedule(self._expected_feedback_period, self._feedback_watchdog)
 
     # -- completion -------------------------------------------------------------------------------------
@@ -331,6 +335,7 @@ class JTPSender:
             self._send_event.cancel()
         if self._watchdog_event is not None:
             self._watchdog_event.cancel()
-        self.trace.record("jtp_complete", self.sim.now, flow=self.flow_id)
+        if "jtp_complete" in self.trace.kinds:
+            self.trace.record("jtp_complete", self.sim.now, flow=self.flow_id)
         if self.on_complete is not None:
             self.on_complete(self.sim.now)

@@ -146,9 +146,11 @@ def save_rows(directory: PathLike, name: str, rows: Sequence[Mapping[str, object
     directory.mkdir(parents=True, exist_ok=True)
     rows = [dict(row) for row in rows]
     json_path = directory / f"{name}.json"
-    json_path.write_text(
-        json.dumps({"figure": name, "rows": rows}, indent=2, default=str) + "\n"
-    )
+    with json_path.open("w") as handle:
+        # Streamed: the same bytes as json.dumps(...) + "\n", without
+        # holding the whole indented document as one string.
+        json.dump({"figure": name, "rows": rows}, handle, indent=2, default=str)
+        handle.write("\n")
     columns = _row_columns(rows)
     with (directory / f"{name}.csv").open("w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=columns, restval="")

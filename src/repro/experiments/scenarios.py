@@ -19,14 +19,15 @@ Figures 3(c), 5, 7 and 8 read live simulator state (trace events,
 per-flow reception series), so each has a trace scenario on the linear
 chain — **attempt_bound**, **backoff**, **feedback_rate** and
 **rate_adaptation** — that returns the figure's tidy rows on
-:attr:`ScenarioResult.rows` next to the run's metrics.
+:attr:`ScenarioResult.rows` next to the run's metrics.  A trace
+scenario asks its network for exactly the trace kinds it reads.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import AbstractSet, Dict, List, Optional
 
 from repro.core.config import FeedbackMode, JTPConfig
 from repro.experiments.metrics import ScenarioMetrics, collect_metrics
@@ -102,14 +103,15 @@ def linear_scenario(
     mac_config: Optional[MacConfig] = None,
     jtp_config: Optional[JTPConfig] = None,
     flow_start_spacing: float = 5.0,
-    trace_enabled: bool = False,
+    trace_kinds: AbstractSet[str] = frozenset(),
     fault_plan: Optional[FaultPlan] = None,
 ) -> ScenarioResult:
     """Run one static linear-topology experiment.
 
     Both flows run from one end of the chain to the other, matching the
     paper's "source and destination of two competing flows are placed at
-    the two ends of the network".
+    the two ends of the network".  ``trace_kinds`` names the trace event
+    kinds recorded on ``result.network.trace`` (none by default).
     """
     require_positive(num_nodes, "num_nodes")
     if num_nodes < 2:
@@ -120,7 +122,7 @@ def linear_scenario(
         seed=seed,
         link_quality=link_quality or PAPER_LINK_QUALITY,
         mac_config=mac_config or MacConfig(),
-        trace_enabled=trace_enabled,
+        trace_kinds=trace_kinds,
     )
     proto.install(network)
     flows = [
@@ -142,7 +144,7 @@ def random_scenario(
     link_quality: Optional[LinkQuality] = None,
     jtp_config: Optional[JTPConfig] = None,
     radio_range: float = 50.0,
-    trace_enabled: bool = False,
+    trace_kinds: AbstractSet[str] = frozenset(),
     fault_plan: Optional[FaultPlan] = None,
 ) -> ScenarioResult:
     """Run one static random-topology experiment (Figure 10).
@@ -158,7 +160,7 @@ def random_scenario(
         radio_range=radio_range,
         seed=seed,
         link_quality=link_quality or PAPER_LINK_QUALITY,
-        trace_enabled=trace_enabled,
+        trace_kinds=trace_kinds,
     )
     proto.install(network)
     flows = _random_flows(network, proto, num_flows, transfer_bytes, seed)
@@ -177,7 +179,7 @@ def mobile_scenario(
     seed: int = 0,
     jtp_config: Optional[JTPConfig] = None,
     radio_range: float = 50.0,
-    trace_enabled: bool = False,
+    trace_kinds: AbstractSet[str] = frozenset(),
     fault_plan: Optional[FaultPlan] = None,
 ) -> ScenarioResult:
     """Run one mobile random-topology experiment (Figure 11).
@@ -191,7 +193,7 @@ def mobile_scenario(
         radio_range=radio_range,
         seed=seed,
         link_quality=PAPER_LINK_QUALITY,
-        trace_enabled=trace_enabled,
+        trace_kinds=trace_kinds,
     )
     field_size = getattr(network, "field_size", 200.0)
     mobility = RandomWaypointMobility(
@@ -219,7 +221,7 @@ def testbed_scenario(
     mean_transfer_bytes: float = 100_000.0,
     seed: int = 0,
     jtp_config: Optional[JTPConfig] = None,
-    trace_enabled: bool = False,
+    trace_kinds: AbstractSet[str] = frozenset(),
     fault_plan: Optional[FaultPlan] = None,
 ) -> ScenarioResult:
     """Run one testbed-like experiment (Table 2).
@@ -235,7 +237,7 @@ def testbed_scenario(
         num_nodes,
         seed=seed,
         link_quality=STABLE_LINK_QUALITY,
-        trace_enabled=trace_enabled,
+        trace_kinds=trace_kinds,
     )
     proto.install(network)
     workload_rng = RandomStreams(seed).stream("testbed-workload")
@@ -294,7 +296,7 @@ def attempt_bound_scenario(
         num_flows=1,
         duration=duration,
         seed=seed,
-        trace_enabled=True,
+        trace_kinds={"ijtp_attempts"},
     )
     events = result.network.trace.events("ijtp_attempts", node=2)
     result.rows = [{"protocol": label, "time": event.time, "attempts": int(event["attempts"])} for event in events]
@@ -422,7 +424,7 @@ def rate_adaptation_scenario(
         num_flows=1,
         duration=1.0,
         seed=seed,
-        trace_enabled=True,
+        trace_kinds={"jtp_receive"},
     )
     flow1 = base.flows[0]
     flow2_bytes = 800.0 * 3.0 * flow2_duration  # roughly 3 pkt/s for its lifetime

@@ -123,7 +123,8 @@ class CsmaMac(TdmaMac):
         estimator = self.link_estimator(next_hop)
         estimator.record_attempt(False)
         self.stats.record_link_attempt(False)
-        self.trace.record("mac_collision", now, node=self.node_id, neighbor=next_hop, flow=flow_id)
+        if "mac_collision" in self.trace.kinds:
+            self.trace.record("mac_collision", now, node=self.node_id, neighbor=next_hop, flow=flow_id)
 
         service_time = self._service_time(nbits)
         if attempt_no < attempts_allowed:

@@ -121,7 +121,9 @@ class TdmaMac:
         self.channel = channel
         self.stats = stats
         self.config = config or MacConfig()
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
+        self.trace = trace if trace is not None else TraceRecorder()
+        # Read once per attempt, so cached: one attribute load in untraced runs.
+        self._trace_attempts = "mac_attempt" in self.trace.kinds
 
         self.queue: DropTailQueue[Tuple[object, int]] = DropTailQueue(self.config.queue_capacity)
         self.pre_transmit_hooks: List[PreTransmitHook] = []
@@ -321,7 +323,7 @@ class TdmaMac:
             estimator.total_successes += 1
             stats.link_successes += 1
         estimator._loss.update(0.0 if success else 1.0)
-        if self.trace.enabled:
+        if self._trace_attempts:
             self.trace.record("mac_attempt", now, node=self.node_id, neighbor=next_hop, flow=flow_id,
                               attempt=attempt_no, allowed=attempts_allowed, success=success)
 
@@ -390,7 +392,7 @@ class TdmaMac:
         self._service_next()
 
     def _dropped(self, packet: object, reason: str) -> None:
-        if self.trace.enabled:
+        if "mac_drop" in self.trace.kinds:
             self.trace.record("mac_drop", self.sim.now, node=self.node_id, reason=reason,
                               flow=getattr(packet, "flow_id", -1))
         if self.on_packet_dropped is not None:

@@ -21,7 +21,7 @@ environment used in the paper.  It provides:
 * :mod:`repro.sim.node` / :mod:`repro.sim.network` — the layered node
   model and the network builder,
 * :mod:`repro.sim.stats` — energy, goodput and drop accounting,
-* :mod:`repro.sim.trace` — optional event tracing for time-series plots.
+* :mod:`repro.sim.trace` — tracing of the requested event kinds, for time-series plots.
 """
 
 from repro.sim.engine import Event, Simulator

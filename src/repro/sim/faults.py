@@ -348,7 +348,7 @@ class FaultInjector:
             self.applied_events += 1
             self.counters[event.kind] = self.counters.get(event.kind, 0) + 1
             trace = self.network.trace
-            if trace.enabled:
+            if "fault" in trace.kinds:
                 trace.record(
                     "fault",
                     now,

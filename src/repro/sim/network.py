@@ -10,7 +10,7 @@ statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, AbstractSet, List, Optional, Sequence
 
 from repro.routing.link_state import LinkStateRouting
 from repro.sim.channel import Channel, LinkQuality
@@ -49,7 +49,8 @@ class NetworkConfig:
     mac_type: str = "tdma"
     routing_update_period: float = 10.0
     seed: int = 0
-    trace_enabled: bool = False
+    #: Trace event kinds to record (``repro.sim.trace``); empty records none.
+    trace_kinds: AbstractSet[str] = frozenset()
 
     def __post_init__(self) -> None:
         require_positive(self.radio_range, "radio_range")
@@ -67,7 +68,7 @@ class Network:
         self.sim = Simulator()
         self.streams = RandomStreams(config.seed)
         self.stats = NetworkStats()
-        self.trace = TraceRecorder(enabled=config.trace_enabled)
+        self.trace = TraceRecorder(config.trace_kinds)
         self.channel = Channel(
             config.positions,
             radio_range=config.radio_range,
@@ -133,7 +134,7 @@ class Network:
         link_quality: Optional[LinkQuality] = None,
         mac_config: Optional["MacConfig"] = None,
         seed: int = 0,
-        trace_enabled: bool = False,
+        trace_kinds: AbstractSet[str] = frozenset(),
         mac_type: str = "tdma",
     ) -> "Network":
         """A chain of ``num_nodes`` nodes, each hearing only its neighbours."""
@@ -143,7 +144,7 @@ class Network:
             link_quality=link_quality or LinkQuality(),
             mac_config=mac_config or _default_mac_config(),
             seed=seed,
-            trace_enabled=trace_enabled,
+            trace_kinds=trace_kinds,
             mac_type=mac_type,
         )
         return cls(config)
@@ -157,7 +158,7 @@ class Network:
         link_quality: Optional[LinkQuality] = None,
         mac_config: Optional["MacConfig"] = None,
         seed: int = 0,
-        trace_enabled: bool = False,
+        trace_kinds: AbstractSet[str] = frozenset(),
         mac_type: str = "tdma",
     ) -> "Network":
         """A connected random topology in a square field."""
@@ -170,7 +171,7 @@ class Network:
             link_quality=link_quality or LinkQuality(),
             mac_config=mac_config or _default_mac_config(),
             seed=seed,
-            trace_enabled=trace_enabled,
+            trace_kinds=trace_kinds,
             mac_type=mac_type,
         )
         network = cls(config)
@@ -237,7 +238,3 @@ class Network:
     def total_queue_drops(self) -> int:
         """Sum of MAC queue drops across all nodes (Figure 7b metric)."""
         return sum(node.mac.queue_drops for node in self.nodes)
-
-    def hops_between(self, src: int, dst: int) -> Optional[int]:
-        """Current shortest-path hop count between two nodes (ground truth)."""
-        return self.routing.true_hops(src, dst)

@@ -50,7 +50,7 @@ class Node:
         self.mac = mac
         self.routing = routing
         self.stats = stats
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
+        self.trace = trace if trace is not None else TraceRecorder()
         self._agents: Dict[int, TransportAgent] = {}
         self.orphan_packets = 0
 
@@ -65,13 +65,6 @@ class Node:
         if flow_id in self._agents:
             raise ValueError(f"node {self.node_id} already has an agent for flow {flow_id}")
         self._agents[flow_id] = agent
-
-    def unregister_agent(self, flow_id: int) -> None:
-        """Detach the endpoint of ``flow_id`` (e.g. when a transfer finishes)."""
-        self._agents.pop(flow_id, None)
-
-    def agent_for(self, flow_id: int) -> Optional[TransportAgent]:
-        return self._agents.get(flow_id)
 
     # -- data path ----------------------------------------------------------------------
 
@@ -95,7 +88,7 @@ class Node:
         if next_hop is None:
             self.stats.record_routing_drop()
             self._count_flow_drop(packet)
-            if self.trace.enabled:
+            if "routing_drop" in self.trace.kinds:
                 self.trace.record("routing_drop", self.sim.now, node=self.node_id,
                                   flow=getattr(packet, "flow_id", -1), dst=dst)
             return False
@@ -119,7 +112,8 @@ class Node:
         agent = self._agents.get(flow_id) if flow_id is not None else None
         if agent is None:
             self.orphan_packets += 1
-            self.trace.record("orphan_packet", self.sim.now, node=self.node_id, flow=flow_id)
+            if "orphan_packet" in self.trace.kinds:
+                self.trace.record("orphan_packet", self.sim.now, node=self.node_id, flow=flow_id)
             return
         agent.on_packet(packet)
 

@@ -1,13 +1,20 @@
-"""Lightweight event tracing.
+"""Event tracing, one requested kind at a time.
 
 Some of the paper's figures are time series of internal protocol state
 rather than end-of-run aggregates — for example Figure 3(c) plots the
 maximum number of link-layer retransmissions chosen by iJTP at the
 third node over time, and Figure 8 plots the flip-flop monitor's
-reported and averaged available rate.  The :class:`TraceRecorder` lets
-any component emit typed trace events without knowing what the
-experiment will later do with them; recording is off by default so
-ordinary runs pay no cost.
+reported and averaged available rate.  Components emit typed trace
+events without knowing what the experiment will later do with them.
+
+A :class:`TraceRecorder` holds only the kinds it was built with; the
+empty set (the default) records nothing.  Every emitter tests
+``kind in trace.kinds`` before it builds the event's fields, so an
+untraced kind costs one set lookup and no ``record`` call, and a
+scenario names exactly the kinds it reads (Figure 3(c):
+``"ijtp_attempts"``; Figure 8: ``"jtp_receive"``).  A traced run holds
+every event of its kinds until the run ends, which is what a figure's
+peak memory is made of (``docs/performance.md``, "Memory").
 """
 
 from __future__ import annotations
@@ -37,20 +44,18 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Collects :class:`TraceEvent` objects when enabled."""
+    """Collects the :class:`TraceEvent` objects of the requested ``kinds``."""
 
-    def __init__(self, enabled: bool = False, kinds: Optional[Iterable[str]] = None):
-        self.enabled = enabled
-        self._kinds = set(kinds) if kinds is not None else None
+    def __init__(self, kinds: Iterable[str] = ()):
+        if isinstance(kinds, str):
+            raise TypeError(f"kinds must be a collection of kind names, not the string {kinds!r}")
+        self.kinds = frozenset(kinds)
         self._events: List[TraceEvent] = []
 
     def record(self, kind: str, time: float, **fields: Any) -> None:
-        """Record an event if tracing is enabled (and the kind is selected)."""
-        if not self.enabled:
-            return
-        if self._kinds is not None and kind not in self._kinds:
-            return
-        self._events.append(TraceEvent(kind=kind, time=time, fields=dict(fields)))
+        """Record an event if ``kind`` was requested."""
+        if kind in self.kinds:
+            self._events.append(TraceEvent(kind=kind, time=time, fields=fields))
 
     def events(self, kind: Optional[str] = None, **filters: Any) -> List[TraceEvent]:
         """All recorded events, optionally filtered by kind and field values.
@@ -66,14 +71,6 @@ class TraceRecorder:
         for key, value in filters.items():
             result = [e for e in result if e.fields.get(key, _MISSING) == value]
         return list(result)
-
-    def series(self, kind: str, value_field: str, **filters: Any) -> List[tuple]:
-        """Return ``(time, value)`` pairs for a given event kind and field."""
-        return [(e.time, e[value_field]) for e in self.events(kind, **filters)]
-
-    def clear(self) -> None:
-        """Discard all recorded events."""
-        self._events.clear()
 
     def __len__(self) -> int:
         return len(self._events)

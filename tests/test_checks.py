@@ -451,6 +451,13 @@ class TestRegistry:
         documented = set(re.findall(r"^### (\S+) —", text, flags=re.MULTILINE))
         assert documented == {rule.id for rule in all_rules()}
 
+    def test_no_scope_lists_a_package_another_entry_covers(self):
+        for rule in all_rules():
+            for index, entry in enumerate(rule.packages):
+                others = rule.packages[:index] + rule.packages[index + 1:]
+                covering = [p for p in others if entry == p or entry.startswith(p + ".")]
+                assert not covering, f"{rule.id} lists {entry!r}, already covered by {covering}"
+
     def test_unknown_rule_id_raises(self):
         with pytest.raises(KeyError):
             get_rule("NOPE999")

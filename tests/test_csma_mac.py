@@ -38,13 +38,13 @@ def test_shared_medium_underflow_rejected():
         SharedMedium().end_transmission()
 
 
-def build_csma_pair():
+def build_csma_pair(**mac_kwargs):
     sim = Simulator()
     stats = NetworkStats()
     channel = Channel(linear_positions(2, 40), radio_range=50.0, rng=random.Random(0),
                       default_quality=LinkQuality.perfect())
     medium = SharedMedium()
-    macs = [CsmaMac(i, sim, channel, stats, medium=medium, rng=random.Random(i)) for i in range(2)]
+    macs = [CsmaMac(i, sim, channel, stats, medium=medium, rng=random.Random(i), **mac_kwargs) for i in range(2)]
     received = []
     for mac in macs:
         mac.deliver_to_peer = lambda nh, p, f: macs[nh].receive(p, f)
@@ -73,12 +73,33 @@ def test_csma_service_time_is_airtime_plus_backoff_not_a_slot_share():
     assert delivered_at < airtime / mac.config.slot_share
 
 
-def test_collision_probability_grows_with_contention():
-    mac = CsmaMac.__new__(CsmaMac)  # only need the arithmetic, not a full instance
-    base = 0.2
-    one = 1.0 - (1.0 - base) ** 1
-    three = 1.0 - (1.0 - base) ** 3
-    assert three > one
+def test_attempt_against_an_open_transmission_collides_and_retries():
+    # collision_base=1.0: any other active transmitter destroys the frame.
+    sim, macs, received = build_csma_pair(collision_base=1.0)
+    mac = macs[0]
+    mac.medium.begin_transmission()  # another station is mid-frame
+    packet = FramePacket()
+    mac._attempt(packet, 1, 1, 3)
+    assert mac.collisions == 1
+    assert mac.medium.active_transmitters == 1  # the attempt released the medium
+    tx_energy = mac.config.energy.transmit_energy(packet.size_bits)
+    assert packet.energy_used == tx_energy
+    assert mac.stats.energy[0].tx_joules == tx_energy
+    assert sim.live_events == 1  # the retry
+    mac.medium.end_transmission()  # the other station finishes
+    sim.run(until=5.0)
+    assert mac.collisions == 1
+    assert [node for node, _ in received] == [1]
+
+
+def test_attempt_against_an_open_transmission_delivers_without_collisions():
+    sim, macs, received = build_csma_pair(collision_base=0.0)
+    mac = macs[0]
+    mac.medium.begin_transmission()
+    mac._attempt(FramePacket(), 1, 1, 3)
+    sim.run(until=5.0)
+    assert mac.collisions == 0
+    assert [node for node, _ in received] == [1]
 
 
 def test_invalid_collision_base_rejected():

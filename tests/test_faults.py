@@ -393,7 +393,7 @@ class TestDeterminism:
                 num_flows=1,
                 duration=300.0,
                 seed=5,
-                trace_enabled=True,
+                trace_kinds={"fault"},
                 fault_plan=plan,
             )
             traces.append(repr(result.network.trace.events("fault")))
@@ -409,7 +409,7 @@ class TestDeterminism:
                 num_flows=1,
                 duration=450.0,
                 seed=seed,
-                trace_enabled=True,
+                trace_kinds={"fault"},
                 fault_plan=plan,
             ).network.trace.events("fault")
             for seed in (5, 6)

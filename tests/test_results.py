@@ -117,6 +117,19 @@ class TestSaveLoad:
         with pytest.raises(ValueError):
             load_rows(tmp_path, "other")
 
+    def test_row_file_bytes_equal_the_indented_document(self, tmp_path):
+        # save_rows streams the JSON; the file still holds exactly the
+        # one-string rendering, stringified values and float edge cases included.
+        import json
+        import math
+
+        from repro.core.config import CachePolicy
+
+        rows = ROWS + [{"policy": CachePolicy.LRU, "nested": [1, {"b": None}], "x": math.inf, "y": 0.1}]
+        save_rows(tmp_path, "fig", rows)
+        expected = json.dumps({"figure": "fig", "rows": rows}, indent=2, default=str) + "\n"
+        assert (tmp_path / "fig.json").read_bytes() == expected.encode()
+
     def test_unjsonable_values_are_stringified_not_fatal(self, tmp_path):
         from repro.core.config import CachePolicy
 

@@ -318,7 +318,7 @@ class TestRandomPlanBitIdentity:
                     transfer_bytes=30_000.0,
                     duration=240.0,
                     seed=seed,
-                    trace_enabled=True,
+                    trace_kinds={"fault"},
                     fault_plan=plan,
                 ).network.trace.events("fault")
             )
