@@ -14,7 +14,9 @@ Invocation (the ``bench_*.py`` names do not match pytest's default
     python -m pytest benchmarks/bench_*.py -q -s
 
 The tier-1 correctness gate stays ``python -m pytest -x -q`` from the
-repository root; the benchmarks are additive.  Environment knobs:
+repository root; the benchmarks are additive.  They print rows and
+persist nothing: a stored run comes from ``run_paper(out_dir=...)``
+(``python -m repro.experiments DIR --run``).  Environment knobs:
 
 ``REPRO_WORKERS``
     Executor parallelism for the metric-only figure drivers.  Unset
@@ -28,20 +30,6 @@ repository root; the benchmarks are additive.  Environment knobs:
     When set (non-empty), ``bench_parallel_scaling.py`` skips its
     wall-clock assertions (CI noise) while keeping the bit-identity
     assertions — pool regressions still fail the run.
-``REPRO_RUN_DIR``
-    When set, every bench driver whose experiment returns row lists
-    persists them into that run directory via the results store
-    (:mod:`repro.experiments.results`), one ``<figure>.json``/``.csv``
-    pair per driver, loadable with
-    :func:`repro.experiments.results.load_run` and renderable with
-    ``python -m repro.experiments $REPRO_RUN_DIR``.
-``REPRO_PLOTS_DIR``
-    When set, each persisted or returned row list that has a registered
-    :class:`~repro.plots.spec.PlotSpec` is additionally rendered to
-    ``$REPRO_PLOTS_DIR/<figure>.png`` through :mod:`repro.plots`
-    (matplotlib when the ``[plots]`` extra is installed, the stdlib
-    fallback renderer otherwise).  Experiments without a spec — the
-    ablations — are skipped silently.
 ``REPRO_PROFILE``
     When set (non-empty, not ``0``), every driver run through
     :func:`run_once` executes under the simulation-core profiler
@@ -53,12 +41,10 @@ repository root; the benchmarks are additive.  Environment knobs:
 from __future__ import annotations
 
 import os
-from pathlib import Path
 from typing import Callable, Optional, Tuple
 
 from repro.experiments.backends import workers_from_env
 from repro.experiments.presets import preset_seeds
-from repro.experiments.results import save_rows
 from repro.sim.profile import profile_from_env, profiled
 
 
@@ -82,18 +68,6 @@ def seeds_from_env() -> Optional[int]:
 def no_assert_from_env() -> bool:
     """Whether ``REPRO_BENCH_NO_ASSERT`` disables wall-clock assertions."""
     return bool(os.environ.get("REPRO_BENCH_NO_ASSERT", "").strip())
-
-
-def run_dir_from_env() -> Optional[Path]:
-    """The ``REPRO_RUN_DIR`` persistence target, or ``None`` when unset."""
-    value = os.environ.get("REPRO_RUN_DIR", "").strip()
-    return Path(value) if value else None
-
-
-def plots_dir_from_env() -> Optional[Path]:
-    """The ``REPRO_PLOTS_DIR`` render target, or ``None`` when unset."""
-    value = os.environ.get("REPRO_PLOTS_DIR", "").strip()
-    return Path(value) if value else None
 
 
 def bench_seeds(family: str = "linear") -> Tuple[int, ...]:
@@ -131,16 +105,6 @@ def bench_host() -> dict:
     except AttributeError:  # platforms without sched_getaffinity
         cpus = os.cpu_count() or 1
     return {"hostname": platform.node(), "cpu_count": cpus}
-
-
-def bench_run_dir() -> Optional[Path]:
-    """Run directory for persisted bench rows (``REPRO_RUN_DIR``), or ``None``."""
-    return run_dir_from_env()
-
-
-def bench_plots_dir() -> Optional[Path]:
-    """Directory for rendered bench figures (``REPRO_PLOTS_DIR``), or ``None``."""
-    return plots_dir_from_env()
 
 
 def events_per_sec_report(name: str, events: int, seconds: float) -> float:
@@ -186,16 +150,11 @@ def run_once(benchmark, experiment: Callable, *args, **kwargs):
     to a few seconds each; a single round keeps the whole harness fast
     while still recording the wall-clock cost of regenerating the figure.
 
-    With ``REPRO_RUN_DIR`` set, a row-list result (every figure and
-    ``table1``) is also persisted into that run directory under the
-    experiment's name.  With ``REPRO_PLOTS_DIR`` set,
-    row lists whose experiment has a PlotSpec in
-    :func:`~repro.plots.render.default_specs` are rendered to
-    ``<figure>.png`` there as well.  With ``REPRO_PROFILE`` set, the
-    simulation-core profiler runs for the experiment and every driver
-    prints the same events/sec line via :func:`events_per_sec_report`
-    (in-process simulations only — use ``REPRO_WORKERS=0`` for full
-    attribution).
+    The result is returned, never persisted.  With ``REPRO_PROFILE``
+    set, the simulation-core profiler runs for the experiment and every
+    driver prints the same events/sec line via
+    :func:`events_per_sec_report` (in-process simulations only — use
+    ``REPRO_WORKERS=0`` for full attribution).
     """
     name = getattr(experiment, "__name__", "experiment")
     if profile_from_env():
@@ -205,18 +164,4 @@ def run_once(benchmark, experiment: Callable, *args, **kwargs):
             events_per_sec_report(name, profiler.events, profiler.wall_s)
     else:
         result = benchmark.pedantic(experiment, args=args, kwargs=kwargs, rounds=1, iterations=1)
-    run_dir = bench_run_dir()
-    if run_dir is not None and _looks_like_rows(result):
-        save_rows(run_dir, name, result)
-    plots_dir = bench_plots_dir()
-    if plots_dir is not None and _looks_like_rows(result):
-        from repro.plots.render import default_specs, render_figure
-
-        spec = default_specs().get(name)
-        if spec is not None:
-            render_figure(result, spec, plots_dir / f"{name}.png")
     return result
-
-
-def _looks_like_rows(result) -> bool:
-    return isinstance(result, list) and all(isinstance(row, dict) for row in result)

@@ -9,7 +9,7 @@ The package is organised exactly along the paper's component split:
   :mod:`repro.core.rate_controller` and :mod:`repro.core.feedback`.
 * **iJTP**, the hop-by-hop component, lives in :mod:`repro.core.ijtp`
   (Algorithms 1 and 2) and :mod:`repro.core.cache` (in-network packet
-  caching with LRU/FIFO eviction).
+  caching with LRU eviction).
 * The adjustable-reliability mathematics of Section 3 (Equations 1–4)
   is in :mod:`repro.core.reliability`, and the analytic caching-gain
   model of Section 4.1 (Equations 5–6) in :mod:`repro.core.analysis`.
@@ -18,7 +18,7 @@ The package is organised exactly along the paper's component split:
   gains) are in :mod:`repro.core.config`.
 """
 
-from repro.core.config import JTPConfig, FeedbackMode, CachePolicy
+from repro.core.config import JTPConfig, FeedbackMode
 from repro.core.packet import Packet, PacketType, AckInfo, PacketCodec
 from repro.core.reliability import (
     per_link_success_target,
@@ -45,7 +45,6 @@ from repro.core.analysis import (
 __all__ = [
     "JTPConfig",
     "FeedbackMode",
-    "CachePolicy",
     "Packet",
     "PacketType",
     "AckInfo",

@@ -7,9 +7,7 @@ destination and marked in the ACK's locally-recovered field so that
 upstream nodes (and ultimately the source) do not retransmit it again.
 
 The paper evicts the **least recently manipulated** packet (LRU) on
-overflow and leaves the study of other policies to future work; a FIFO
-policy is provided here so that ablation benchmarks can quantify the
-difference.
+overflow and leaves the study of other policies to future work.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.config import CachePolicy
 from repro.core.packet import Packet
 from repro.util.validation import require_positive
 
@@ -31,9 +28,8 @@ class PacketCache:
     the whole cache (every traversing ACK triggers one such discard).
     """
 
-    def __init__(self, capacity: int = 1000, policy: CachePolicy = CachePolicy.LRU):
+    def __init__(self, capacity: int = 1000):
         self.capacity = int(require_positive(capacity, "capacity"))
-        self.policy = policy
         self._entries: "OrderedDict[Tuple[int, int], Packet]" = OrderedDict()
         self._flow_index: Dict[int, Set[int]] = {}
         self.insertions = 0
@@ -51,7 +47,7 @@ class PacketCache:
         """Store a traversing data packet, evicting if necessary.
 
         Re-inserting an already-cached packet refreshes both its stored
-        copy and, under LRU, its recency.
+        copy and its recency.
         """
         if not packet.is_data:
             raise ValueError("only data packets are cached")
@@ -68,11 +64,10 @@ class PacketCache:
         self.insertions += 1
 
     def _evict_one(self) -> None:
-        """Remove one packet according to the configured policy.
+        """Remove the least recently used packet.
 
-        Under both LRU and FIFO the victim is the first entry of the
-        ordered dict; the difference is that LRU refreshes an entry's
-        position on every lookup while FIFO never does.
+        The victim is the first entry of the ordered dict: inserts and
+        lookups move an entry to the end.
         """
         key, _ = self._entries.popitem(last=False)
         self._unindex(key)
@@ -86,15 +81,14 @@ class PacketCache:
                 del self._flow_index[key[0]]
 
     def lookup(self, flow_id: int, seq: int) -> Optional[Packet]:
-        """Return the cached packet, refreshing recency under LRU."""
+        """Return the cached packet, refreshing its recency."""
         key = (flow_id, seq)
         packet = self._entries.get(key)
         if packet is None:
             self.misses += 1
             return None
         self.hits += 1
-        if self.policy is CachePolicy.LRU:
-            self._entries.move_to_end(key)
+        self._entries.move_to_end(key)
         return packet
 
     def discard(self, flow_id: int, seq: int) -> bool:

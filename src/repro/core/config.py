@@ -38,13 +38,6 @@ class FeedbackMode(Enum):
     CONSTANT = "constant"
 
 
-class CachePolicy(Enum):
-    """Cache eviction policy for iJTP's in-network packet cache (Section 4)."""
-
-    LRU = "lru"
-    FIFO = "fifo"
-
-
 @dataclass(frozen=True)
 class JTPConfig:
     """All tunable parameters of a JTP connection and its iJTP modules."""
@@ -90,7 +83,6 @@ class JTPConfig:
 
     # --- in-network caching (Section 4) -------------------------------------------------
     caching_enabled: bool = True
-    cache_policy: CachePolicy = CachePolicy.LRU
 
     # --- fair-caching source back-off (Section 4.2) --------------------------------------
     backoff_enabled: bool = True

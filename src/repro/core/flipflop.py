@@ -79,11 +79,6 @@ class FlipFlopFilter:
         return self._mean
 
     @property
-    def deviation(self) -> Optional[float]:
-        """Current filtered range R̄ (None before the first sample)."""
-        return self._range
-
-    @property
     def is_agile(self) -> bool:
         """Whether the agile (fast-tracking) filter is currently active."""
         return self._agile

@@ -68,7 +68,7 @@ class IntermediateJTP:
         self.trace = trace if trace is not None else TraceRecorder()
         self.send_fn = send_fn
         self.cache: Optional[PacketCache] = (
-            PacketCache(self.config.cache_size, self.config.cache_policy)
+            PacketCache(self.config.cache_size)
             if self.config.caching_enabled
             else None
         )

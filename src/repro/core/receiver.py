@@ -179,14 +179,6 @@ class JTPReceiver:
                 break
         return cumulative
 
-    @property
-    def delivered_packets(self) -> int:
-        return len(self._received)
-
-    @property
-    def forgiven_packets(self) -> int:
-        return len(self._forgiven)
-
     def _check_satisfied(self, now: float) -> None:
         if self.satisfied_time is not None:
             return

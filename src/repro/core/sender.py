@@ -99,21 +99,6 @@ class JTPSender:
         """Number of data packets the transfer fragments into."""
         return len(self._segments)
 
-    @property
-    def rate_pps(self) -> float:
-        """Current sending rate (packets per second) allowed by the destination."""
-        return self._rate_pps
-
-    @property
-    def energy_budget(self) -> float:
-        """Current per-packet energy budget stamped into outgoing packets."""
-        return self._energy_budget
-
-    @property
-    def outstanding_packets(self) -> int:
-        """Packets sent but not yet acknowledged by the destination."""
-        return len(self._outstanding)
-
     def start(self) -> None:
         """Begin the transfer: compute the initial energy budget, start pacing."""
         if self._started:

@@ -83,7 +83,7 @@ from repro.experiments.scenarios import (
     mobile_scenario,
     testbed_scenario,
 )
-from repro.experiments.runner import average_metrics, confidence_interval
+from repro.experiments.runner import confidence_interval
 from repro.experiments.backends import (
     ExecutorBackend,
     ProcessBackend,
@@ -127,7 +127,6 @@ __all__ = [
     "random_scenario",
     "mobile_scenario",
     "testbed_scenario",
-    "average_metrics",
     "confidence_interval",
     "ExecutorBackend",
     "SerialBackend",

@@ -131,6 +131,7 @@ class ExecutorBackend(ABC):
     def map(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> List[_T]:
         """Apply ``fn`` to every item and return the results in order."""
 
+    @abstractmethod
     def imap(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> Iterator[_T]:
         """Yield ``fn(item)`` results **in item order** as they complete.
 
@@ -140,12 +141,7 @@ class ExecutorBackend(ABC):
         with a ``progress=`` callback).  The ordering contract is the
         same as :meth:`map`'s; only the delivery is incremental, so a
         caller can observe completion counts while the batch runs.
-
-        Backends without incremental delivery may materialise the whole
-        batch first — this default does exactly that — because
-        bit-identity of the final aggregates never depends on streaming.
         """
-        return iter(self.map(fn, items))
 
     def close(self) -> None:  # noqa: B027 - intentionally optional: poolless backends need no teardown
         """Release worker resources (idempotent; lazily restarts on reuse)."""

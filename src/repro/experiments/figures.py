@@ -37,8 +37,8 @@ What each figure shows in the paper, its plot spec and its CI-sized
 smoke parameters are declared once, on its record in
 :data:`~repro.experiments.presets.ALL_FIGURES`; ``python -m
 repro.experiments --list-figures`` prints the mapping.  ``table1``
-(the default parameter values) and the ablations need no simulation
-grid and are plain functions here.
+(the default parameter values) needs no simulation grid and is a plain
+function here.
 """
 
 from __future__ import annotations
@@ -47,19 +47,12 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import CachePolicy, JTPConfig
+from repro.core.config import JTPConfig
 from repro.experiments.backends import ExecutorBackend
-from repro.experiments.metrics import collect_metrics
 from repro.experiments.parallel import ParallelRunner, ScenarioRecord, ScenarioSpec
 from repro.experiments.presets import entry_point
 from repro.experiments.runner import mean_ci
-from repro.experiments.scenarios import (
-    LOSSY_LINK_QUALITY,
-    PAPER_LINK_QUALITY,
-    linear_scenario,
-)
-from repro.sim.network import Network
-from repro.transport.registry import make_protocol
+from repro.experiments.scenarios import LOSSY_LINK_QUALITY
 
 Row = Dict[str, object]
 
@@ -563,67 +556,3 @@ def table2_plan(
 
 
 table2 = entry_point("table2")
-
-
-# ---------------------------------------------------------------------------
-# Ablations called out in DESIGN.md
-# ---------------------------------------------------------------------------
-
-def ablation_cache_policy(
-    num_nodes: int = 7,
-    cache_size: int = 10,
-    transfer_bytes: float = 200_000.0,
-    duration: float = 1200.0,
-    seeds: Sequence[int] = (1, 2),
-) -> List[Row]:
-    """LRU vs. FIFO cache eviction under a deliberately small cache."""
-    rows: List[Row] = []
-    for policy in (CachePolicy.LRU, CachePolicy.FIFO):
-        rtx, recoveries = [], []
-        for seed in seeds:
-            result = linear_scenario(
-                num_nodes,
-                protocol="jtp",
-                jtp_config=JTPConfig(cache_size=cache_size, cache_policy=policy),
-                transfer_bytes=transfer_bytes,
-                num_flows=1,
-                duration=duration,
-                seed=seed,
-                link_quality=LOSSY_LINK_QUALITY,
-            )
-            rtx.append(result.metrics.source_retransmissions)
-            recoveries.append(result.metrics.cache_recoveries)
-        rows.append({
-            "policy": policy.value,
-            "source_rtx": statistics.fmean(rtx),
-            "cache_recoveries": statistics.fmean(recoveries),
-        })
-    return rows
-
-
-def ablation_mac_type(
-    num_nodes: int = 6,
-    transfer_bytes: float = 200_000.0,
-    duration: float = 1200.0,
-    seeds: Sequence[int] = (1,),
-) -> List[Row]:
-    """TDMA vs. CSMA/CA MAC under JTP (footnote 3 of the paper)."""
-    rows: List[Row] = []
-    for mac_type in ("tdma", "csma"):
-        energy, goodput = [], []
-        for seed in seeds:
-            network = Network.linear(num_nodes, seed=seed, link_quality=PAPER_LINK_QUALITY, mac_type=mac_type)
-            protocol = make_protocol("jtp")
-            protocol.install(network)
-            flows = [protocol.create_flow(network, 0, num_nodes - 1, transfer_bytes, start_time=5.0 * i)
-                     for i in range(2)]
-            network.run(duration)
-            metrics = collect_metrics(network, flows, duration, f"jtp/{mac_type}")
-            energy.append(metrics.energy_per_bit_microjoules)
-            goodput.append(metrics.goodput_kbps)
-        rows.append({
-            "mac": mac_type,
-            "energy_per_bit_uJ": statistics.fmean(energy),
-            "goodput_kbps": statistics.fmean(goodput),
-        })
-    return rows

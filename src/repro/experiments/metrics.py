@@ -88,13 +88,6 @@ class ScenarioMetrics:
         return self.goodput_bps / 1e3
 
     @property
-    def outage_delivery_rate_bps(self) -> float:
-        """Delivery rate sustained while at least one fault was active."""
-        if self.fault_outage_seconds <= 0:
-            return 0.0
-        return 8.0 * self.delivered_bytes_during_faults / self.fault_outage_seconds
-
-    @property
     def outage_delivery_ratio(self) -> float:
         """Delivery rate during outages relative to the run's overall rate.
 

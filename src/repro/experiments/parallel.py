@@ -12,9 +12,8 @@ bit-identical to a serial run:
   :class:`~repro.sim.network.Network` and cannot cross a process
   boundary; workers therefore reduce each result to a record before
   returning it.  Records expose the same ``.metrics`` attribute as
-  results, so :func:`~repro.experiments.runner.summarize`,
-  :func:`~repro.experiments.runner.metric_values` and
-  :func:`~repro.experiments.runner.average_metrics` accept either.
+  results, so :func:`~repro.experiments.runner.summarize` and
+  :func:`~repro.experiments.runner.metric_values` accept either.
 * :class:`ScenarioSpec` — a picklable ``builder(seed)`` callable naming
   one of the scenario families of :data:`SCENARIO_BUILDERS` ("linear",
   "random", "mobile", "testbed" and the four single-run trace

@@ -172,8 +172,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         description="Render a stored experiment run (a run directory written "
-        "by run_paper(out_dir=...) or the benchmark harness) as text tables, "
-        "or produce one with --run."
+        "by run_paper(out_dir=...)) as text tables, or produce one with --run."
     )
     parser.add_argument("run_dir", nargs="?", default=None,
                         help="run directory containing manifest.json and <figure>.json files")

@@ -3,9 +3,11 @@
 A paper reproduction is only useful if it leaves artifacts behind: rows
 that can be re-plotted, diffed against a previous run, or attached to a
 CI job, without re-running hours of simulation.  This module persists
-the ``{figure name: rows}`` mapping every pipeline entry point produces
-(:func:`~repro.experiments.presets.run_paper`, the benchmark drivers,
-the examples) into a **run directory** and loads it back.
+the ``{figure name: rows}`` mapping a pipeline entry point produces
+(:func:`~repro.experiments.presets.run_paper`, the examples) into a
+**run directory** and loads it back.  :func:`save_run` is the one
+writer of a run directory; a directory without a manifest is not a
+run.
 
 Layout of a run directory::
 
@@ -133,14 +135,10 @@ def _row_columns(rows: Sequence[Mapping[str, object]]) -> List[str]:
 def save_rows(directory: PathLike, name: str, rows: Sequence[Mapping[str, object]]) -> Path:
     """Persist one figure's rows as ``<name>.json`` + ``<name>.csv``.
 
-    Creates the run directory if needed and returns the JSON path (the
+    Creates the directory if needed and returns the JSON path (the
     canonical store; the CSV is a convenience mirror for external
-    tools).  If the directory already has a manifest (a previous
-    :func:`save_run`), the figure is registered in its figure list so
-    incremental additions — e.g. the benchmark harness appending to a
-    ``run_paper`` directory via ``REPRO_RUN_DIR`` — stay visible to
-    :func:`load_run`; otherwise the manifest is left for
-    :func:`save_run`/:func:`write_manifest` to create.
+    tools).  The manifest is left for :func:`save_run` to write once
+    every figure is on disk.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -157,40 +155,7 @@ def save_rows(directory: PathLike, name: str, rows: Sequence[Mapping[str, object
         writer.writeheader()
         for row in rows:
             writer.writerow({key: _csv_value(value) for key, value in row.items()})
-    _register_in_manifest(directory, name)
     return json_path
-
-
-def _register_in_manifest(directory: Path, name: str) -> None:
-    """Record an incremental :func:`save_rows` in an existing manifest.
-
-    A new figure name is appended to the manifest's figure list; a name
-    the manifest already lists means the figure's rows were just
-    *overwritten* by a producer other than the one the manifest's
-    metadata describes, so it is recorded under ``amended`` — the
-    manifest-level metadata (seeds, backend, figure params) no longer
-    vouches for that figure.
-    """
-    path = directory / MANIFEST_NAME
-    if not path.exists():
-        return
-    try:
-        manifest = json.loads(path.read_text())
-    except ValueError:
-        return
-    figures = manifest.get("figures") if isinstance(manifest, dict) else None
-    if not isinstance(figures, list):
-        return
-    if name not in figures:
-        figures.append(name)
-    else:
-        amended = manifest.get("amended")
-        amended = amended if isinstance(amended, list) else []
-        if name in amended:
-            return
-        amended.append(name)
-        manifest["amended"] = amended
-    path.write_text(json.dumps(manifest, indent=2, default=str) + "\n")
 
 
 def _csv_value(value: object) -> object:
@@ -356,32 +321,23 @@ class CellStore:
         self.stored += 1
 
 
-def _read_payload(path: Path) -> Optional[object]:
-    """Parse a JSON file, returning ``None`` on read or parse failure."""
-    try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-
-
-def _payload_is_row_store(payload: object, stem: str) -> bool:
-    """Whether a parsed payload is a row store :func:`save_rows` wrote.
+def _is_row_store(path: Path) -> bool:
+    """Whether a ``.json`` file is a row store written by :func:`save_rows`.
 
     Requires both the ``rows`` list and the ``figure`` self-naming field
     matching the file stem — the exact shape :func:`save_rows` writes —
     so a foreign export that merely happens to contain a ``rows`` key is
     never mistaken for (or deleted as) one of ours.
     """
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return False
     return (
         isinstance(payload, dict)
         and isinstance(payload.get("rows"), list)
-        and payload.get("figure") == stem
+        and payload.get("figure") == path.stem
     )
-
-
-def _is_row_store(path: Path) -> bool:
-    """Whether a ``.json`` file is a row store written by :func:`save_rows`."""
-    return _payload_is_row_store(_read_payload(path), path.stem)
 
 
 def save_run(
@@ -404,12 +360,12 @@ def save_run(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     # Clear the previous run *before* writing anything: drop its
-    # manifest (this run writes its own at the end; meanwhile the
-    # per-figure save_rows calls skip their incremental registration)
-    # and every row store it left — including figures this run is about
-    # to rewrite, so an interrupted save can never leave an old figure's
-    # rows to be loaded as if they belonged to the new run.  At worst
-    # the directory holds a partial prefix of the new run.
+    # manifest (this run writes its own at the end) and every row store
+    # it left — including figures this run is about to rewrite, so an
+    # interrupted save can never leave an old figure's rows to be
+    # loaded as if they belonged to the new run.  At worst the
+    # directory holds a partial prefix of the new run and no manifest,
+    # which load_run rejects.
     (directory / MANIFEST_NAME).unlink(missing_ok=True)
     for stale in directory.glob("*.json"):
         if _is_row_store(stale):
@@ -455,39 +411,30 @@ class RunResults:
 def load_run(directory: PathLike) -> RunResults:
     """Load a run directory written by :func:`save_run`.
 
-    With a manifest, its figure list is authoritative (order preserved);
-    a row file it names must exist.  Without one — an incremental
-    :func:`save_rows`-only producer such as the benchmark harness — the
-    directory's row-store files are loaded in name order, skipping
-    ``.json`` files that were not written by :func:`save_rows`.
+    The manifest's figure list is authoritative (order preserved), and
+    a row file it names must exist.  A directory without a manifest —
+    never a run, or a :func:`save_run` interrupted before its last
+    write — raises :class:`FileNotFoundError`.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"no run directory at {directory}")
-    manifest: Dict[str, object] = {}
     manifest_path = directory / MANIFEST_NAME
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        if not isinstance(manifest, dict):
-            raise ValueError(f"{manifest_path} is not a run manifest written by save_run")
-        figures_value = manifest.get("figures", [])
-        if not isinstance(figures_value, list):
-            raise ValueError(f"{manifest_path} has a malformed figure list")
-        names = [str(name) for name in figures_value]
-        missing = [name for name in names if not (directory / f"{name}.json").exists()]
-        if missing:
-            raise FileNotFoundError(
-                f"run directory {directory} is missing row files for {missing}"
-            )
-        rows = {name: load_rows(directory, name) for name in names}
-    else:
-        # No manifest (incremental save_rows producer): each candidate
-        # file is parsed once — detection and loading share the payload.
-        rows = {}
-        for path in sorted(directory.glob("*.json")):
-            if path.name == MANIFEST_NAME:
-                continue
-            payload = _read_payload(path)
-            if isinstance(payload, dict) and _payload_is_row_store(payload, path.stem):
-                rows[path.stem] = [dict(row) for row in payload["rows"]]
+    if not manifest_path.exists():
+        raise FileNotFoundError(
+            f"{directory} has no {MANIFEST_NAME}: not a run directory, or its save_run was interrupted"
+        )
+    manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path} is not a run manifest written by save_run")
+    figures_value = manifest.get("figures", [])
+    if not isinstance(figures_value, list):
+        raise ValueError(f"{manifest_path} has a malformed figure list")
+    names = [str(name) for name in figures_value]
+    missing = [name for name in names if not (directory / f"{name}.json").exists()]
+    if missing:
+        raise FileNotFoundError(
+            f"run directory {directory} is missing row files for {missing}"
+        )
+    rows = {name: load_rows(directory, name) for name in names}
     return RunResults(directory=directory, manifest=manifest, rows=rows)

@@ -4,7 +4,7 @@ The paper averages its linear-topology results over twenty independent
 runs (and its random-topology results over ten) and reports 95%
 confidence intervals.  :meth:`ParallelRunner.replicate
 <repro.experiments.parallel.ParallelRunner.replicate>` runs a scenario
-builder over a list of seeds, and :func:`average_metrics` /
+builder over a list of seeds, and :func:`summarize` /
 :func:`confidence_interval` aggregate the resulting metric values.  The
 aggregation helpers accept both live
 :class:`~repro.experiments.scenarios.ScenarioResult` objects and the
@@ -62,13 +62,6 @@ def metric_values(results: Iterable[ScenarioResult], attribute: str) -> List[flo
         value = getattr(result.metrics, attribute)
         values.append(float(value))
     return values
-
-
-def average_metrics(results: Sequence[ScenarioResult], attributes: Sequence[str]) -> Dict[str, float]:
-    """Mean of the named metric attributes across replicated runs."""
-    if not results:
-        raise ValueError("no results to average")
-    return {attr: statistics.fmean(metric_values(results, attr)) for attr in attributes}
 
 
 def confidence_interval(values: Sequence[float], confidence: float = 0.95) -> float:

@@ -75,10 +75,6 @@ class ScenarioResult:
     #: single-run trace scenarios only).
     rows: List[Row] = field(default_factory=list)
 
-    @property
-    def stats(self):
-        return self.network.stats
-
 
 def _resolve_protocol(protocol, jtp_config: Optional[JTPConfig]) -> TransportProtocol:
     if isinstance(protocol, TransportProtocol):

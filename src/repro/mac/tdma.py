@@ -170,10 +170,6 @@ class TdmaMac:
         """Estimated per-attempt loss rate towards ``neighbor``."""
         return self.link_estimator(neighbor).loss_rate
 
-    def average_attempts(self, neighbor: int) -> float:
-        """Estimated average link-layer attempts per packet towards ``neighbor``."""
-        return self.link_estimator(neighbor).average_attempts
-
     def available_rate_pps(self, neighbor: int) -> float:
         """Available transmission rate towards ``neighbor``, in packets/second.
 

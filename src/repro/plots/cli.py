@@ -8,8 +8,8 @@ Regression-compare two runs (overlay + delta images)::
 
     python -m repro.plots RUN_DIR --compare OTHER_DIR [--force]
 
-The run directory is whatever ``run_paper(out_dir=…)``, the benchmark
-harness (``REPRO_RUN_DIR``) or ``protocol_shootout.py --out`` wrote.
+The run directory is whatever ``run_paper(out_dir=…)`` or
+``protocol_shootout.py --out`` wrote (both through ``save_run``).
 With matplotlib installed (``pip install -e '.[plots]'``) figures render
 through the Agg canvas; otherwise the pure-stdlib fallback renderer is
 used, so the command works in a dependency-free checkout too.

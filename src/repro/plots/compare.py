@@ -17,10 +17,10 @@ module renders those gaps:
 
 The provenance fields the gate reads are exactly the ones
 ``run_paper(out_dir=…)`` writes into ``manifest.json`` (see
-``docs/results.md``).  Runs produced by other writers (the benchmark
-harness's incremental ``save_rows``) have no such metadata; they
-compare as compatible and the gate relies on the caller knowing the
-runs match.
+``docs/results.md``).  A run saved with other metadata (e.g.
+``protocol_shootout.py --out``) may lack some of these keys; a key
+missing from both runs compares as compatible, and the gate then relies
+on the caller knowing the runs match.
 """
 
 from __future__ import annotations

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from pathlib import Path
-from typing import Tuple, Union
+from typing import Tuple
 
 Color = Tuple[int, int, int]
 
@@ -268,12 +267,6 @@ class Canvas:
             chunk(b"IDAT", zlib.compress(bytes(raw), 6)),
             chunk(b"IEND", b""),
         ))
-
-    def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(self.to_png())
-        return path
 
 
 def png_size(data: bytes) -> Tuple[int, int]:

@@ -383,11 +383,6 @@ class Channel:
         """Nodes currently removed from the graph by fault injection (a copy)."""
         return set(self._down_nodes)
 
-    @property
-    def forced_regime(self) -> Optional[str]:
-        """The active Gilbert–Elliott override, if any."""
-        return self._forced_regime
-
     # -- link quality ----------------------------------------------------------------
 
     def set_link_quality(self, src: int, dst: int, quality: LinkQuality, symmetric: bool = True) -> None:

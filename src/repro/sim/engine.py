@@ -62,26 +62,24 @@ class Event:
     ``args``/``kwargs`` are ``None`` — not empty containers — for the
     common zero-argument case, which is what the run loop's fast path
     keys on.
+
+    Only :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`
+    create events, and they set every slot on ``Event.__new__(Event)``
+    directly: this is the hottest allocation site in the repository,
+    and skipping a constructor frame is a measurable win.  The heap
+    orders ``(time, seq, event)`` entries, and ``seq`` is unique, so
+    events themselves are never compared.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "kwargs", "cancelled", "_sim")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: Optional[Tuple[Any, ...]] = None,
-        kwargs: Optional[Dict[str, Any]] = None,
-        sim: Optional["Simulator"] = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args or None
-        self.kwargs = kwargs or None
-        self.cancelled = False
-        self._sim = sim
+    time: float
+    seq: int
+    callback: Callable[..., Any]
+    args: Optional[Tuple[Any, ...]]
+    kwargs: Optional[Dict[str, Any]]
+    cancelled: bool
+    _sim: Optional["Simulator"]
 
     def cancel(self) -> None:
         """Mark the event so it is skipped when its time comes.
@@ -97,9 +95,6 @@ class Event:
             sim = self._sim
             if sim is not None:
                 sim._note_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -178,9 +173,6 @@ class Simulator:
             if delay < -NEGATIVE_DELAY_TOLERANCE:
                 raise ValueError(f"cannot schedule an event in the past (delay={delay})")
             delay = 0.0
-        # Inline twin of Event.__init__ (this is the hottest allocation
-        # site in the repository; skipping the constructor frame is a
-        # measurable win — keep the two in sync).
         event = Event.__new__(Event)
         time = event.time = self._now + delay
         seq = event.seq = next(self._seq)
@@ -204,7 +196,6 @@ class Simulator:
             if now - time > NEGATIVE_DELAY_TOLERANCE + now * 4e-16:
                 raise ValueError(f"cannot schedule at {time} which is before now={now}")
             time = now
-        # Inline twin of Event.__init__ — see schedule().
         event = Event.__new__(Event)
         event.time = time
         seq = event.seq = next(self._seq)
@@ -383,7 +374,3 @@ class Simulator:
                 processed, perf_counter() - started, self._compactions - compactions_before
             )
         return processed
-
-    def run_until_empty(self, max_events: int = 10_000_000) -> int:
-        """Run until no events remain (bounded by ``max_events``)."""
-        return self.run(until=None, max_events=max_events)

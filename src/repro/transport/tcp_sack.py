@@ -117,10 +117,6 @@ class TcpSackSender:
         self.timeouts = 0
 
     @property
-    def total_packets(self) -> int:
-        return len(self._segments)
-
-    @property
     def rate_pps(self) -> float:
         return self._rate_pps
 

@@ -65,14 +65,6 @@ class UdpSender:
         self.completed = False
         self.completion_time: Optional[float] = None
 
-    @property
-    def total_packets(self) -> int:
-        return len(self._segments)
-
-    @property
-    def rate_pps(self) -> float:
-        return self.config.rate_pps
-
     def start(self) -> None:
         self.flow_stats.start_time = self.sim.now
         self._send_event = self.sim.schedule(0.0, self._send_next)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.cache import PacketCache
-from repro.core.config import CachePolicy
 from repro.core.packet import Packet, PacketType
 
 
@@ -62,7 +61,7 @@ class TestEviction:
         assert cache.evictions == 2
 
     def test_lru_keeps_recently_used(self):
-        cache = PacketCache(capacity=2, policy=CachePolicy.LRU)
+        cache = PacketCache(capacity=2)
         cache.insert(data_packet(seq=0))
         cache.insert(data_packet(seq=1))
         cache.lookup(0, 0)              # touch 0 so 1 becomes the LRU victim
@@ -70,24 +69,14 @@ class TestEviction:
         assert (0, 0) in cache
         assert (0, 1) not in cache
 
-    def test_fifo_ignores_recency(self):
-        cache = PacketCache(capacity=2, policy=CachePolicy.FIFO)
-        cache.insert(data_packet(seq=0))
-        cache.insert(data_packet(seq=1))
-        cache.lookup(0, 0)              # touching does not protect under FIFO
-        cache.insert(data_packet(seq=2))
-        assert (0, 0) not in cache
-        assert (0, 1) in cache
-
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             PacketCache(capacity=0)
 
     @given(st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=300),
-           st.integers(min_value=1, max_value=20),
-           st.sampled_from([CachePolicy.LRU, CachePolicy.FIFO]))
-    def test_size_never_exceeds_capacity(self, seqs, capacity, policy):
-        cache = PacketCache(capacity=capacity, policy=policy)
+           st.integers(min_value=1, max_value=20))
+    def test_size_never_exceeds_capacity(self, seqs, capacity):
+        cache = PacketCache(capacity=capacity)
         for seq in seqs:
             cache.insert(data_packet(seq=seq))
         assert len(cache) <= capacity

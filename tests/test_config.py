@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import CachePolicy, FeedbackMode, JTPConfig
+from repro.core.config import FeedbackMode, JTPConfig
 
 
 def test_table1_defaults():
@@ -42,10 +42,9 @@ def test_no_caching_accepts_overrides():
     assert config.loss_tolerance == 0.2
 
 
-def test_defaults_use_variable_feedback_and_lru():
+def test_defaults_use_variable_feedback_and_backoff():
     config = JTPConfig()
     assert config.feedback_mode is FeedbackMode.VARIABLE
-    assert config.cache_policy is CachePolicy.LRU
     assert config.backoff_enabled
 
 

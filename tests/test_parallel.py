@@ -239,6 +239,9 @@ class _PlanOnly(ExecutorBackend):
         self._record_submission(len(items))
         return [None] * len(items)
 
+    def imap(self, fn, items):
+        return iter(self.map(fn, items))
+
 
 class TestSharedCells:
     """Identical ``(spec, seed)`` cells of different grids run once."""

@@ -12,6 +12,7 @@ from repro.experiments.presets import (
     SMOKE_LINEAR,
     SMOKE_RANDOM,
     WORKLOAD_JOBS,
+    entry_point,
     preset_seeds,
     run_paper,
 )
@@ -77,6 +78,30 @@ class TestMetricFigures:
             assert callable(job.planner())
             assert callable(getattr(importlib.import_module(job.module), job.name))
             assert job.family in ("linear", "random")
+
+    def test_every_public_figures_function_is_declared_by_the_registry(self):
+        # A figure exists only if ALL_FIGURES declares it: the figures
+        # module holds plan builders, their generated entry points and
+        # table1 (no grid), and no hand-written figure path besides.
+        import inspect
+
+        from repro.experiments import figures
+
+        jobs = {job.name for job in ALL_FIGURES}
+        public = {
+            name: value
+            for name, value in vars(figures).items()
+            if not name.startswith("_") and inspect.isfunction(value) and value.__module__ == figures.__name__
+        }
+        assert public, "no public functions found in repro.experiments.figures"
+        for name, function in public.items():
+            if name.endswith("_plan"):
+                assert name[: -len("_plan")] in jobs, name
+            elif name in jobs:
+                # Generated by entry_point: every entry point shares its code.
+                assert function.__code__ is entry_point(name).__code__, name
+            else:
+                assert name == "table1", f"{name} is a figure path no registry record declares"
 
     def test_direct_call_with_empty_seeds_raises(self):
         # An explicit empty seed list is an error, as it is for run_paper,

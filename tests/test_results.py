@@ -40,13 +40,14 @@ class TestSaveLoad:
         assert lines[1] == "3,jtp,1.25,"
         assert lines[2] == "5,atp,2.5,"
 
-    def test_loader_appends_row_files_missing_from_manifest(self, tmp_path):
-        # The benchmark harness persists figures incrementally with
-        # save_rows and never writes a manifest; nothing may be dropped.
-        save_rows(tmp_path, "adhoc", ROWS)
-        run = load_run(tmp_path)
-        assert run.figures == ["adhoc"]
-        assert run.manifest == {}
+    def test_row_files_without_a_manifest_are_not_a_run(self, tmp_path):
+        # save_run writes the manifest last, so a directory of row files
+        # without one is a save that never finished (or no run at all):
+        # loading it must fail, not return a partial run.
+        save_rows(tmp_path, "fig", ROWS)
+        (tmp_path / "coverage.json").write_text('{"totals": 1}')
+        with pytest.raises(FileNotFoundError, match="manifest.json"):
+            load_run(tmp_path)
 
     def test_reused_out_dir_drops_stale_figures(self, tmp_path):
         # A second run into the same directory must not leak the first
@@ -59,27 +60,6 @@ class TestSaveLoad:
         assert not (tmp_path / "figure9.json").exists()
         assert not (tmp_path / "figure9.csv").exists()
 
-    def test_incremental_save_rows_registers_in_existing_manifest(self, tmp_path):
-        # The REPRO_RUN_DIR bench flow: rows appended to a run_paper
-        # directory after its manifest was written must not vanish from
-        # load_run (the manifest's figure list is authoritative).
-        save_run({"fig": ROWS}, tmp_path, metadata={"run": "paper"})
-        save_rows(tmp_path, "ablation", ROWS)
-        run = load_run(tmp_path)
-        assert run.figures == ["fig", "ablation"]
-        assert run.metadata == {"run": "paper"}
-        assert "amended" not in run.manifest
-
-    def test_same_name_overwrite_is_flagged_as_amended(self, tmp_path):
-        # Overwriting a manifested figure via incremental save_rows
-        # means the manifest's metadata no longer describes those rows;
-        # the manifest must say so.
-        save_run({"fig": ROWS}, tmp_path, metadata={"run": "paper"})
-        save_rows(tmp_path, "fig", [{"a": 99}])
-        run = load_run(tmp_path)
-        assert run.rows["fig"] == [{"a": 99}]
-        assert run.manifest["amended"] == ["fig"]
-
     def test_save_run_leaves_foreign_files_alone(self, tmp_path):
         # Neither arbitrary JSON nor a foreign export that merely has a
         # "rows" key may be swept — only files save_rows itself wrote
@@ -91,11 +71,6 @@ class TestSaveLoad:
         assert (tmp_path / "notes.json").exists()
         assert (tmp_path / "data.json").exists()
         assert (tmp_path / "data.csv").exists()
-
-    def test_loader_skips_non_row_store_json_without_manifest(self, tmp_path):
-        save_rows(tmp_path, "fig", ROWS)
-        (tmp_path / "coverage.json").write_text('{"totals": 1}')
-        assert load_run(tmp_path).figures == ["fig"]
 
     def test_load_rows_rejects_non_row_store_files(self, tmp_path):
         (tmp_path / "fig.json").write_text('{"totals": 1}')
@@ -123,19 +98,19 @@ class TestSaveLoad:
         import json
         import math
 
-        from repro.core.config import CachePolicy
+        from repro.core.config import FeedbackMode
 
-        rows = ROWS + [{"policy": CachePolicy.LRU, "nested": [1, {"b": None}], "x": math.inf, "y": 0.1}]
+        rows = ROWS + [{"mode": FeedbackMode.VARIABLE, "nested": [1, {"b": None}], "x": math.inf, "y": 0.1}]
         save_rows(tmp_path, "fig", rows)
         expected = json.dumps({"figure": "fig", "rows": rows}, indent=2, default=str) + "\n"
         assert (tmp_path / "fig.json").read_bytes() == expected.encode()
 
     def test_unjsonable_values_are_stringified_not_fatal(self, tmp_path):
-        from repro.core.config import CachePolicy
+        from repro.core.config import FeedbackMode
 
-        save_rows(tmp_path, "fig", [{"policy": CachePolicy.LRU}])
+        save_rows(tmp_path, "fig", [{"mode": FeedbackMode.VARIABLE}])
         (loaded,) = load_rows(tmp_path, "fig")
-        assert isinstance(loaded["policy"], str)
+        assert isinstance(loaded["mode"], str)
 
 
 class TestGitMetadata:
