@@ -45,6 +45,13 @@ class TestSaveLoad:
         # without one is a save that never finished (or no run at all):
         # loading it must fail, not return a partial run.
         save_rows(tmp_path, "fig", ROWS)
+        with pytest.raises(FileNotFoundError, match="manifest.json"):
+            load_run(tmp_path)
+
+    def test_foreign_json_without_a_manifest_is_not_a_run(self, tmp_path):
+        # JSON that save_rows did not write (a coverage report, say) next
+        # to row files must not make a manifest-less directory loadable.
+        save_rows(tmp_path, "fig", ROWS)
         (tmp_path / "coverage.json").write_text('{"totals": 1}')
         with pytest.raises(FileNotFoundError, match="manifest.json"):
             load_run(tmp_path)
