@@ -135,7 +135,6 @@ def build_mobile_network():
         streams.stream("mobility"),
         speed=float(params["speed"]),
         field_size=getattr(network, "field_size", 200.0),
-        on_topology_change=network.routing.on_topology_change,
     )
     network.attach_mobility(mobility)
     protocol = make_protocol("jtp", None)

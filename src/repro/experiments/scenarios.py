@@ -199,7 +199,6 @@ def mobile_scenario(
         mean_leg_distance=47.0,
         mean_pause=100.0,
         field_size=field_size,
-        on_topology_change=network.routing.on_topology_change,
     )
     network.attach_mobility(mobility)
     proto.install(network)

@@ -65,12 +65,15 @@ class LinkStateRouting:
         self.view_updates += 1
 
     def on_topology_change(self) -> None:
-        """Callback for mobility: mark views as refreshable at next period.
+        """No-op hook for topology changes; nothing in the simulator calls it.
 
-        Deliberately does nothing immediately — a real link-state
-        protocol needs time to flood updated LSAs, so the view only
-        catches up at the next periodic refresh.  Scenarios that want
-        instant convergence can call :meth:`refresh_all_views` instead.
+        Views catch up only at the periodic refresh, as a real
+        link-state protocol needs time to flood updated LSAs, and
+        mobility moves nodes lazily without any per-step callback
+        (:mod:`repro.sim.mobility`).  The hook stays because the
+        end-to-end benchmark's trace (``benchmarks/e2e/child.py``)
+        counts its calls; scenarios that want instant convergence call
+        :meth:`refresh_all_views`.
         """
 
     # -- queries used by forwarding and by iJTP ------------------------------------------

@@ -11,25 +11,35 @@ implements per directed link.  The channel also answers connectivity
 queries (who can hear whom, given positions and radio range), which the
 routing protocol and the MAC use.
 
-Connectivity queries are served from a spatial hash grid
-(:class:`repro.sim.spatial.SpatialGrid`, cell side = radio range) with
-per-node neighbour sets cached until the next position update, so the
-per-transmission ``in_range`` guard is a set-membership test.  The
-whole graph is built in one pass that tests each nearby pair once.
-Every cached set is built in ascending node-id order — the same
-insertion sequence the historical brute-force scan used — so set
-iteration order does not depend on which path built it.
+Positions change lazily.  The mobility model hands each moving node's
+precomputed path (step times and positions) to :meth:`Channel.move_along`;
+no event runs per step.  Every read — a transmission attempt,
+``in_range``, ``neighbors_of``, ``connectivity``, ``position_of`` —
+first applies the steps that are due by its time, so a step at time
+``t`` is visible to every read at time ``>= t``.  While no node moves
+that check is one float compare.
+
+The channel caches one connectivity graph, built by
+:func:`repro.sim.topology.connectivity_graph` (each set in ascending-id
+insertion order, the order the historical brute-force scan used) and
+dropped at the next position, down-node or blocked-link change.  While
+it is fresh, a transmission's range test is a set lookup in it; while it
+is stale, the test is one exact distance check of the pair, which gives
+the answer the rebuilt graph would give.  Under mobility that is what
+keeps the graph from being rebuilt after every step: only the routing
+refresh rebuilds it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.sim.spatial import SpatialGrid
-from repro.sim.topology import Position
+from repro.sim.engine import Simulator
+from repro.sim.topology import Position, connectivity_graph
 from repro.util.validation import require_positive, require_probability
 
 
@@ -173,23 +183,35 @@ class GilbertElliottLink:
         return draw >= loss
 
 
+class _Path:
+    """A node's steps along :meth:`Channel.move_along`; ``times[done:]`` are still due."""
+
+    __slots__ = ("times", "xs", "ys", "done")
+
+    def __init__(self, times: Sequence[float], xs: Sequence[float], ys: Sequence[float]) -> None:
+        self.times = times
+        self.xs = xs
+        self.ys = ys
+        self.done = 0
+
+
 class Channel:
     """The shared wireless medium.
 
     Responsibilities:
 
-    * maintain node positions (updated by the mobility model) and the
-      spatial index over them,
+    * maintain node positions, moved by the mobility model through
+      :meth:`move_along` (or directly through :meth:`set_position`),
     * answer connectivity queries from the routing layer,
     * hold one :class:`GilbertElliottLink` per directed link and decide
       the outcome of each MAC transmission attempt,
     * report the *true* instantaneous loss probability of a link, which
       the MAC link estimator only ever sees through noisy measurements.
 
-    The neighbour sets and connectivity graphs returned by
-    :meth:`neighbors_of` / :meth:`connectivity` are cached snapshots
-    owned by the channel, invalidated on the next :meth:`set_position`;
-    treat them as immutable.
+    The graph returned by :meth:`connectivity` (and the sets returned by
+    :meth:`neighbors_of`, which are its rows) is a cached snapshot owned
+    by the channel and replaced, never mutated, after the next change;
+    treat it as immutable.
     """
 
     def __init__(
@@ -205,12 +227,16 @@ class Channel:
         self.default_quality = default_quality or LinkQuality()
         self._links: Dict[Tuple[int, int], GilbertElliottLink] = {}
         self._qualities: Dict[Tuple[int, int], LinkQuality] = {}
-        self._grid = SpatialGrid(radio_range)
-        for node_id, position in enumerate(self._positions):
-            self._grid.insert(node_id, position.x, position.y)
-        #: node -> cached neighbour set; cleared on any position change.
-        self._neighbors_cache: Dict[int, Set[int]] = {}
-        self._connectivity_cache: Optional[Dict[int, Set[int]]] = None
+        #: The connectivity graph of the current positions, or None once
+        #: a position, a down node or a blocked link has changed.
+        self._graph: Optional[Dict[int, Set[int]]] = None
+        #: node -> the path it is moving along (see :meth:`move_along`).
+        self._paths: Dict[int, _Path] = {}
+        #: The earliest step time of any path; inf while no node moves,
+        #: so a static network pays one float compare per read.
+        self._due = math.inf
+        #: Supplies ``now`` to reads that are not given one.
+        self._clock: Optional[Simulator] = None
         # Fault-injection state (repro.sim.faults).  All of it empty/None
         # in a fault-free run, in which case every query below takes the
         # exact historical code path — and the exact historical RNG
@@ -219,7 +245,7 @@ class Channel:
         self._blocked_links: Dict[Tuple[int, int], int] = {}
         self._forced_regime: Optional[str] = None
 
-    # -- positions and connectivity -------------------------------------------------
+    # -- positions and movement -------------------------------------------------------
 
     @property
     def num_nodes(self) -> int:
@@ -228,51 +254,110 @@ class Channel:
     def position_of(self, node_id: int) -> Position:
         if not 0 <= node_id < len(self._positions):
             raise KeyError(f"unknown node {node_id}")
+        self._sync()
         return self._positions[node_id]
 
     def set_position(self, node_id: int, position: Position) -> None:
-        """Move a node (called by the mobility model).
+        """Move a node now and invalidate the cached connectivity graph.
 
-        Updates the spatial index incrementally and invalidates the
-        cached neighbour sets / connectivity graph.
+        A node still on a :meth:`move_along` path is put back on it at
+        the path's next due step.
         """
         if not 0 <= node_id < len(self._positions):
             raise KeyError(f"unknown node {node_id}")
         self._positions[node_id] = position
-        self._grid.move(node_id, position.x, position.y)
-        if self._neighbors_cache:
-            self._neighbors_cache.clear()
-        self._connectivity_cache = None
+        self._graph = None
+
+    def move_along(
+        self,
+        node_id: int,
+        clock: Simulator,
+        times: Sequence[float],
+        xs: Sequence[float],
+        ys: Sequence[float],
+    ) -> None:
+        """Move ``node_id`` to ``(xs[i], ys[i])`` at ``times[i]`` (ascending).
+
+        Nothing is scheduled.  Every read applies the steps that are due
+        first: by the read's ``now``, or by ``clock.now`` for reads that
+        take no time.  So a step at time ``t`` is visible to every read
+        at time ``>= t``.  Replaces the node's previous path, if any.
+        """
+        if not 0 <= node_id < len(self._positions):
+            raise KeyError(f"unknown node {node_id}")
+        self._clock = clock
+        self._paths[node_id] = _Path(times, xs, ys)
+        if times[0] < self._due:
+            self._due = times[0]
+
+    def _sync(self) -> None:
+        """Apply the path steps due by the clock (reads that take no time)."""
+        clock = self._clock
+        if clock is not None and clock.now >= self._due:
+            self._catch_up(clock.now)
+
+    def _catch_up(self, now: float) -> None:
+        """Put every moving node at its last step due by ``now``."""
+        due = math.inf
+        finished: List[int] = []
+        for node_id, path in self._paths.items():
+            times = path.times
+            done = path.done
+            if times[done] <= now:
+                done = bisect_right(times, now, done)
+                self.set_position(node_id, Position(path.xs[done - 1], path.ys[done - 1]))
+                if done == len(times):
+                    finished.append(node_id)
+                    continue
+                path.done = done
+            if times[done] < due:
+                due = times[done]
+        for node_id in finished:
+            del self._paths[node_id]
+        self._due = due
+
+    # -- connectivity ---------------------------------------------------------------
 
     def in_range(self, src: int, dst: int) -> bool:
         """True iff ``dst`` can currently hear ``src``."""
-        if src == dst:
-            return False
-        neighbors = self._neighbors_cache.get(src)
-        if neighbors is None:
-            neighbors = self._compute_neighbors(src)
-        if dst in neighbors:
+        self._sync()
+        graph = self._graph
+        if graph is None:
+            return self._hears(src, dst)
+        if dst in graph[src]:
             return True
-        # Only the miss branch pays for the id check: neighbour sets can
+        # Only the miss branch pays for the id check: graph rows can
         # only contain valid ids, and an unknown ``dst`` must keep
         # raising (list indexing would silently alias negative ids).
         if not 0 <= dst < len(self._positions):
             raise KeyError(f"unknown node {dst}")
         return False
 
-    def _compute_neighbors(self, node_id: int) -> Set[int]:
-        # Cache-miss path only, so the id check is free on the hot path;
-        # without it, list indexing would silently alias negative ids.
-        if not 0 <= node_id < len(self._positions):
-            raise KeyError(f"unknown node {node_id}")
-        # neighbors_within builds the set in the historical brute-force
-        # insertion order (ascending ids), which keeps set iteration
-        # order — and so every downstream consumer — bit-identical.
-        result = self._grid.neighbors_within(node_id, self._positions, self.radio_range)
+    def _hears(self, src: int, dst: int) -> bool:
+        """The range test of one pair, for when the cached graph is stale.
+
+        It is ``dst in connectivity()[src]`` without building the
+        graph: ``SpatialGrid.neighbors_within``'s test with its operand
+        order, and the down-node and blocked-link filter of
+        :meth:`_filter_faulted`.  The pair scan of
+        :func:`~repro.sim.topology.connectivity_graph` takes the
+        coordinate differences from the lower id instead; IEEE
+        subtraction is exactly antisymmetric and ``hypot`` ignores
+        signs, so both orientations give the same bits.
+        """
+        positions = self._positions
+        if not 0 <= src < len(positions):
+            raise KeyError(f"unknown node {src}")
+        if not 0 <= dst < len(positions):
+            raise KeyError(f"unknown node {dst}")
+        if src == dst:
+            return False
         if self._down_nodes or self._blocked_links:
-            result = self._filter_faulted(node_id, result)
-        self._neighbors_cache[node_id] = result
-        return result
+            down = self._down_nodes
+            blocked = self._blocked_links
+            if src in down or dst in down or (src, dst) in blocked or (dst, src) in blocked:
+                return False
+        return positions[dst].distance_to(positions[src]) <= self.radio_range
 
     def _filter_faulted(self, node_id: int, neighbors: Set[int]) -> Set[int]:
         """Drop down nodes and blocked links from a freshly computed neighbour set.
@@ -294,36 +379,28 @@ class Channel:
     def neighbors_of(self, node_id: int) -> Set[int]:
         """All nodes currently within radio range of ``node_id``.
 
-        The returned set is a cached snapshot; treat it as immutable.
+        The returned set is a row of the cached graph; treat it as immutable.
         """
-        neighbors = self._neighbors_cache.get(node_id)
-        if neighbors is None:
-            neighbors = self._compute_neighbors(node_id)
-        return neighbors
+        return self.connectivity()[node_id]
 
     def connectivity(self) -> Dict[int, Set[int]]:
         """Current unit-disk connectivity graph (cached snapshot).
 
-        A stale cache is rebuilt by one whole-graph pass, which also
-        fills every per-node neighbour set; the sets equal, in content
-        and insertion order, what :meth:`neighbors_of` would build.
+        A stale cache is rebuilt by
+        :func:`~repro.sim.topology.connectivity_graph`, whose sets hold
+        their members in ascending-id insertion order.
         """
-        graph = self._connectivity_cache
+        self._sync()
+        graph = self._graph
         if graph is None:
-            graph = self._grid.neighbor_graph(self._positions, self.radio_range)
+            graph = connectivity_graph(self._positions, self.radio_range)
             if self._down_nodes or self._blocked_links:
                 for node_id, neighbors in graph.items():
                     graph[node_id] = self._filter_faulted(node_id, neighbors)
-            self._neighbors_cache.update(graph)
-            self._connectivity_cache = graph
+            self._graph = graph
         return graph
 
     # -- fault injection ---------------------------------------------------------------
-
-    def _invalidate_connectivity(self) -> None:
-        if self._neighbors_cache:
-            self._neighbors_cache.clear()
-        self._connectivity_cache = None
 
     def set_node_down(self, node_id: int, down: bool) -> None:
         """Remove a node from (or restore it to) the connectivity graph.
@@ -342,7 +419,7 @@ class Channel:
             if node_id not in self._down_nodes:
                 return
             self._down_nodes.discard(node_id)
-        self._invalidate_connectivity()
+        self._graph = None
 
     def block_link(self, src: int, dst: int, symmetric: bool = True) -> None:
         """Administratively sever a link (fault injection); reference counted.
@@ -353,7 +430,7 @@ class Channel:
         self._blocked_links[(src, dst)] = self._blocked_links.get((src, dst), 0) + 1
         if symmetric:
             self._blocked_links[(dst, src)] = self._blocked_links.get((dst, src), 0) + 1
-        self._invalidate_connectivity()
+        self._graph = None
 
     def unblock_link(self, src: int, dst: int, symmetric: bool = True) -> None:
         """Lift one :meth:`block_link` reference; raises if the link is not blocked."""
@@ -365,7 +442,7 @@ class Channel:
                 del self._blocked_links[key]
             else:
                 self._blocked_links[key] = count - 1
-        self._invalidate_connectivity()
+        self._graph = None
 
     def force_regime(self, state: Optional[str]) -> None:
         """Force every Gilbert–Elliott link's effective state, or restore (None).
@@ -420,13 +497,16 @@ class Channel:
 
     def transmission_succeeds(self, src: int, dst: int, now: float) -> bool:
         """Decide the fate of a single MAC transmission attempt."""
-        # Per-transmission hot path: the in_range check is inlined as a
-        # membership test on the cached neighbour set (which can never
-        # contain ``src`` itself, so no self-loop guard is needed).
-        neighbors = self._neighbors_cache.get(src)
-        if neighbors is None:
-            neighbors = self._compute_neighbors(src)
-        if dst not in neighbors:
+        # Per-transmission hot path: in_range inlined, with ``now`` for
+        # the clock.  Graph rows never contain their own node, so a
+        # fresh graph needs no self-loop guard.
+        if now >= self._due:
+            self._catch_up(now)
+        graph = self._graph
+        if graph is None:
+            if not self._hears(src, dst):
+                return False
+        elif dst not in graph[src]:
             if not 0 <= dst < len(self._positions):
                 raise KeyError(f"unknown node {dst}")
             return False

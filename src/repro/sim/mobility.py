@@ -6,17 +6,33 @@ moves an average distance of 47 m at a fixed speed (0.1, 1 or 5 m/s),
 then pauses for an average of 100 s before moving again.  This module
 reproduces that model, plus a trivial static model so that every
 scenario can be expressed uniformly.
+
+A moving node advances one step every ``update_interval`` seconds, but
+no event runs per step.  When a leg begins, :meth:`RandomWaypointMobility._begin_leg`
+replays the leg's whole step sequence once, with the float expressions
+a per-step event chain evaluates (``t = t + update_interval``, the
+engine's ``now + delay``, and the step arithmetic below), into three
+``array('d')`` buffers, and hands them to :meth:`Channel.move_along
+<repro.sim.channel.Channel.move_along>`.  The channel applies the steps
+that are due before it answers any read.  One engine event per leg, at
+its last step time, draws the pause and schedules the next leg, so the
+shared mobility stream is drawn in the same order as when every step
+was an event.
+
+Tie rule: a step at time ``t`` is visible to every read at time
+``>= t``, including a read by an event that fires at ``t`` itself,
+whatever the order in which same-time events fire.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, List, Optional
+from array import array
+from typing import Optional, Tuple
 
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
-from repro.sim.topology import Position
 from repro.util.validation import require_non_negative, require_positive
 
 
@@ -47,10 +63,7 @@ class RandomWaypointMobility:
         Side of the square field; destinations are clipped to it.
     update_interval:
         How often positions are advanced along the current leg.  Smaller
-        values give smoother trajectories at higher event cost.
-    on_topology_change:
-        Optional callback invoked after every position update so the
-        routing protocol can refresh its views.
+        values give smoother trajectories at a higher per-leg cost.
     """
 
     def __init__(
@@ -62,7 +75,6 @@ class RandomWaypointMobility:
         mean_pause: float = 100.0,
         field_size: float = 200.0,
         update_interval: float = 1.0,
-        on_topology_change: Optional[Callable[[], None]] = None,
     ):
         self.channel = channel
         self._rng = rng
@@ -71,8 +83,6 @@ class RandomWaypointMobility:
         self.mean_pause = require_non_negative(mean_pause, "mean_pause")
         self.field_size = require_positive(field_size, "field_size")
         self.update_interval = require_positive(update_interval, "update_interval")
-        self.on_topology_change = on_topology_change
-        self._targets: List[Optional[Position]] = [None] * channel.num_nodes
         self._sim: Optional[Simulator] = None
 
     def describe(self) -> str:
@@ -98,45 +108,48 @@ class RandomWaypointMobility:
         return max(0.0, min(self.field_size, value))
 
     def _begin_leg(self, node_id: int) -> None:
-        assert self._sim is not None
+        sim = self._sim
+        assert sim is not None
         origin = self.channel.position_of(node_id)
         angle = self._rng.uniform(0.0, 2.0 * math.pi)
         distance = self._sample_leg_distance()
-        target = Position(
-            self._clip(origin.x + distance * math.cos(angle)),
-            self._clip(origin.y + distance * math.sin(angle)),
-        )
-        self._targets[node_id] = target
-        self._sim.schedule(self.update_interval, self._step, node_id)
+        target_x = self._clip(origin.x + distance * math.cos(angle))
+        target_y = self._clip(origin.y + distance * math.sin(angle))
+        times, xs, ys = self._leg(sim.now, origin.x, origin.y, target_x, target_y)
+        self.channel.move_along(node_id, sim, times, xs, ys)
+        sim.schedule_at(times[-1], self._arrive, node_id)
 
-    def _step(self, node_id: int) -> None:
+    def _leg(
+        self, start: float, x: float, y: float, target_x: float, target_y: float
+    ) -> Tuple[array[float], array[float], array[float]]:
+        """Times and positions of every step from ``(x, y)`` to the target.
+
+        Each step moves ``speed * update_interval`` metres towards the
+        target, or onto it once it is that close; the last step lands
+        exactly on the target.
+        """
+        interval = self.update_interval
+        step = self.speed * interval
+        times: array[float] = array("d")
+        xs: array[float] = array("d")
+        ys: array[float] = array("d")
+        add_time, add_x, add_y, hypot = times.append, xs.append, ys.append, math.hypot
+        t = start
+        while True:
+            t = t + interval
+            total = hypot(x - target_x, y - target_y)
+            if total <= step or total == 0.0:
+                x, y = target_x, target_y
+            else:
+                frac = step / total
+                x, y = x + (target_x - x) * frac, y + (target_y - y) * frac
+            add_time(t)
+            add_x(x)
+            add_y(y)
+            if x == target_x and y == target_y:
+                return times, xs, ys
+
+    def _arrive(self, node_id: int) -> None:
         sim = self._sim
         assert sim is not None
-        target = self._targets[node_id]
-        if target is None:
-            return
-        # Position.moved_towards inlined with the same float expressions:
-        # this runs once per node per update_interval for a whole run.
-        # node_id came from start(), so position_of's bounds check is moot.
-        current = self.channel._positions[node_id]
-        distance = self.speed * self.update_interval
-        total = math.hypot(current.x - target.x, current.y - target.y)
-        if total <= distance or total == 0.0:
-            new_position = target
-            arrived = True
-        else:
-            frac = distance / total
-            new_position = Position(current.x + (target.x - current.x) * frac,
-                                    current.y + (target.y - current.y) * frac)
-            arrived = new_position.x == target.x and new_position.y == target.y
-        # The channel updates its spatial index incrementally (a no-op
-        # unless the node crossed a grid cell), so per-step position
-        # updates stay O(1) regardless of network size.
-        self.channel.set_position(node_id, new_position)
-        if self.on_topology_change is not None:
-            self.on_topology_change()
-        if arrived:
-            self._targets[node_id] = None
-            sim.schedule(self._sample_pause(), self._begin_leg, node_id)
-        else:
-            sim.schedule(self.update_interval, self._step, node_id)
+        sim.schedule(self._sample_pause(), self._begin_leg, node_id)

@@ -1,25 +1,24 @@
 """Spatial hash-grid index for range queries over node positions.
 
-The channel answers "who can hear whom" queries constantly — every
-routing view refresh, every routing ground-truth check, every
-``in_range`` guard on a transmission.  A brute-force scan is O(n) per
-node (O(n²) per snapshot); the :class:`SpatialGrid` buckets nodes into
-square cells of side ``radio_range`` so a range query only inspects the
-3x3 cell block around the querier, which contains every node within
-``radio_range`` by construction (two points closer than one cell side
-can differ by at most one cell index per axis).
+:func:`repro.sim.topology.connectivity_graph` builds the graphs of large
+placements (``GRID_THRESHOLD`` nodes and up) through this index.  A
+brute-force scan is O(n) per node (O(n²) per graph); the
+:class:`SpatialGrid` buckets nodes into square cells of side
+``radio_range`` so a range query only inspects the 3x3 cell block
+around the querier, which contains every node within ``radio_range`` by
+construction (two points closer than one cell side can differ by at
+most one cell index per axis).
 
 The grid is *exact*, not approximate: cell membership only prunes
-candidates, the caller still distance-filters them.  Updates are
-incremental — :meth:`move` is a no-op unless the node crossed a cell
-boundary — which is what makes per-step mobility updates cheap.
+candidates, :meth:`SpatialGrid.neighbors_within` still distance-filters
+them.  The index is built once per graph; nodes are never moved in it.
 
 Determinism note: query helpers return candidate ids in ascending
 order, so sets built from them have the same insertion order as the
 historical brute-force scans (which iterated node ids in order).  Set
 iteration order in CPython can depend on insertion history; keeping it
-identical means no consumer of these sets can tell the index, the
-whole-graph pass and the brute-force scan apart.
+identical means no consumer of these sets can tell the index and the
+brute-force scan apart.
 """
 
 from __future__ import annotations
@@ -48,68 +47,30 @@ class SpatialGrid:
     """An exact hash-grid index over 2-D points with integer ids.
 
     ``cell_size`` must be at least the largest query radius that will be
-    used (the channel uses ``radio_range``); :meth:`near` only scans the
+    used (``connectivity_graph`` uses ``radio_range``); :meth:`near` only scans the
     3x3 block around the query point.
     """
 
-    __slots__ = ("cell_size", "_cells", "_cell_of")
+    __slots__ = ("cell_size", "_cells")
 
     def __init__(self, cell_size: float) -> None:
         if cell_size <= 0:
             raise ValueError(f"cell_size must be positive, got {cell_size}")
         self.cell_size = cell_size
         self._cells: Dict[Cell, Set[int]] = {}
-        self._cell_of: Dict[int, Cell] = {}
-
-    def __len__(self) -> int:
-        return len(self._cell_of)
 
     def _cell(self, x: float, y: float) -> Cell:
         size = self.cell_size
         return (int(floor(x / size)), int(floor(y / size)))
 
     def insert(self, node_id: int, x: float, y: float) -> None:
-        """Add (or re-add) a node at ``(x, y)``."""
-        if node_id in self._cell_of:
-            self.move(node_id, x, y)
-            return
+        """Add a node at ``(x, y)``; each id is inserted once."""
         cell = self._cell(x, y)
-        self._cell_of[node_id] = cell
         bucket = self._cells.get(cell)
         if bucket is None:
             self._cells[cell] = {node_id}
         else:
             bucket.add(node_id)
-
-    def move(self, node_id: int, x: float, y: float) -> bool:
-        """Update a node's position; returns True iff it changed cell.
-
-        The common mobility step stays inside one cell, making this a
-        two-dict-lookup no-op.
-        """
-        new_cell = self._cell(x, y)
-        old_cell = self._cell_of[node_id]
-        if new_cell == old_cell:
-            return False
-        old_bucket = self._cells[old_cell]
-        old_bucket.discard(node_id)
-        if not old_bucket:
-            del self._cells[old_cell]
-        bucket = self._cells.get(new_cell)
-        if bucket is None:
-            self._cells[new_cell] = {node_id}
-        else:
-            bucket.add(node_id)
-        self._cell_of[node_id] = new_cell
-        return True
-
-    def remove(self, node_id: int) -> None:
-        """Drop a node from the index."""
-        cell = self._cell_of.pop(node_id)
-        bucket = self._cells[cell]
-        bucket.discard(node_id)
-        if not bucket:
-            del self._cells[cell]
 
     def near(self, x: float, y: float) -> List[int]:
         """Candidate node ids within one cell of ``(x, y)``, ascending.
@@ -149,31 +110,3 @@ class SpatialGrid:
             if other != node_id and positions[other].distance_to(position) <= radius:
                 result.add(other)
         return result
-
-    def neighbor_graph(self, positions: Sequence[SupportsPosition], radius: float) -> Dict[int, Set[int]]:
-        """Every node's :meth:`neighbors_within` set, built in one pass.
-
-        Each unordered pair is distance-tested once, from its lower id,
-        and the match is added to both sets.  The result is exactly what
-        per-node queries return, set insertion order included:
-
-        * the candidates are the same — :meth:`near` of the lower id,
-          i.e. nodes whose cells differ by at most one on each axis.
-          That rule is symmetric, so float rounding at a cell border
-          cannot admit a pair from one side only;
-        * the test is the same — ``distance_to`` is ``hypot`` of the
-          coordinate differences, and IEEE subtraction is exactly
-          antisymmetric, so both orientations agree bit for bit;
-        * the order is the same — the outer loop ascends, so node ``j``
-          first receives every lower id in ascending order (one per
-          outer step before ``j``), then every higher id in ascending
-          order (at its own step).
-        """
-        graph: Dict[int, Set[int]] = {node_id: set() for node_id in range(len(positions))}
-        for node_id, mine in graph.items():
-            position = positions[node_id]
-            for other in self.near(position.x, position.y):
-                if other > node_id and positions[other].distance_to(position) <= radius:
-                    mine.add(other)
-                    graph[other].add(node_id)
-        return graph

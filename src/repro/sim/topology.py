@@ -34,18 +34,6 @@ class Position:
         """Euclidean distance to ``other`` in metres."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def moved_towards(self, target: "Position", distance: float) -> "Position":
-        """Return the point ``distance`` metres from here towards ``target``.
-
-        If ``target`` is closer than ``distance`` the target itself is
-        returned (used by the random-waypoint stepper).
-        """
-        total = self.distance_to(target)
-        if total <= distance or total == 0.0:
-            return target
-        frac = distance / total
-        return Position(self.x + (target.x - self.x) * frac, self.y + (target.y - self.y) * frac)
-
 
 def linear_positions(num_nodes: int, spacing: float = 40.0) -> List[Position]:
     """Place ``num_nodes`` on a line, ``spacing`` metres apart.
@@ -127,10 +115,16 @@ def connectivity_graph(positions: Sequence[Position], radio_range: float) -> Dic
     if len(positions) >= GRID_THRESHOLD:
         return _connectivity_graph_grid(positions, radio_range)
     graph: Dict[int, Set[int]] = {i: set() for i in range(len(positions))}
-    for i in range(len(positions)):
-        for j in range(i + 1, len(positions)):
-            if positions[i].distance_to(positions[j]) <= radio_range:
-                graph[i].add(j)
+    # positions[i].distance_to(positions[j]) inlined: the channel
+    # rebuilds this graph at every routing refresh under mobility.
+    xs = [position.x for position in positions]
+    ys = [position.y for position in positions]
+    hypot = math.hypot
+    for i, mine in graph.items():
+        x, y = xs[i], ys[i]
+        for j in range(i + 1, len(xs)):
+            if hypot(x - xs[j], y - ys[j]) <= radio_range:
+                mine.add(j)
                 graph[j].add(i)
     return graph
 

@@ -124,7 +124,7 @@ class TestLazyTrees:
                           rng=random.Random(2), default_quality=LinkQuality.perfect())
         routing = LinkStateRouting(channel, sim, update_period=10.0)
         mobility = RandomWaypointMobility(channel, random.Random(3), speed=5.0, mean_pause=5.0,
-                                          field_size=200.0, on_topology_change=routing.on_topology_change)
+                                          field_size=200.0)
         routing.start()
         mobility.start(sim)
 

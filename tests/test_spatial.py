@@ -1,8 +1,9 @@
-"""Spatial hash grid: exactness against the brute-force reference.
+"""Spatial hash grid and channel range tests: exactness against brute force.
 
-The grid is a pure accelerator — every query must return exactly what
-the O(n²) scan returns, including nodes *exactly at* ``radio_range``
-and across arbitrary mobility updates.  The property tests drive both
+The grid and the channel's stale-graph pair check are pure
+accelerators: every query must return exactly what the O(n²) scan
+returns, including nodes *exactly at* ``radio_range`` and across
+arbitrary mobility updates.  The property tests drive both
 implementations side by side over random placements and moves.
 """
 
@@ -41,18 +42,13 @@ class TestSpatialGrid:
         with pytest.raises(ValueError):
             SpatialGrid(0.0)
 
-    def test_insert_move_remove_roundtrip(self):
+    def test_insert_buckets_by_cell(self):
         grid = SpatialGrid(10.0)
         grid.insert(0, 1.0, 1.0)
         grid.insert(1, 2.0, 2.0)
-        assert len(grid) == 2
-        assert 1 in grid.near(0.0, 0.0)
-        moved = grid.move(1, 100.0, 100.0)
-        assert moved
-        assert 1 not in grid.near(0.0, 0.0)
-        assert not grid.move(1, 101.0, 101.0)  # same cell: no-op
-        grid.remove(1)
-        assert len(grid) == 1
+        grid.insert(2, 100.0, 100.0)
+        assert grid.near(0.0, 0.0) == [0, 1]
+        assert grid.near(101.0, 101.0) == [2]
 
     def test_near_is_sorted_ascending(self):
         grid = SpatialGrid(50.0)
@@ -118,8 +114,8 @@ class TestChannelGridMatchesBruteForce:
         rng = random.Random(seed)
         positions = random_positions(n, 150.0, rng)
         channel = self._channel(positions)
-        # Interleave position updates with queries, so the cache and the
-        # incremental grid updates are both exercised.
+        # Interleave position updates with queries, so the graph is
+        # rebuilt after every kind of move.
         for move in range(num_moves):
             node = rng.randrange(n)
             # Mix smooth steps (usually same cell) with long jumps, and
@@ -168,36 +164,44 @@ class TestConnectivityGraphGridPath:
             assert list(grid_graph[node]) == list(brute[node])
 
 
+def _border_positions(rng, n, radio_range):
+    """Lattice points on cell borders, some nudged by one ulp, so pairs
+    sit exactly at, just inside and just beyond ``radio_range``."""
+    positions = []
+    for _ in range(n):
+        x = radio_range * rng.randrange(5)
+        y = radio_range * rng.randrange(5)
+        nudge = rng.choice((0, 0, 1, -1))
+        if nudge:
+            x = math.nextafter(x, math.inf if nudge > 0 else -math.inf)
+        positions.append(Position(x, y))
+    return positions
+
+
 class TestWholeGraphPass:
-    """``Channel.connectivity`` builds every set in one pass; it must equal
-    the per-node construction exactly, set iteration order included."""
+    """``Channel.connectivity`` builds the whole graph in one pass
+    (``connectivity_graph``).  While that graph is stale, ``in_range``
+    and ``transmission_succeeds`` test each pair directly instead; the
+    per-node sets those pair checks give must equal the graph's sets,
+    set iteration order included."""
 
     RANGE = 50.0
-
-    def _assert_matches_per_node(self, channel):
-        graph = channel.connectivity()
-        channel._neighbors_cache.clear()
-        for node in range(channel.num_nodes):
-            reference = channel._compute_neighbors(node)
-            assert list(graph[node]) == list(reference)
-        assert list(graph) == list(range(channel.num_nodes))
 
     def _channel(self, positions):
         return Channel(positions, radio_range=self.RANGE, rng=random.Random(0),
                        default_quality=LinkQuality.perfect())
 
-    def _border_positions(self, rng, n):
-        # Lattice points on cell borders, some nudged by one ulp, so pairs
-        # sit exactly at, just inside and just beyond radio_range.
-        positions = []
-        for _ in range(n):
-            x = self.RANGE * rng.randrange(5)
-            y = self.RANGE * rng.randrange(5)
-            nudge = rng.choice((0, 0, 1, -1))
-            if nudge:
-                x = math.nextafter(x, math.inf if nudge > 0 else -math.inf)
-            positions.append(Position(x, y))
-        return positions
+    def _assert_matches_per_node(self, channel):
+        nodes = range(channel.num_nodes)
+        assert channel._graph is None, "the pair check runs only on a stale graph"
+        heard = {src: {dst for dst in nodes if channel.in_range(src, dst)} for src in nodes}
+        delivered = {src: {dst for dst in nodes if channel.transmission_succeeds(src, dst, now=0.0)}
+                     for src in nodes}
+        assert channel._graph is None, "range tests must not rebuild the graph"
+        graph = channel.connectivity()
+        assert list(graph) == list(nodes)
+        for node in nodes:
+            assert list(graph[node]) == list(heard[node]) == list(delivered[node])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=10_000))
@@ -213,8 +217,7 @@ class TestWholeGraphPass:
     @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10_000))
     def test_cell_borders_and_exact_range_match_per_node_sets(self, n, seed):
         rng = random.Random(seed)
-        channel = self._channel(self._border_positions(rng, n))
-        self._assert_matches_per_node(channel)
+        self._assert_matches_per_node(self._channel(_border_positions(rng, n, self.RANGE)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10_000))
@@ -231,15 +234,16 @@ class TestWholeGraphPass:
 
     def test_grid_pass_equals_neighbors_within(self):
         rng = random.Random(3)
-        positions = self._border_positions(rng, 30) + random_positions(30, 200.0, rng)
-        grid = SpatialGrid(self.RANGE)
-        for node_id, position in enumerate(positions):
-            grid.insert(node_id, position.x, position.y)
-        graph = grid.neighbor_graph(positions, self.RANGE)
-        for node_id in range(len(positions)):
-            expected = grid.neighbors_within(node_id, positions, self.RANGE)
-            assert list(graph[node_id]) == list(expected)
-            assert graph[node_id] == brute_neighbors(positions, node_id, self.RANGE)
+        positions = _border_positions(rng, 30, self.RANGE) + random_positions(30, 200.0, rng)
+        for subset in (positions, positions[: GRID_THRESHOLD - 1]):  # grid path, then pair scan
+            grid = SpatialGrid(self.RANGE)
+            for node_id, position in enumerate(subset):
+                grid.insert(node_id, position.x, position.y)
+            graph = connectivity_graph(subset, self.RANGE)
+            for node_id in range(len(subset)):
+                expected = grid.neighbors_within(node_id, subset, self.RANGE)
+                assert list(graph[node_id]) == list(expected)
+                assert graph[node_id] == brute_neighbors(subset, node_id, self.RANGE)
 
     def test_pass_fills_the_per_node_cache(self):
         channel = self._channel(random_positions(12, 100.0, random.Random(5)))

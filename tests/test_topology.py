@@ -21,18 +21,6 @@ class TestPosition:
     def test_distance(self):
         assert Position(0, 0).distance_to(Position(3, 4)) == 5.0
 
-    def test_moved_towards_partial(self):
-        moved = Position(0, 0).moved_towards(Position(10, 0), 4)
-        assert moved == Position(4, 0)
-
-    def test_moved_towards_overshoot_clamps_to_target(self):
-        target = Position(1, 1)
-        assert Position(0, 0).moved_towards(target, 100) == target
-
-    def test_moved_towards_zero_distance(self):
-        p = Position(2, 2)
-        assert p.moved_towards(p, 5) == p
-
 
 class TestLinearPositions:
     def test_count_and_spacing(self):
