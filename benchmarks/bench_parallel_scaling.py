@@ -16,7 +16,7 @@ across PRs:
    once per figure.
 3. **Batched grids** — submits several figure plans' grids as one
    interleaved :meth:`~repro.experiments.parallel.ParallelRunner.run_grids`
-   batch (the ``run_paper`` path) and per figure via ``run_grid``, and
+   batch (the ``run_paper`` path) and per figure (one grid per call), and
    asserts records *and* aggregated rows are bit-identical.
 
 Aggregated metrics must be bit-identical across the serial and process
@@ -75,7 +75,7 @@ def _scaling_backend(workers):
 
 
 def _run_reuse_calls(runner, seeds):
-    return [runner.replicate(spec, seeds) for spec in REUSE_SCENARIOS]
+    return [runner.run_grids([((spec,), seeds)])[0][0] for spec in REUSE_SCENARIOS]
 
 
 def test_parallel_scaling(benchmark):
@@ -91,7 +91,7 @@ def test_parallel_scaling(benchmark):
             backend = _scaling_backend(workers)
             started = time.perf_counter()
             with backend:
-                records = ParallelRunner(backend=backend).replicate(SCENARIO, seeds)
+                records = ParallelRunner(backend=backend).run_grids([((SCENARIO,), seeds)])[0][0]
             wall_clock[workers] = time.perf_counter() - started
             summaries[workers] = _summaries(records)
 
@@ -103,9 +103,8 @@ def test_parallel_scaling(benchmark):
         throwaway_records = []
         for spec in REUSE_SCENARIOS:
             with ProcessBackend(workers=pool_workers) as backend:
-                throwaway_records.append(
-                    ParallelRunner(backend=backend).replicate(spec, reuse_seeds)
-                )
+                runner = ParallelRunner(backend=backend)
+                throwaway_records.append(runner.run_grids([((spec,), reuse_seeds)])[0][0])
         reuse["throwaway_s"] = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -131,7 +130,7 @@ def test_parallel_scaling(benchmark):
         with ProcessBackend(workers=pool_workers) as backend:
             runner = ParallelRunner(backend=backend)
             batched = runner.run_grids(grids)
-            per_figure = [runner.run_grid(list(specs), seeds_) for specs, seeds_ in grids]
+            per_figure = [runner.run_grids([grid])[0] for grid in grids]
         assert batched == per_figure, "batched grids changed the records"
         batched_rows = [plan.aggregate(groups) for plan, groups in zip(plans, batched, strict=True)]
         per_figure_rows = [plan.aggregate(groups) for plan, groups in zip(plans, per_figure, strict=True)]

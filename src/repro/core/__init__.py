@@ -13,13 +13,12 @@ The package is organised exactly along the paper's component split:
 * The adjustable-reliability mathematics of Section 3 (Equations 1–4)
   is in :mod:`repro.core.reliability`, and the analytic caching-gain
   model of Section 4.1 (Equations 5–6) in :mod:`repro.core.analysis`.
-* Packet formats (Figure 2) and their binary codec are in
-  :mod:`repro.core.packet`; all tunables (Table 1 plus controller
+* Packet formats (Figure 2) are in :mod:`repro.core.packet`; all tunables (Table 1 plus controller
   gains) are in :mod:`repro.core.config`.
 """
 
 from repro.core.config import JTPConfig, FeedbackMode
-from repro.core.packet import Packet, PacketType, AckInfo, PacketCodec
+from repro.core.packet import Packet, PacketType, AckInfo
 from repro.core.reliability import (
     per_link_success_target,
     attempts_for_target,
@@ -48,7 +47,6 @@ __all__ = [
     "Packet",
     "PacketType",
     "AckInfo",
-    "PacketCodec",
     "per_link_success_target",
     "attempts_for_target",
     "updated_loss_tolerance",

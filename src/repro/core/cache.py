@@ -13,7 +13,7 @@ overflow and leaves the study of other policies to future work.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.packet import Packet
 from repro.util.validation import require_positive
@@ -23,9 +23,9 @@ class PacketCache:
     """Bounded per-node store of traversing data packets.
 
     Alongside the recency-ordered entry map, a per-flow sequence-number
-    index is maintained so that the cumulative-ACK and flow-teardown
-    discards touch only the affected flow's entries instead of scanning
-    the whole cache (every traversing ACK triggers one such discard).
+    index is maintained so that the cumulative-ACK discard touches only
+    the affected flow's entries instead of scanning the whole cache
+    (every traversing ACK triggers one such discard).
     """
 
     def __init__(self, capacity: int = 1000):
@@ -69,16 +69,12 @@ class PacketCache:
         The victim is the first entry of the ordered dict: inserts and
         lookups move an entry to the end.
         """
-        key, _ = self._entries.popitem(last=False)
-        self._unindex(key)
+        (flow_id, seq), _ = self._entries.popitem(last=False)
+        seqs = self._flow_index[flow_id]
+        seqs.discard(seq)
+        if not seqs:
+            del self._flow_index[flow_id]
         self.evictions += 1
-
-    def _unindex(self, key: Tuple[int, int]) -> None:
-        seqs = self._flow_index.get(key[0])
-        if seqs is not None:
-            seqs.discard(key[1])
-            if not seqs:
-                del self._flow_index[key[0]]
 
     def lookup(self, flow_id: int, seq: int) -> Optional[Packet]:
         """Return the cached packet, refreshing its recency."""
@@ -90,14 +86,6 @@ class PacketCache:
         self.hits += 1
         self._entries.move_to_end(key)
         return packet
-
-    def discard(self, flow_id: int, seq: int) -> bool:
-        """Remove a packet (e.g. once it is known to be delivered)."""
-        key = (flow_id, seq)
-        if self._entries.pop(key, None) is None:
-            return False
-        self._unindex(key)
-        return True
 
     def discard_up_to(self, flow_id: int, cumulative_ack: int) -> int:
         """Drop all cached packets of ``flow_id`` with seq <= ``cumulative_ack``.
@@ -119,15 +107,6 @@ class PacketCache:
             del self._flow_index[flow_id]
         return len(stale)
 
-    def discard_flow(self, flow_id: int) -> int:
-        """Drop every cached packet belonging to ``flow_id``."""
-        seqs = self._flow_index.pop(flow_id, None)
-        if not seqs:
-            return 0
-        for seq in seqs:
-            del self._entries[(flow_id, seq)]
-        return len(seqs)
-
     def clear(self) -> int:
         """Drop every cached packet (node-crash teardown); returns the count.
 
@@ -138,24 +117,3 @@ class PacketCache:
         self._entries.clear()
         self._flow_index.clear()
         return dropped
-
-    def retrieve_for_snack(self, flow_id: int, snack: Tuple[int, ...]) -> List[Packet]:
-        """All cached packets of ``flow_id`` whose seq appears in ``snack``."""
-        found: List[Packet] = []
-        for seq in snack:
-            packet = self.lookup(flow_id, seq)
-            if packet is not None:
-                found.append(packet)
-        return found
-
-    def occupancy_by_flow(self) -> Dict[int, int]:
-        """Number of cached packets per flow (useful for fairness studies)."""
-        return {flow_id: len(seqs) for flow_id, seqs in self._flow_index.items()}
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of lookups that found the requested packet."""
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total

@@ -126,16 +126,6 @@ class JTPConfig:
 
     # -- convenience -------------------------------------------------------------------
 
-    @property
-    def data_packet_bytes(self) -> float:
-        """On-air size of a full data packet (payload plus JTP header)."""
-        return self.packet_size_bytes + self.header_bytes
-
-    @property
-    def ack_packet_bytes(self) -> float:
-        """On-air size of a feedback packet (JTP header plus ACK header)."""
-        return self.header_bytes + self.ack_header_bytes
-
     def variant(self, **overrides) -> "JTPConfig":
         """A copy of this configuration with some fields overridden.
 
@@ -159,10 +149,3 @@ class JTPConfig:
     def jtp20(cls) -> "JTPConfig":
         """JTP with 20% application loss tolerance (Figure 3)."""
         return cls(loss_tolerance=0.20)
-
-    @classmethod
-    def no_caching(cls, **overrides) -> "JTPConfig":
-        """The JNC variant of Section 4.1: JTP with in-network caching disabled."""
-        params = {"caching_enabled": False}
-        params.update(overrides)
-        return cls(**params)

@@ -78,10 +78,6 @@ class FeedbackScheduler:
         """Record that a monitor-triggered (early) feedback message was sent."""
         self.early_feedbacks += 1
 
-    @property
-    def total_feedbacks(self) -> int:
-        return self.regular_feedbacks + self.early_feedbacks
-
     def sender_timeout(self, period: float) -> float:
         """Value placed in the ACK's sender-timeout field.
 

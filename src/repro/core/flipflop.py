@@ -79,11 +79,6 @@ class FlipFlopFilter:
         return self._mean
 
     @property
-    def is_agile(self) -> bool:
-        """Whether the agile (fast-tracking) filter is currently active."""
-        return self._agile
-
-    @property
     def upper_control_limit(self) -> Optional[float]:
         if self._mean is None or self._range is None:
             return None
@@ -162,11 +157,3 @@ class FlipFlopFilter:
             triggered=triggered,
             agile=self._agile,
         )
-
-    def reset(self) -> None:
-        """Forget all history (used when the path changes completely)."""
-        self._mean = None
-        self._range = None
-        self._previous = None
-        self._consecutive_outliers = 0
-        self._agile = False

@@ -1,4 +1,4 @@
-"""JTP packet formats (Figure 2) and a binary codec.
+"""JTP packet formats (Figure 2).
 
 Data packets carry the three novel JTP header fields — **available
 rate**, **loss tolerance** and **energy budget** — plus the running
@@ -12,15 +12,12 @@ timeout (the receiver's feedback period T).
 The in-simulator representation is a mutable :class:`Packet` object so
 that iJTP's per-hop soft-state operations (Algorithms 1 and 2) can
 update header fields in place, exactly as Dynamic-Packet-State style
-protocols do.  :class:`PacketCodec` provides a wire encoding used by
-the serialization tests and by anyone embedding JTP outside the
-simulator; note that, like the paper's prototype, the encoded header is
-slightly larger than the optimised 28-byte layout of Figure 2.
+protocols do.  Nothing is serialised: the MAC charges airtime and
+energy for :attr:`Packet.size_bits`, header plus payload.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
@@ -120,10 +117,6 @@ class Packet:
         self.is_data = self.packet_type is PacketType.DATA
         self.is_ack = self.packet_type is PacketType.ACK
 
-    def remaining_energy_budget(self) -> float:
-        """Energy budget left before iJTP must drop the packet (Alg. 1, line 2)."""
-        return self.energy_budget - self.energy_used
-
     def cache_key(self) -> Tuple[int, int]:
         """Key under which iJTP caches this packet."""
         return (self.flow_id, self.seq)
@@ -168,160 +161,3 @@ class Packet:
         kind = self.packet_type.name
         return f"<Packet {kind} flow={self.flow_id} seq={self.seq} {self.src}->{self.dst}>"
 
-
-class PacketCodec:
-    """Binary wire format for JTP packets.
-
-    Layout (network byte order):
-
-    * fixed part: flow_id (I), seq (i), type (B), flags (B), src (H),
-      dst (H), payload length (I), loss tolerance (f), energy budget (f),
-      energy used (f), available rate (f), deadline (f), timestamp (d);
-    * ACK extension (present iff the ACK flag is set): cumulative ack (i),
-      highest received (i), rate (f), energy budget (f), sender timeout
-      (f), echo timestamp (d), feedback seq (I), snack count (H),
-      recovered count (H), then the SNACK and locally-recovered sequence
-      numbers (I each).
-    """
-
-    _FIXED = struct.Struct("!IiBBHHIfffffd")
-    _ACK_FIXED = struct.Struct("!iifffdIHH")
-    _SEQ = struct.Struct("!I")
-
-    _FLAG_ACK = 0x01
-    _FLAG_RETRANSMISSION = 0x02
-    _INF_SENTINEL = 3.0e38  # representable in a float32, treated as infinity
-
-    @classmethod
-    def _to_wire_float(cls, value: float) -> float:
-        return cls._INF_SENTINEL if value == float("inf") else float(value)
-
-    @classmethod
-    def _from_wire_float(cls, value: float) -> float:
-        return float("inf") if value >= cls._INF_SENTINEL / 2 else value
-
-    @classmethod
-    def encode(cls, packet: Packet) -> bytes:
-        """Serialise ``packet`` to bytes."""
-        flags = 0
-        if packet.is_ack:
-            flags |= cls._FLAG_ACK
-        if packet.is_retransmission:
-            flags |= cls._FLAG_RETRANSMISSION
-        blob = cls._FIXED.pack(
-            packet.flow_id,
-            packet.seq,
-            packet.packet_type.value,
-            flags,
-            packet.src,
-            packet.dst,
-            int(packet.payload_bytes),
-            packet.loss_tolerance,
-            cls._to_wire_float(packet.energy_budget),
-            packet.energy_used,
-            cls._to_wire_float(packet.available_rate_pps),
-            cls._to_wire_float(packet.deadline),
-            packet.timestamp,
-        )
-        if packet.is_ack:
-            ack = packet.ack or AckInfo()
-            blob += cls._ACK_FIXED.pack(
-                ack.cumulative_ack,
-                ack.highest_received,
-                ack.rate_pps,
-                cls._to_wire_float(ack.energy_budget),
-                ack.sender_timeout,
-                ack.echo_timestamp,
-                ack.feedback_seq,
-                len(ack.snack),
-                len(ack.locally_recovered),
-            )
-            for seq in ack.snack:
-                blob += cls._SEQ.pack(seq)
-            for seq in ack.locally_recovered:
-                blob += cls._SEQ.pack(seq)
-        return blob
-
-    @classmethod
-    def decode(cls, blob: bytes) -> Packet:
-        """Deserialise bytes produced by :meth:`encode`."""
-        if len(blob) < cls._FIXED.size:
-            raise ValueError(f"truncated packet: {len(blob)} bytes < fixed header {cls._FIXED.size}")
-        (
-            flow_id,
-            seq,
-            type_value,
-            flags,
-            src,
-            dst,
-            payload_len,
-            loss_tolerance,
-            energy_budget,
-            energy_used,
-            available_rate,
-            deadline,
-            timestamp,
-        ) = cls._FIXED.unpack_from(blob, 0)
-        packet = Packet(
-            flow_id=flow_id,
-            seq=seq,
-            packet_type=PacketType(type_value),
-            src=src,
-            dst=dst,
-            payload_bytes=float(payload_len),
-            loss_tolerance=loss_tolerance,
-            energy_budget=cls._from_wire_float(energy_budget),
-            energy_used=energy_used,
-            available_rate_pps=cls._from_wire_float(available_rate),
-            deadline=cls._from_wire_float(deadline),
-            timestamp=timestamp,
-            is_retransmission=bool(flags & cls._FLAG_RETRANSMISSION),
-        )
-        offset = cls._FIXED.size
-        if flags & cls._FLAG_ACK:
-            if len(blob) < offset + cls._ACK_FIXED.size:
-                raise ValueError("truncated ACK header")
-            (
-                cumulative_ack,
-                highest_received,
-                rate_pps,
-                ack_energy_budget,
-                sender_timeout,
-                echo_timestamp,
-                feedback_seq,
-                snack_count,
-                recovered_count,
-            ) = cls._ACK_FIXED.unpack_from(blob, offset)
-            offset += cls._ACK_FIXED.size
-            needed = (snack_count + recovered_count) * cls._SEQ.size
-            if len(blob) < offset + needed:
-                raise ValueError("truncated SNACK list")
-            snack = []
-            for _ in range(snack_count):
-                snack.append(cls._SEQ.unpack_from(blob, offset)[0])
-                offset += cls._SEQ.size
-            recovered = []
-            for _ in range(recovered_count):
-                recovered.append(cls._SEQ.unpack_from(blob, offset)[0])
-                offset += cls._SEQ.size
-            packet.ack = AckInfo(
-                cumulative_ack=cumulative_ack,
-                highest_received=highest_received,
-                snack=tuple(snack),
-                locally_recovered=tuple(recovered),
-                rate_pps=rate_pps,
-                energy_budget=cls._from_wire_float(ack_energy_budget),
-                sender_timeout=sender_timeout,
-                echo_timestamp=echo_timestamp,
-                feedback_seq=feedback_seq,
-            )
-        return packet
-
-    @classmethod
-    def encoded_size(cls, packet: Packet) -> int:
-        """Size in bytes of the wire encoding (without payload bytes)."""
-        size = cls._FIXED.size
-        if packet.is_ack:
-            ack = packet.ack or AckInfo()
-            size += cls._ACK_FIXED.size + (len(ack.snack) + len(ack.locally_recovered)) * cls._SEQ.size
-        return size

@@ -97,15 +97,5 @@ class PathMonitor:
         """The eUCL input to the energy budget controller (Eq. 13)."""
         return self.energy_filter.upper_control_limit
 
-    @property
-    def smoothed_rtt(self) -> Optional[float]:
-        """Smoothed round-trip time estimate, if any ACK has been echoed yet."""
-        return self._rtt.value
-
     def rtt_or(self, default: float) -> float:
         return self._rtt.value_or(default)
-
-    @property
-    def path_is_stable(self) -> bool:
-        """True while neither filter is in its agile (catching-up) state."""
-        return not (self.rate_filter.is_agile or self.energy_filter.is_agile)

@@ -60,12 +60,6 @@ class PIMDRateController:
         self._rate = clamp(self._rate, cfg.min_rate_pps, cfg.max_rate_pps)
         return self._rate
 
-    def multiplicative_backoff(self) -> float:
-        """Cut the rate by K_D (used on missing feedback and by the sender's timeout)."""
-        self._rate = clamp(self._rate * self.config.kd, self.config.min_rate_pps, self.config.max_rate_pps)
-        self.decreases += 1
-        return self._rate
-
 
 class EnergyBudgetController:
     """The destination's per-packet energy budget controller (Eq. 13)."""
@@ -73,11 +67,6 @@ class EnergyBudgetController:
     def __init__(self, config: Optional[JTPConfig] = None):
         self.config = config or JTPConfig()
         self._budget: Optional[float] = None
-
-    @property
-    def budget(self) -> Optional[float]:
-        """The last budget computed, or None if no energy sample was seen yet."""
-        return self._budget
 
     def update(self, energy_upper_control_limit: Optional[float]) -> Optional[float]:
         """Compute ``e = β · eUCL`` from the path monitor's control limit."""

@@ -146,11 +146,6 @@ class ExecutorBackend(ABC):
     def close(self) -> None:  # noqa: B027 - intentionally optional: poolless backends need no teardown
         """Release worker resources (idempotent; lazily restarts on reuse)."""
 
-    @property
-    def is_running(self) -> bool:
-        """Whether the backend currently holds live worker resources."""
-        return False
-
     def __enter__(self) -> "ExecutorBackend":
         return self
 
@@ -257,10 +252,6 @@ class ProcessBackend(ExecutorBackend):
     def stats(self) -> Dict[str, int]:
         """Cumulative scheduler counters: retries, respawns, timeouts, failures."""
         return self._scheduler.stats
-
-    @property
-    def is_running(self) -> bool:
-        return self._scheduler.is_running
 
     def worker_pids(self) -> FrozenSet[int]:
         """PIDs of the live worker processes (empty before first use / after close)."""

@@ -63,8 +63,8 @@ class FigurePlan:
 
     ``specs`` lists one :class:`ScenarioSpec` per figure cell and
     ``aggregate`` turns the per-spec record groups that
-    :meth:`~repro.experiments.parallel.ParallelRunner.run_grid` returns
-    into the figure's rows.  The split is what lets
+    :meth:`~repro.experiments.parallel.ParallelRunner.run_grids` returns
+    for the plan's grid into the figure's rows.  The split is what lets
     :func:`~repro.experiments.presets.run_paper` batch every figure's
     grid into **one** pool submission: plans are built up front, every
     plan's specs go down together via
@@ -93,7 +93,7 @@ class FigurePlan:
         backend: Optional[ExecutorBackend] = None,
     ) -> List[Row]:
         """Execute the plan's grid on one backend and aggregate the rows."""
-        groups = ParallelRunner(workers, backend).run_grid(list(self.specs), list(seeds))
+        groups = ParallelRunner(workers, backend).run_grids([(self.specs, seeds)])[0]
         return self.aggregate(groups)
 
 

@@ -102,22 +102,6 @@ class ScenarioMetrics:
         overall = self.delivered_bytes / self.duration
         return (self.delivered_bytes_during_faults / self.fault_outage_seconds) / overall
 
-    def as_row(self) -> Dict[str, float]:
-        """A flat dictionary suitable for the text-table reporter."""
-        return {
-            "protocol": self.protocol,
-            "netSize": self.num_nodes,
-            "flows": self.num_flows,
-            "energy_J": round(self.energy_joules, 4),
-            "energy_per_bit_uJ": round(self.energy_per_bit_microjoules, 3),
-            "goodput_kbps": round(self.goodput_kbps, 4),
-            "delivered_frac": round(self.delivered_fraction, 3),
-            "source_rtx": self.source_retransmissions,
-            "cache_recoveries": self.cache_recoveries,
-            "queue_drops": self.queue_drops,
-            "acks": self.acks_sent,
-        }
-
 
 def _resilience_metrics(
     network: Network, flows: Sequence[FlowHandle], end_time: float

@@ -18,8 +18,9 @@ bit-identical to a serial run:
   one of the scenario families of :data:`SCENARIO_BUILDERS` ("linear",
   "random", "mobile", "testbed" and the four single-run trace
   scenarios) plus its keyword arguments.  Specs are the unit of work
-  for figure grids and the recommended builder for parallel runs.
-* :class:`ParallelRunner` — the execution front-end.  It delegates to a
+  of every grid.
+* :class:`ParallelRunner` — the execution front-end, with one entry
+  point, :meth:`ParallelRunner.run_grids`.  It delegates to a
   pluggable :class:`~repro.experiments.backends.ExecutorBackend`:
   ``workers=0`` or ``1`` select the in-process
   :class:`~repro.experiments.backends.SerialBackend` (today's exact
@@ -31,30 +32,25 @@ bit-identical to a serial run:
   private ``ProcessBackend``, say) outright.  Because every
   scenario is fully determined by its seed and results are collected in
   submission order, the aggregated output is bit-identical for every
-  backend and worker count.  :meth:`ParallelRunner.run_grids` extends
-  this to whole figure *sets*: several figures' grids go down as one
+  backend and worker count.  Several figures' grids go down as one
   interleaved task stream (no pool drain between figures) and come back
   demultiplexed per grid, bit-identical to per-figure submission; a
   ``(spec, seed)`` cell that several grids plan runs once and its record
-  goes to each of them.  With
-  a ``progress=`` callback the same batch is consumed through the
-  backend's streaming
-  :meth:`~repro.experiments.backends.ExecutorBackend.imap`, reporting
-  per-cell completion (in submission order) while the pool works —
-  what :func:`~repro.experiments.presets.run_paper` surfaces as
-  per-figure percentages.
+  goes to each of them.  Records stream through the backend's
+  :meth:`~repro.experiments.backends.ExecutorBackend.imap`, so a
+  ``progress=`` callback sees per-cell completion (in submission
+  order) while the pool works — what
+  :func:`~repro.experiments.presets.run_paper` surfaces as per-figure
+  percentages.
 * :func:`spawn_seeds` — deterministic per-replicate seed derivation via
   :meth:`~repro.sim.random.RandomStreams.spawn`, so "give me ten
   replications of base seed 7" names the same ten seeds everywhere.
 
 Pickling contract: a :class:`ScenarioRecord` (and therefore everything
 workers send back) must survive ``pickle.dumps`` — plain dataclasses,
-enums, numbers, strings and containers thereof only.  Builders should
-be picklable too (a :class:`ScenarioSpec` or a module-level function),
-which is what lets a persistent pool outlive any single call.  A
-process backend rejects unpicklable builders — lambdas and closures
-included — with :class:`TypeError` before anything runs; the serial
-backend (``workers=0`` or ``1``) accepts any callable.
+enums, numbers, strings and containers thereof only.  A
+:class:`ScenarioSpec` carries only plain data, which is what lets a
+persistent pool outlive any single call.
 """
 
 from __future__ import annotations
@@ -114,14 +110,14 @@ class ScenarioRecord:
         cls,
         result: ScenarioResult,
         seed: int,
-        scenario: str = "",
-        params: Optional[Mapping[str, object]] = None,
+        scenario: str,
+        params: Mapping[str, object],
     ) -> "ScenarioRecord":
         """Reduce a live result to its picklable record."""
         return cls(
             seed=int(seed),
             scenario=scenario,
-            params=dict(params or {}),
+            params=dict(params),
             duration=result.duration,
             metrics=result.metrics,
             rows=result.rows,
@@ -173,43 +169,36 @@ def spawn_seeds(base_seed: int, count: int) -> List[int]:
     return [root.spawn(index + 1).seed for index in range(count)]
 
 
-def _record_label(builder: Callable[[int], ScenarioResult]) -> Tuple[str, Dict[str, object]]:
-    if isinstance(builder, ScenarioSpec):
-        return builder.scenario, dict(builder.params)
-    return getattr(builder, "__name__", type(builder).__name__), {}
+Task = Tuple[ScenarioSpec, int]
 
 
-def _run_task(task: Tuple[Callable[[int], ScenarioResult], int]) -> ScenarioRecord:
-    builder, seed = task
-    scenario, params = _record_label(builder)
-    return ScenarioRecord.from_result(builder(seed), seed, scenario, params)
+def _run_task(task: Task) -> ScenarioRecord:
+    spec, seed = task
+    return ScenarioRecord.from_result(spec(seed), seed, spec.scenario, spec.params)
 
 
-def _first_slots(tasks: Sequence[Tuple[Callable[[int], ScenarioResult], int]]) -> List[int]:
+def _first_slots(tasks: Sequence[Task]) -> List[int]:
     """For every task, the first slot that holds the same cell.
 
     Two ``(ScenarioSpec, seed)`` tasks are the same cell when their
     :func:`~repro.experiments.results.cell_content` forms match *and*
     the tasks compare equal, so a collision of the stringified form can
-    never merge different specs.  Builders that are not
-    :class:`ScenarioSpec` are never shared.
+    never merge different specs.
     """
     firsts: List[int] = []
     seen: Dict[str, List[int]] = {}
     for slot, task in enumerate(tasks):
-        builder, seed = task
-        first = slot
-        if isinstance(builder, ScenarioSpec):
-            candidates = seen.setdefault(cell_content(builder.scenario, builder.params, seed), [])
-            first = next((other for other in candidates if tasks[other] == task), slot)
-            if first == slot:
-                candidates.append(slot)
+        spec, seed = task
+        candidates = seen.setdefault(cell_content(spec.scenario, spec.params, seed), [])
+        first = next((other for other in candidates if tasks[other] == task), slot)
+        if first == slot:
+            candidates.append(slot)
         firsts.append(first)
     return firsts
 
 
 class ParallelRunner:
-    """Fan ``builder(seed)`` replications out over an executor backend.
+    """Fan ``spec × seed`` cells out over an executor backend.
 
     ``workers=0`` or ``1`` execute serially in the current process with
     no pool at all — byte-for-byte today's serial semantics — which is
@@ -231,57 +220,12 @@ class ParallelRunner:
         self.backend = resolve_backend(workers=workers, backend=backend)
         self.workers = self.backend.workers
 
-    # -- core execution ---------------------------------------------------------------
-
-    def run_tasks(
-        self, tasks: Sequence[Tuple[Callable[[int], ScenarioResult], int]]
-    ) -> List[ScenarioRecord]:
-        """Run ``(builder, seed)`` tasks, preserving task order in the output."""
-        if not tasks:
-            return []
-        return self.backend.map(_run_task, list(tasks))
-
-    def replicate(
-        self,
-        builder: Callable[[int], ScenarioResult],
-        seeds: Sequence[int],
-    ) -> List[ScenarioRecord]:
-        """Run ``builder(seed)`` for every seed; records come back in seed order."""
-        if not seeds:
-            raise ValueError("at least one seed is required")
-        return self.run_tasks([(builder, seed) for seed in seeds])
-
-    def run_grid(
-        self,
-        specs: Sequence[Callable[[int], ScenarioResult]],
-        seeds: Sequence[int],
-        progress: Optional[Callable[[int, int], None]] = None,
-    ) -> List[List[ScenarioRecord]]:
-        """Run every spec × seed combination through one shared pool.
-
-        Flattening the whole grid into a single task list keeps all
-        workers busy even when individual cells have few seeds.  The
-        result is aligned with ``specs``: one list of per-seed records
-        per spec, in seed order.  ``progress``, if given, is called as
-        ``progress(completed, total)`` after each cell finishes (see
-        :meth:`run_grids` for the delivery contract).
-        """
-        grid_progress: Optional[Callable[[int, int, int], None]] = None
-        if progress is not None:
-            cell_progress = progress
-            grid_progress = lambda _grid, done, total: cell_progress(done, total)
-        return self.run_grids([(specs, seeds)], progress=grid_progress)[0]
-
     def run_grids(
         self,
-        grids: Sequence[Tuple[Sequence[Callable[[int], ScenarioResult]], Sequence[int]]],
+        grids: Sequence[Tuple[Sequence[ScenarioSpec], Sequence[int]]],
         progress: Optional[Callable[[int, int, int], None]] = None,
-        reuse: Optional[
-            Callable[[int, Callable[[int], ScenarioResult], int], Optional[ScenarioRecord]]
-        ] = None,
-        on_result: Optional[
-            Callable[[int, Callable[[int], ScenarioResult], int, ScenarioRecord], None]
-        ] = None,
+        reuse: Optional[Callable[[int, ScenarioSpec, int], Optional[ScenarioRecord]]] = None,
+        on_result: Optional[Callable[[int, ScenarioSpec, int, ScenarioRecord], None]] = None,
     ) -> List[List[List[ScenarioRecord]]]:
         """Run several grids as **one** batched submission to the backend.
 
@@ -293,33 +237,33 @@ class ParallelRunner:
         stream, so short cells from one figure fill workers while
         another figure's long cells are still running.  The results are
         demultiplexed back per grid: element ``g`` of the return value
-        is exactly what ``run_grid(*grids[g])`` would return —
-        bit-identical, because every task is fully determined by its
-        ``(spec, seed)`` pair and records are matched back to their
-        submission slot, never to a worker or a completion order.
+        holds one list of per-seed records per spec of ``grids[g]``,
+        in seed order — bit-identical to running that grid alone,
+        because every task is fully determined by its ``(spec, seed)``
+        pair and records are matched back to their submission slot,
+        never to a worker or a completion order.  A single grid is
+        ``run_grids([(specs, seeds)])[0]``.
 
         Each distinct ``(ScenarioSpec, seed)`` cell runs **at most
         once** per call.  Figures compare against shared baselines, so
         grids often plan equal cells; the backend receives only the
         first slot of each such group, and every later slot of the group
-        takes that slot's record (the same object).  Builders that are
-        not :class:`ScenarioSpec` are always run per slot.
+        takes that slot's record (the same object).
 
         ``progress``, if given, is called as ``progress(grid_index,
         completed, total)`` once per finished cell, where ``completed``
         counts that grid's finished cells and ``total`` is the grid's
         cell count.  Events arrive in *submission* order (the
-        round-robin interleave), streamed through the backend's
-        :meth:`~repro.experiments.backends.ExecutorBackend.imap` — a
-        worker that races ahead is reported only when its submission
-        slot is reached, which keeps the event sequence deterministic.
+        round-robin interleave): records always stream through the
+        backend's :meth:`~repro.experiments.backends.ExecutorBackend.imap`,
+        and a worker that races ahead is reported only when its
+        submission slot is reached, which keeps the event sequence
+        deterministic.
         A shared slot is reported at its own position, as soon as the
         first slot of its group has been delivered, so sharing leaves
         the event sequence exactly as it would be with every slot
         simulated.  The callback runs on the caller's thread; an
-        exception it raises aborts the run.  Passing ``progress=None``
-        (and neither hook below) uses the non-streaming
-        :meth:`~repro.experiments.backends.ExecutorBackend.map` path.
+        exception it raises aborts the run.
 
         ``reuse`` and ``on_result`` are the incremental re-run hooks
         (what :func:`~repro.experiments.presets.run_paper` wires to its
@@ -342,7 +286,7 @@ class ParallelRunner:
         for returning records equal to what the cell would compute.
         """
         grids = list(grids)
-        per_grid_tasks: List[List[Tuple[Callable[[int], ScenarioResult], int]]] = []
+        per_grid_tasks: List[List[Task]] = []
         for specs, seeds in grids:
             if not seeds:
                 raise ValueError("at least one seed is required")
@@ -374,8 +318,8 @@ class ParallelRunner:
         for slot, (grid_index, task_index) in enumerate(order):
             cached = None
             if reuse is not None:
-                builder, seed = tasks[slot]
-                cached = reuse(grid_index, builder, seed)
+                spec, seed = tasks[slot]
+                cached = reuse(grid_index, spec, seed)
             if cached is None:
                 fresh_slots.append(slot)
                 continue
@@ -387,8 +331,7 @@ class ParallelRunner:
         # Only a group's first slot is simulated, and only when no member
         # of the group was reused.
         run = [tasks[slot] for slot in fresh_slots if firsts[slot] == slot and slot not in known]
-        streaming = progress is not None or on_result is not None
-        results_iter = self.backend.imap(_run_task, run) if streaming else iter(self.run_tasks(run))
+        results_iter = self.backend.imap(_run_task, run)
         for slot in fresh_slots:
             grid_index, task_index = order[slot]
             if firsts[slot] not in known:
@@ -396,8 +339,8 @@ class ParallelRunner:
                 known[slot] = next(results_iter)
             record = demuxed[grid_index][task_index] = known[firsts[slot]]
             if on_result is not None:
-                builder, seed = tasks[slot]
-                on_result(grid_index, builder, seed, record)
+                spec, seed = tasks[slot]
+                on_result(grid_index, spec, seed, record)
             completed[grid_index] += 1
             if progress is not None:
                 progress(grid_index, completed[grid_index], totals[grid_index])

@@ -666,22 +666,15 @@ def run_paper(
     if store is not None:
         cache = store
 
-        def _cache_key(grid_index: int, spec: object, seed: int) -> Optional[str]:
-            if not isinstance(spec, ScenarioSpec):
-                return None
+        def _cache_key(grid_index: int, spec: ScenarioSpec, seed: int) -> str:
             return cell_key(names[grid_index], spec.scenario, spec.params, seed)
 
-        def reuse(grid_index: int, spec: object, seed: int) -> Optional[ScenarioRecord]:
-            key = _cache_key(grid_index, spec, seed)
-            if key is None:
-                return None
-            record = cache.get(key)
+        def reuse(grid_index: int, spec: ScenarioSpec, seed: int) -> Optional[ScenarioRecord]:
+            record = cache.get(_cache_key(grid_index, spec, seed))
             return record if isinstance(record, ScenarioRecord) else None
 
-        def on_result(grid_index: int, spec: object, seed: int, record: ScenarioRecord) -> None:
-            key = _cache_key(grid_index, spec, seed)
-            if key is not None:
-                cache.put(key, record)
+        def on_result(grid_index: int, spec: ScenarioSpec, seed: int, record: ScenarioRecord) -> None:
+            cache.put(_cache_key(grid_index, spec, seed), record)
 
     grid_progress = None
     if progress is not None:

@@ -2,9 +2,9 @@
 
 The paper averages its linear-topology results over twenty independent
 runs (and its random-topology results over ten) and reports 95%
-confidence intervals.  :meth:`ParallelRunner.replicate
-<repro.experiments.parallel.ParallelRunner.replicate>` runs a scenario
-builder over a list of seeds, and :func:`summarize` /
+confidence intervals.  :meth:`ParallelRunner.run_grids
+<repro.experiments.parallel.ParallelRunner.run_grids>` runs each
+scenario spec over a list of seeds, and :func:`summarize` /
 :func:`confidence_interval` aggregate the resulting metric values.  The
 aggregation helpers accept both live
 :class:`~repro.experiments.scenarios.ScenarioResult` objects and the

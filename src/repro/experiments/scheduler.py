@@ -230,10 +230,6 @@ class Scheduler:
 
     # -- lifecycle --------------------------------------------------------------------
 
-    @property
-    def is_running(self) -> bool:
-        return bool(self._workers)
-
     def worker_pids(self) -> FrozenSet[int]:
         """PIDs of the live worker processes."""
         return frozenset(w.process.pid for w in self._workers)

@@ -19,7 +19,7 @@ link loss.
 
 from repro.mac.energy import RadioEnergyModel
 from repro.mac.link_estimator import LinkEstimator
-from repro.mac.arq import ArqPolicy, ArqOutcome
+from repro.mac.arq import ArqPolicy
 from repro.mac.tdma import MacConfig, TdmaMac, LinkContext
 from repro.mac.csma import CsmaMac
 
@@ -27,7 +27,6 @@ __all__ = [
     "RadioEnergyModel",
     "LinkEstimator",
     "ArqPolicy",
-    "ArqOutcome",
     "MacConfig",
     "TdmaMac",
     "CsmaMac",

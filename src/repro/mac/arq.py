@@ -12,19 +12,9 @@ ablated in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from repro.util.validation import require_positive
-
-
-class ArqOutcome(Enum):
-    """Final fate of one packet's service on one link."""
-
-    DELIVERED = "delivered"
-    EXHAUSTED = "exhausted"
-    DROPPED_BY_HOOK = "dropped_by_hook"
-    NO_ROUTE = "no_route"
 
 
 @dataclass(frozen=True)
@@ -60,18 +50,3 @@ class ArqPolicy:
         """Seconds between successive attempts at the same packet."""
         return self.retry_spacing_slots * slot_duration
 
-
-@dataclass
-class ArqRecord:
-    """Book-keeping for one packet's service (exposed to traces and tests)."""
-
-    attempts_allowed: int
-    attempts_used: int = 0
-    outcome: Optional[ArqOutcome] = None
-
-    def record_attempt(self) -> None:
-        self.attempts_used += 1
-
-    @property
-    def exhausted(self) -> bool:
-        return self.attempts_used >= self.attempts_allowed

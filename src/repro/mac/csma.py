@@ -130,7 +130,7 @@ class CsmaMac(TdmaMac):
         if attempt_no < attempts_allowed:
             self.sim.schedule(service_time, self._retry, self._epoch, packet, next_hop, attempt_no + 1, attempts_allowed)
         else:
-            estimator.record_packet(attempt_no, delivered=False)
+            estimator.record_packet(attempt_no)
             self._dropped(packet, "link_exhausted")
             self.sim.schedule(service_time, self._service_next)
 

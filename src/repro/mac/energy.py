@@ -59,13 +59,3 @@ class RadioEnergyModel:
     def round_trip_energy(self, nbits: float) -> float:
         """Energy of one successful hop: one transmission plus one reception."""
         return self.transmit_energy(nbits) + self.receive_energy(nbits)
-
-    def scaled(self, factor: float) -> "RadioEnergyModel":
-        """A radio with both power draws scaled by ``factor`` (for what-if studies)."""
-        require_positive(factor, "factor")
-        return RadioEnergyModel(
-            datarate_bps=self.datarate_bps,
-            tx_power_watts=self.tx_power_watts * factor,
-            rx_power_watts=self.rx_power_watts * factor,
-            per_packet_overhead_s=self.per_packet_overhead_s,
-        )

@@ -166,10 +166,6 @@ class TdmaMac:
             self._estimators[neighbor] = estimator
         return estimator
 
-    def link_loss_rate(self, neighbor: int) -> float:
-        """Estimated per-attempt loss rate towards ``neighbor``."""
-        return self.link_estimator(neighbor).loss_rate
-
     def available_rate_pps(self, neighbor: int) -> float:
         """Available transmission rate towards ``neighbor``, in packets/second.
 
@@ -313,10 +309,8 @@ class TdmaMac:
         success = self.channel.transmission_succeeds(self.node_id, next_hop, now)
         # Inline twins of LinkEstimator.record_attempt and
         # NetworkStats.record_link_attempt.
-        estimator.total_attempts += 1
         stats.link_transmissions += 1
         if success:
-            estimator.total_successes += 1
             stats.link_successes += 1
         estimator._loss.update(0.0 if success else 1.0)
         if self._trace_attempts:
@@ -324,8 +318,8 @@ class TdmaMac:
                               attempt=attempt_no, allowed=attempts_allowed, success=success)
 
         if success:
-            estimator.record_packet(attempt_no, delivered=True)
-            # Inline twin of stats.register_node(next_hop).record_rx.
+            estimator.record_packet(attempt_no)
+            # Charge the reception to the receiving node and flow.
             receiver = stats.energy.get(next_hop) or stats.register_node(next_hop)
             receiver.rx_joules += rx_energy
             per_flow = receiver.per_flow
@@ -336,7 +330,7 @@ class TdmaMac:
             self.sim.schedule(service_time + retry_delay, self._retry,
                               self._epoch, packet, next_hop, attempt_no + 1, attempts_allowed)
         else:
-            estimator.record_packet(attempt_no, delivered=False)
+            estimator.record_packet(attempt_no)
             self._dropped(packet, "link_exhausted")
             self.sim.schedule(service_time, self._service_next)
 

@@ -126,20 +126,3 @@ class PlotSpec:
     @property
     def heading(self) -> str:
         return self.title if self.title is not None else self.figure
-
-    def columns(self) -> Tuple[str, ...]:
-        """Every row column the spec reads, in reading order.
-
-        Used by the schema tests to pin that a spec only names columns
-        its figure actually produces.
-        """
-        names = [self.x, *self.series]
-        for panel in self.axes:
-            names.append(panel.y)
-            if panel.yerr:
-                names.append(panel.yerr)
-        out = []
-        for name in names:
-            if name not in out:
-                out.append(name)
-        return tuple(out)

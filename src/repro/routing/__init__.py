@@ -17,13 +17,10 @@ share one view of the topology, refreshed from the channel every
 (:mod:`repro.routing.link_state`).
 """
 
-from repro.routing.dijkstra import shortest_path, shortest_path_tree, next_hop_table, path_length
+from repro.routing.dijkstra import shortest_path_tree
 from repro.routing.link_state import LinkStateRouting
 
 __all__ = [
-    "shortest_path",
     "shortest_path_tree",
-    "next_hop_table",
-    "path_length",
     "LinkStateRouting",
 ]

@@ -48,31 +48,6 @@ def shortest_path_tree(graph: Graph, source: int) -> Tuple[Dict[int, float], Dic
     return dist, prev
 
 
-def shortest_path(graph: Graph, source: int, destination: int) -> Optional[List[int]]:
-    """Hop-minimal path from ``source`` to ``destination`` (inclusive), or None."""
-    if source == destination:
-        return [source]
-    dist, prev = shortest_path_tree(graph, source)
-    if destination not in dist:
-        return None
-    path = [destination]
-    while path[-1] != source:
-        parent = prev[path[-1]]
-        if parent is None:
-            return None
-        path.append(parent)
-    path.reverse()
-    return path
-
-
-def path_length(graph: Graph, source: int, destination: int) -> Optional[int]:
-    """Number of links on the shortest path, or None if unreachable."""
-    path = shortest_path(graph, source, destination)
-    if path is None:
-        return None
-    return len(path) - 1
-
-
 def routing_tree(graph: Graph, source: int) -> Tuple[Dict[int, float], Dict[int, int]]:
     """Distances and first hops from ``source`` over one shortest-path tree.
 
@@ -90,7 +65,3 @@ def routing_tree(graph: Graph, source: int) -> Tuple[Dict[int, float], Dict[int,
         first_hop[destination] = destination if parent == source else first_hop[parent]
     return dist, first_hop
 
-
-def next_hop_table(graph: Graph, source: int) -> Dict[int, int]:
-    """For every reachable destination, the first hop on the shortest path."""
-    return routing_tree(graph, source)[1]

@@ -17,9 +17,9 @@ queried node per view, and dropped when the view changes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from repro.routing.dijkstra import path_length, routing_tree, shortest_path
+from repro.routing.dijkstra import routing_tree
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 from repro.util.validation import require_positive
@@ -108,15 +108,3 @@ class LinkStateRouting:
         tree = self._trees.get(node_id) or self._build_tree(node_id)
         hops = tree[0].get(destination)
         return None if hops is None else int(hops)
-
-    def route(self, source: int, destination: int) -> Optional[List[int]]:
-        """Full path from ``source`` to ``destination`` per the source's view."""
-        return shortest_path(self.view_of(source), source, destination)
-
-    def is_reachable(self, source: int, destination: int) -> bool:
-        """Whether ``source`` currently believes it can reach ``destination``."""
-        return self.next_hop(source, destination) is not None
-
-    def true_hops(self, source: int, destination: int) -> Optional[int]:
-        """Hop count on the *actual* current topology (ground truth, for tests)."""
-        return path_length(self.channel.connectivity(), source, destination)

@@ -5,9 +5,10 @@ environment used in the paper.  It provides:
 
 * :mod:`repro.sim.engine` — the event scheduler and simulation clock,
 * :mod:`repro.sim.random` — named, independently seeded random streams,
-* :mod:`repro.sim.topology` — linear / grid / random node placements,
-* :mod:`repro.sim.spatial` — the hash-grid neighbour index behind the
-  channel's connectivity queries,
+* :mod:`repro.sim.topology` — linear and random node placements and
+  the unit-disk connectivity graph,
+* :mod:`repro.sim.spatial` — an exact hash-grid neighbour index, kept
+  for the end-to-end benchmark's trace; no simulation path uses it,
 * :mod:`repro.sim.channel` — distance-based connectivity with a
   Gilbert–Elliott good/bad loss process per link,
 * :mod:`repro.sim.faults` — the deterministic fault-injection engine:
@@ -33,7 +34,6 @@ from repro.sim.spatial import SpatialGrid
 from repro.sim.topology import (
     Position,
     linear_positions,
-    grid_positions,
     random_positions,
     connectivity_graph,
     is_connected,
@@ -61,7 +61,6 @@ __all__ = [
     "profiled",
     "Position",
     "linear_positions",
-    "grid_positions",
     "random_positions",
     "connectivity_graph",
     "is_connected",

@@ -146,32 +146,12 @@ class GilbertElliottLink:
         self._state_until = now + self._sample_dwell(self._state)
         self.fast_forwards += 1
 
-    def state(self, now: float) -> str:
-        """The link state ('good' or 'bad') at time ``now``."""
-        self._advance(now)
-        return self._state
-
-    def loss_probability(self, now: float, forced_state: Optional[str] = None) -> float:
-        """Per-transmission loss probability at time ``now``.
-
-        ``forced_state`` (fault injection) overrides which state's loss
-        applies without disturbing the underlying chain: the state
-        machine still advances and consumes the same draws, so clearing
-        the override resumes the natural process exactly where it would
-        have been.
-        """
-        self._advance(now)
-        state = self._state if forced_state is None else forced_state
-        return self.quality.bad_loss if state == self.BAD else self.quality.good_loss
-
     def transmission_succeeds(self, now: float, forced_state: Optional[str] = None) -> bool:
         """Sample one transmission attempt outcome at time ``now``.
 
-        The outcome draw is taken *before* the state machine advances —
-        the historical evaluation order of ``rng.random() >=
-        loss_probability(now)`` (Python evaluates the left operand
-        first), which seeded experiments depend on since both draws come
-        from the same per-link stream.  ``forced_state`` overrides which
+        The outcome draw is taken *before* the state machine advances,
+        which seeded experiments depend on since both draws come from
+        the same per-link stream.  ``forced_state`` overrides which
         state's loss the draw is compared against (fault injection)
         while leaving the chain's evolution — and its RNG consumption —
         untouched.
@@ -204,9 +184,8 @@ class Channel:
       :meth:`move_along` (or directly through :meth:`set_position`),
     * answer connectivity queries from the routing layer,
     * hold one :class:`GilbertElliottLink` per directed link and decide
-      the outcome of each MAC transmission attempt,
-    * report the *true* instantaneous loss probability of a link, which
-      the MAC link estimator only ever sees through noisy measurements.
+      the outcome of each MAC transmission attempt; the MAC link
+      estimator sees a link's loss only through those outcomes.
 
     The graph returned by :meth:`connectivity` (and the sets returned by
     :meth:`neighbors_of`, which are its rows) is a cached snapshot owned
@@ -226,7 +205,6 @@ class Channel:
         self._rng = rng
         self.default_quality = default_quality or LinkQuality()
         self._links: Dict[Tuple[int, int], GilbertElliottLink] = {}
-        self._qualities: Dict[Tuple[int, int], LinkQuality] = {}
         #: The connectivity graph of the current positions, or None once
         #: a position, a down node or a blocked link has changed.
         self._graph: Optional[Dict[int, Set[int]]] = None
@@ -337,9 +315,8 @@ class Channel:
         """The range test of one pair, for when the cached graph is stale.
 
         It is ``dst in connectivity()[src]`` without building the
-        graph: ``SpatialGrid.neighbors_within``'s test with its operand
-        order, and the down-node and blocked-link filter of
-        :meth:`_filter_faulted`.  The pair scan of
+        graph: one ``distance_to`` test, and the down-node and
+        blocked-link filter of :meth:`_filter_faulted`.  The pair scan of
         :func:`~repro.sim.topology.connectivity_graph` takes the
         coordinate differences from the lower id instead; IEEE
         subtraction is exactly antisymmetric and ``hypot`` ignores
@@ -455,45 +432,20 @@ class Channel:
             raise ValueError(f"regime must be 'good', 'bad' or None, got {state!r}")
         self._forced_regime = state
 
-    @property
-    def down_nodes(self) -> Set[int]:
-        """Nodes currently removed from the graph by fault injection (a copy)."""
-        return set(self._down_nodes)
-
     # -- link quality ----------------------------------------------------------------
-
-    def set_link_quality(self, src: int, dst: int, quality: LinkQuality, symmetric: bool = True) -> None:
-        """Override the loss model of one (or both directions of a) link."""
-        self._qualities[(src, dst)] = quality
-        self._links.pop((src, dst), None)
-        if symmetric:
-            self._qualities[(dst, src)] = quality
-            self._links.pop((dst, src), None)
 
     def _link(self, src: int, dst: int, now: float) -> GilbertElliottLink:
         key = (src, dst)
         link = self._links.get(key)
         if link is None:
-            quality = self._qualities.get(key, self.default_quality)
             stream = random.Random(self._rng.getrandbits(64))
-            link = GilbertElliottLink(quality, stream, start_time=now)
+            link = GilbertElliottLink(self.default_quality, stream, start_time=now)
             self._links[key] = link
         return link
 
-    def loss_probability(self, src: int, dst: int, now: float) -> float:
-        """True per-attempt loss probability of the directed link right now.
-
-        Returns 1.0 if the nodes are out of range (every attempt fails),
-        which is how mobility-induced route breakage manifests.
-        """
-        if not self.in_range(src, dst):
-            return 1.0
-        return self._link(src, dst, now).loss_probability(now, self._forced_regime)
-
     def average_loss_probability(self, src: int, dst: int) -> float:
         """Long-run average loss of the directed link (ignores range)."""
-        quality = self._qualities.get((src, dst), self.default_quality)
-        return quality.average_loss
+        return self.default_quality.average_loss
 
     def transmission_succeeds(self, src: int, dst: int, now: float) -> bool:
         """Decide the fate of a single MAC transmission attempt."""

@@ -167,9 +167,6 @@ class FaultPlan:
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "processes", tuple(self.processes))
 
-    def __bool__(self) -> bool:
-        return bool(self.events or self.processes)
-
     @classmethod
     def single_partition(
         cls, group: Tuple[int, ...], start: float, outage: float
@@ -516,21 +513,12 @@ class FaultInjector:
             self._windows.append((self._outage_start, self.network.sim.now))
             self._outage_start = None
 
-    @property
-    def faults_active(self) -> bool:
-        """Whether at least one fault condition is currently in force."""
-        return self._active_conditions > 0
-
     def outage_windows_until(self, until: float) -> Tuple[Tuple[float, float], ...]:
         """Closed union-outage windows, capping any still-open window at ``until``."""
         windows = list(self._windows)
         if self._outage_start is not None and until > self._outage_start:
             windows.append((self._outage_start, until))
         return tuple(windows)
-
-    def total_outage_seconds(self, until: float) -> float:
-        """Total wall-clock time with at least one active fault, up to ``until``."""
-        return sum(end - start for start, end in self.outage_windows_until(until))
 
     def heal_times_until(self, until: float) -> Tuple[float, ...]:
         """The instants at which the network returned to a fault-free state."""

@@ -10,7 +10,7 @@ lets the long-lived sender overrun intermediate queues.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, Iterator, List, Optional, TypeVar
+from typing import Deque, Generic, List, Optional, TypeVar
 
 from repro.util.validation import require_positive
 
@@ -24,41 +24,14 @@ class DropTailQueue(Generic[T]):
         self.capacity = int(require_positive(capacity, "capacity"))
         self._items: Deque[T] = deque()
         self._drops = 0
-        self._enqueued = 0
-        self._dequeued = 0
-        self._high_watermark = 0
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(self._items)
 
     @property
     def drops(self) -> int:
         """Number of arrivals rejected because the queue was full."""
         return self._drops
-
-    @property
-    def enqueued(self) -> int:
-        """Number of arrivals accepted."""
-        return self._enqueued
-
-    @property
-    def dequeued(self) -> int:
-        """Number of items removed for service."""
-        return self._dequeued
-
-    @property
-    def high_watermark(self) -> int:
-        """Maximum occupancy ever observed."""
-        return self._high_watermark
-
-    def is_empty(self) -> bool:
-        return not self._items
-
-    def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
 
     def push(self, item: T) -> bool:
         """Append ``item``; returns False (and counts a drop) if full."""
@@ -67,42 +40,16 @@ class DropTailQueue(Generic[T]):
             self._drops += 1
             return False
         items.append(item)
-        self._enqueued += 1
-        if len(items) > self._high_watermark:
-            self._high_watermark = len(items)
-        return True
-
-    def push_front(self, item: T) -> bool:
-        """Prepend ``item`` (used to re-queue a preempted head-of-line packet)."""
-        if self.is_full():
-            self._drops += 1
-            return False
-        self._items.appendleft(item)
-        self._enqueued += 1
-        self._high_watermark = max(self._high_watermark, len(self._items))
         return True
 
     def pop(self) -> Optional[T]:
         """Remove and return the head of the queue, or None if empty."""
         if not self._items:
             return None
-        self._dequeued += 1
         return self._items.popleft()
-
-    def peek(self) -> Optional[T]:
-        """Return (without removing) the head of the queue, or None if empty."""
-        return self._items[0] if self._items else None
 
     def drain(self) -> List[T]:
         """Remove and return all queued items in order."""
         items = list(self._items)
-        self._dequeued += len(items)
         self._items.clear()
         return items
-
-    def remove_if(self, predicate) -> int:
-        """Remove all items matching ``predicate``; returns how many were removed."""
-        kept = [item for item in self._items if not predicate(item)]
-        removed = len(self._items) - len(kept)
-        self._items = deque(kept)
-        return removed

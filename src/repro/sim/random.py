@@ -33,6 +33,3 @@ class RandomStreams:
     def spawn(self, offset: int) -> "RandomStreams":
         """Derive an independent :class:`RandomStreams` (for replicated runs)."""
         return RandomStreams(self.seed * 1_000_003 + offset)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams

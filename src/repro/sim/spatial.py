@@ -1,8 +1,11 @@
 """Spatial hash-grid index for range queries over node positions.
 
-:func:`repro.sim.topology.connectivity_graph` builds the graphs of large
-placements (``GRID_THRESHOLD`` nodes and up) through this index.  A
-brute-force scan is O(n) per node (O(n²) per graph); the
+No simulation path uses this index: every workload has at most a few
+dozen nodes, and :func:`repro.sim.topology.connectivity_graph` builds
+their graphs with a pair scan.  It stays because the end-to-end
+benchmark's trace counts :meth:`SpatialGrid.neighbors_within` calls.
+
+A brute-force scan is O(n) per node (O(n²) per graph); the
 :class:`SpatialGrid` buckets nodes into square cells of side
 ``radio_range`` so a range query only inspects the 3x3 cell block
 around the querier, which contains every node within ``radio_range`` by
@@ -31,8 +34,7 @@ Cell = Tuple[int, int]
 
 class SupportsPosition(Protocol):
     """What a ``positions`` item must expose (structurally matches
-    :class:`repro.sim.topology.Position` without importing it — topology
-    imports this module, not the other way round)."""
+    :class:`repro.sim.topology.Position` without importing it)."""
 
     @property
     def x(self) -> float: ...
@@ -47,8 +49,7 @@ class SpatialGrid:
     """An exact hash-grid index over 2-D points with integer ids.
 
     ``cell_size`` must be at least the largest query radius that will be
-    used (``connectivity_graph`` uses ``radio_range``); :meth:`near` only scans the
-    3x3 block around the query point.
+    used; :meth:`near` only scans the 3x3 block around the query point.
     """
 
     __slots__ = ("cell_size", "_cells")

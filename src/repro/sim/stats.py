@@ -43,11 +43,6 @@ class EnergyMeter:
         self.tx_joules += joules
         self.per_flow[flow_id] = self.per_flow.get(flow_id, 0.0) + joules
 
-    def record_rx(self, flow_id: int, joules: float) -> None:
-        """Charge a successful reception to this node and flow."""
-        self.rx_joules += joules
-        self.per_flow[flow_id] = self.per_flow.get(flow_id, 0.0) + joules
-
 
 @dataclass
 class FlowStats:
@@ -110,12 +105,6 @@ class FlowStats:
         self.acks_sent += 1
         self.ack_bytes_sent += nbytes
 
-    def goodput_bps(self, duration: float) -> float:
-        """Delivered application bits per second over ``duration``."""
-        if duration <= 0:
-            return 0.0
-        return bits_from_bytes(self.unique_bytes_delivered) / duration
-
     def active_duration(self, end_time: float) -> float:
         """Seconds the flow was actively transferring.
 
@@ -144,10 +133,6 @@ class FlowStats:
         if self.transfer_bytes <= 0:
             return 0.0
         return min(1.0, self.unique_bytes_delivered / self.transfer_bytes)
-
-    def is_complete(self, loss_tolerance: float = 0.0) -> bool:
-        """Whether the delivered fraction satisfies the loss tolerance."""
-        return self.delivery_fraction() >= (1.0 - loss_tolerance) - 1e-9
 
     def reception_rate_series(self, window: float, step: float, until: float) -> List[Tuple[float, float]]:
         """Windowed packet-reception-rate time series (Figures 5 and 8).
@@ -244,20 +229,9 @@ class NetworkStats:
             return 0.0
         return self.total_delivered_bits() / duration
 
-    def average_flow_goodput_bps(self, duration: float) -> float:
-        """Average per-flow goodput (the paper reports per-flow averages)."""
-        if not self.flows:
-            return 0.0
-        return sum(f.flow_goodput_bps(duration) for f in self.flows.values()) / len(self.flows)
-
     def total_source_retransmissions(self) -> int:
         return sum(f.source_retransmissions for f in self.flows.values())
 
     def total_cache_recoveries(self) -> int:
         return sum(f.cache_recoveries for f in self.flows.values())
 
-    def link_loss_fraction(self) -> float:
-        """Fraction of MAC attempts that failed."""
-        if self.link_transmissions == 0:
-            return 0.0
-        return 1.0 - self.link_successes / self.link_transmissions

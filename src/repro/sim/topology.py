@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 from repro.util.validation import require_positive
 
@@ -46,14 +46,6 @@ def linear_positions(num_nodes: int, spacing: float = 40.0) -> List[Position]:
     require_positive(num_nodes, "num_nodes")
     require_positive(spacing, "spacing")
     return [Position(i * spacing, 0.0) for i in range(num_nodes)]
-
-
-def grid_positions(rows: int, cols: int, spacing: float = 40.0) -> List[Position]:
-    """Place ``rows * cols`` nodes on a regular grid."""
-    require_positive(rows, "rows")
-    require_positive(cols, "cols")
-    require_positive(spacing, "spacing")
-    return [Position(c * spacing, r * spacing) for r in range(rows) for c in range(cols)]
 
 
 def field_size_for(num_nodes: int, radio_range: float, density: float = 4.0) -> float:
@@ -101,19 +93,9 @@ def random_positions(
     return positions
 
 
-#: Placements at least this large build their connectivity graph through
-#: a spatial hash grid (O(n) cells scanned) instead of the O(n²) pair
-#: scan.  Both paths produce sets with identical contents *and*
-#: identical insertion order (ascending neighbour ids), so the choice is
-#: invisible to callers and to seeded experiments.
-GRID_THRESHOLD = 32
-
-
 def connectivity_graph(positions: Sequence[Position], radio_range: float) -> Dict[int, Set[int]]:
     """Unit-disk connectivity: node ``i`` hears node ``j`` iff within range."""
     require_positive(radio_range, "radio_range")
-    if len(positions) >= GRID_THRESHOLD:
-        return _connectivity_graph_grid(positions, radio_range)
     graph: Dict[int, Set[int]] = {i: set() for i in range(len(positions))}
     # positions[i].distance_to(positions[j]) inlined: the channel
     # rebuilds this graph at every routing refresh under mobility.
@@ -127,25 +109,6 @@ def connectivity_graph(positions: Sequence[Position], radio_range: float) -> Dic
                 mine.add(j)
                 graph[j].add(i)
     return graph
-
-
-def _connectivity_graph_grid(positions: Sequence[Position], radio_range: float) -> Dict[int, Set[int]]:
-    """Grid-accelerated twin of the pair scan above (identical output).
-
-    ``SpatialGrid.neighbors_within`` builds each set in the insertion
-    order of the brute-force loop (node ``k`` accumulates 0..k-1 first,
-    then k+1.. in ascending pair order), so the two paths are
-    indistinguishable to callers and to seeded experiments.
-    """
-    from repro.sim.spatial import SpatialGrid
-
-    grid = SpatialGrid(radio_range)
-    for node_id, position in enumerate(positions):
-        grid.insert(node_id, position.x, position.y)
-    return {
-        node_id: grid.neighbors_within(node_id, positions, radio_range)
-        for node_id in range(len(positions))
-    }
 
 
 def is_connected(graph: Dict[int, Set[int]]) -> bool:
@@ -164,7 +127,3 @@ def is_connected(graph: Dict[int, Set[int]]) -> bool:
                 stack.append(neighbor)
     return len(seen) == len(graph)
 
-
-def links_of(graph: Dict[int, Set[int]]) -> List[Tuple[int, int]]:
-    """All directed links (u, v) of the connectivity graph."""
-    return [(u, v) for u, neighbors in graph.items() for v in neighbors]

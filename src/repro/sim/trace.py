@@ -39,9 +39,6 @@ class TraceEvent:
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
 
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.fields.get(key, default)
-
 
 class TraceRecorder:
     """Collects the :class:`TraceEvent` objects of the requested ``kinds``."""
@@ -71,6 +68,3 @@ class TraceRecorder:
         for key, value in filters.items():
             result = [e for e in result if e.fields.get(key, _MISSING) == value]
         return list(result)
-
-    def __len__(self) -> int:
-        return len(self._events)

@@ -107,10 +107,6 @@ class AtpSender:
     def total_packets(self) -> int:
         return len(self._segments)
 
-    @property
-    def rate_pps(self) -> float:
-        return self._rate_pps
-
     def start(self) -> None:
         self.flow_stats.start_time = self.sim.now
         self._schedule_send(0.0)

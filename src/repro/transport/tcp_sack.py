@@ -117,10 +117,6 @@ class TcpSackSender:
         self.timeouts = 0
 
     @property
-    def rate_pps(self) -> float:
-        return self._rate_pps
-
-    @property
     def rto(self) -> float:
         return max(self.config.min_rto, self._srtt.value_or(self.config.initial_rtt)
                    + 4.0 * self._rttvar.value_or(self.config.initial_rtt / 2.0))

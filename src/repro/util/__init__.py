@@ -9,11 +9,8 @@ from repro.util.ewma import EWMA, WindowedRate
 from repro.util.units import (
     BITS_PER_BYTE,
     bits_from_bytes,
-    bytes_from_bits,
-    joules_to_millijoules,
     joules_to_microjoules,
     transmission_time,
-    transmission_energy,
 )
 from repro.util.validation import (
     require_positive,
@@ -28,11 +25,8 @@ __all__ = [
     "WindowedRate",
     "BITS_PER_BYTE",
     "bits_from_bytes",
-    "bytes_from_bits",
-    "joules_to_millijoules",
     "joules_to_microjoules",
     "transmission_time",
-    "transmission_energy",
     "require_positive",
     "require_non_negative",
     "require_probability",

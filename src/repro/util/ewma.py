@@ -24,17 +24,6 @@ class EWMA:
     def __init__(self, alpha: float, initial: Optional[float] = None) -> None:
         self.alpha = require_in_range(alpha, 0.0, 1.0, "alpha")
         self._value: Optional[float] = initial
-        self._count = 0 if initial is None else 1
-
-    @property
-    def value(self) -> Optional[float]:
-        """Current average, or ``None`` if no sample has been observed."""
-        return self._value
-
-    @property
-    def count(self) -> int:
-        """Number of samples folded into the average."""
-        return self._count
 
     def update(self, sample: float) -> float:
         """Fold ``sample`` into the average and return the new average."""
@@ -42,13 +31,7 @@ class EWMA:
             self._value = float(sample)
         else:
             self._value = (1.0 - self.alpha) * self._value + self.alpha * float(sample)
-        self._count += 1
         return self._value
-
-    def reset(self, initial: Optional[float] = None) -> None:
-        """Discard all history, optionally re-seeding the average."""
-        self._value = initial
-        self._count = 0 if initial is None else 1
 
     def value_or(self, default: float) -> float:
         """Return the average, or ``default`` if no sample has been seen."""
@@ -75,7 +58,6 @@ class WindowedRate:
         self.window = require_positive(window, "window")
         self._events: Deque[Tuple[float, float]] = deque()
         self._total = 0.0
-        self._cumulative = 0.0
         self._start = start
 
     def record(self, now: float, amount: float = 1.0) -> None:
@@ -91,7 +73,6 @@ class WindowedRate:
         events = self._events
         events.append((now, amount))
         self._total += amount
-        self._cumulative += amount
         if events[0][0] < now - 2.0 * self.window:
             self._expire(now)
 
@@ -104,15 +85,6 @@ class WindowedRate:
             if observed > 0.0:
                 span = min(self.window, observed)
         return self._total / span
-
-    def fraction(self, now: float) -> float:
-        """Amount divided by window length (for busy-time fractions)."""
-        return self.rate(now)
-
-    @property
-    def cumulative(self) -> float:
-        """Total amount recorded since construction (never expires)."""
-        return self._cumulative
 
     def _expire(self, now: float) -> None:
         horizon = now - self.window

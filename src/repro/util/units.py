@@ -16,16 +16,6 @@ def bits_from_bytes(nbytes: float) -> float:
     return float(nbytes) * BITS_PER_BYTE
 
 
-def bytes_from_bits(nbits: float) -> float:
-    """Convert a bit count to a byte count."""
-    return float(nbits) / BITS_PER_BYTE
-
-
-def joules_to_millijoules(joules: float) -> float:
-    """Convert joules to millijoules."""
-    return joules * 1e3
-
-
 def joules_to_microjoules(joules: float) -> float:
     """Convert joules to microjoules."""
     return joules * 1e6
@@ -44,14 +34,3 @@ def transmission_time(nbits: float, datarate_bps: float) -> float:
         raise ValueError(f"bit count must be non-negative, got {nbits}")
     return nbits / datarate_bps
 
-
-def transmission_energy(nbits: float, power_watts: float, datarate_bps: float) -> float:
-    """Energy in joules to transmit (or receive) ``nbits``.
-
-    This is the model the paper's link-layer energy monitor uses: the
-    energy for a transport-layer packet is computed from the radio
-    power draw, the radio data rate and the packet length.
-    """
-    if power_watts < 0:
-        raise ValueError(f"power must be non-negative, got {power_watts}")
-    return power_watts * transmission_time(nbits, datarate_bps)

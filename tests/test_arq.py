@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mac.arq import ArqOutcome, ArqPolicy, ArqRecord
+from repro.mac.arq import ArqPolicy
 
 
 def test_defaults_match_table1():
@@ -48,16 +48,3 @@ def test_invalid_values_rejected():
     with pytest.raises(ValueError):
         ArqPolicy(max_attempts=0)
 
-
-def test_arq_record_lifecycle():
-    record = ArqRecord(attempts_allowed=3)
-    assert not record.exhausted
-    for _ in range(3):
-        record.record_attempt()
-    assert record.exhausted
-    record.outcome = ArqOutcome.EXHAUSTED
-    assert record.outcome is ArqOutcome.EXHAUSTED
-
-
-def test_outcome_values():
-    assert {o.value for o in ArqOutcome} == {"delivered", "exhausted", "dropped_by_hook", "no_route"}

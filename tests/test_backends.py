@@ -60,7 +60,6 @@ class TestSerialBackend:
         assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
         assert backend.map(_pid, [0]) == [os.getpid()]
         assert backend.workers == 1
-        assert not backend.is_running  # never holds resources
 
     def test_context_manager_is_a_no_op(self):
         with SerialBackend() as backend:
@@ -137,9 +136,9 @@ class TestImapOrdering:
 class TestProcessBackendLifecycle:
     def test_pool_starts_lazily_and_is_reused(self):
         with ProcessBackend(workers=2) as backend:
-            assert not backend.is_running
+            assert not backend.worker_pids()
             first = set(backend.map(_pid, range(8)))
-            assert backend.is_running
+            assert backend.worker_pids()
             pids = backend.worker_pids()
             second = set(backend.map(_pid, range(8)))
             # Same pool, same worker processes, across both calls.
@@ -168,8 +167,8 @@ class TestProcessBackendLifecycle:
         backend = ProcessBackend(workers=2)
         with backend:
             backend.map(_square, [1, 2])
-            assert backend.is_running
-        assert not backend.is_running
+            assert backend.worker_pids()
+        assert not backend.worker_pids()
         assert backend.worker_pids() == frozenset()
 
     def test_close_is_idempotent_and_reuse_restarts_lazily(self):
@@ -177,9 +176,9 @@ class TestProcessBackendLifecycle:
         backend.map(_square, [1, 2])
         backend.close()
         backend.close()
-        assert not backend.is_running
+        assert not backend.worker_pids()
         assert backend.map(_square, [3, 4]) == [9, 16]
-        assert backend.is_running
+        assert backend.worker_pids()
         backend.close()
 
     def test_atexit_cleanup_lets_the_interpreter_exit(self):
@@ -190,7 +189,7 @@ class TestProcessBackendLifecycle:
             "from tests.test_backends import _square\n"
             "backend = shared_backend(2)\n"
             "assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]\n"
-            "assert backend.is_running\n"
+            "assert backend.worker_pids()\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -208,8 +207,8 @@ class TestProcessBackendLifecycle:
 
     def test_unpicklable_builder_is_rejected_naming_scenario_spec(self):
         builder = lambda seed: ScenarioSpec("linear", SMALL_LINEAR)(seed)
-        with pytest.raises(TypeError, match="ScenarioSpec"):
-            ParallelRunner(workers=2).replicate(builder, [1, 2])
+        with ProcessBackend(workers=2) as backend, pytest.raises(TypeError, match="ScenarioSpec"):
+            backend.map(builder, [1, 2])
 
     def test_close_shared_backends_reaps_every_worker(self):
         # Reaped workers are what lets a caller account the pool's CPU
@@ -256,15 +255,15 @@ class TestAsyncBackend:
 
     def test_lifecycle_matches_process_backend(self):
         backend = ProcessBackend(workers=2)
-        assert not backend.is_running
+        assert not backend.worker_pids()
         assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert backend.is_running
+        assert backend.worker_pids()
         pids = backend.worker_pids()
         assert backend.map(_square, [4]) == [16]
         assert backend.worker_pids() == pids, "second call must reuse the worker pool"
         backend.close()
         backend.close()
-        assert not backend.is_running
+        assert not backend.worker_pids()
         assert backend.worker_pids() == frozenset()
         assert backend.map(_square, [5]) == [25], "closed backend must restart lazily"
         backend.close()
@@ -273,7 +272,7 @@ class TestAsyncBackend:
         with ProcessBackend(workers=2) as backend:
             with pytest.raises(TypeError, match="picklable"):
                 backend.map(lambda value: value, [1])
-        assert not backend.is_running
+        assert not backend.worker_pids()
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -288,9 +287,9 @@ class TestCrossBackendBitIdentity:
     def test_serial_and_process_agree_on_a_small_grid(self):
         specs = [ScenarioSpec("linear", dict(SMALL_LINEAR, num_nodes=size)) for size in (3, 4)]
         seeds = [1, 2, 3]
-        serial = ParallelRunner(backend=SerialBackend()).run_grid(specs, seeds)
+        serial = ParallelRunner(backend=SerialBackend()).run_grids([(specs, seeds)])[0]
         with ProcessBackend(workers=2) as backend:
-            process = ParallelRunner(backend=backend).run_grid(specs, seeds)
+            process = ParallelRunner(backend=backend).run_grids([(specs, seeds)])[0]
         assert process == serial
 
     def test_run_paper_matches_serial_at_every_worker_count(self):
@@ -359,7 +358,7 @@ class TestResolveBackend:
     def test_close_shared_backends_forgets_the_cache(self):
         before = shared_backend(2)
         close_shared_backends()
-        assert not before.is_running
+        assert not before.worker_pids()
         assert shared_backend(2) is not before
         close_shared_backends()
 

@@ -46,10 +46,6 @@ class TestInsertLookup:
         cache.lookup(0, 1)
         cache.lookup(0, 2)
         assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_ratio == pytest.approx(0.5)
-
-    def test_hit_ratio_with_no_lookups(self):
-        assert PacketCache(capacity=4).hit_ratio == 0.0
 
 
 class TestEviction:
@@ -90,12 +86,6 @@ class TestEviction:
 
 
 class TestDiscard:
-    def test_discard_single(self):
-        cache = PacketCache(capacity=5)
-        cache.insert(data_packet(seq=1))
-        assert cache.discard(0, 1)
-        assert not cache.discard(0, 1)
-
     def test_discard_up_to_cumulative_ack(self):
         cache = PacketCache(capacity=20)
         for seq in range(10):
@@ -111,14 +101,6 @@ class TestDiscard:
         cache.discard_up_to(0, 5)
         assert (1, 1) in cache
 
-    def test_discard_flow(self):
-        cache = PacketCache(capacity=20)
-        for seq in range(4):
-            cache.insert(data_packet(flow_id=2, seq=seq))
-        cache.insert(data_packet(flow_id=3, seq=0))
-        assert cache.discard_flow(2) == 4
-        assert len(cache) == 1
-
 
 class TestFlowIndexConsistency:
     """The per-flow seq index must track every entry mutation path."""
@@ -131,20 +113,11 @@ class TestFlowIndexConsistency:
         assert (0, 4) in cache
         assert len(cache) == 1
 
-    def test_discard_flow_after_partial_discards(self):
-        cache = PacketCache(capacity=10)
-        for seq in range(4):
-            cache.insert(data_packet(flow_id=1, seq=seq))
-        cache.discard(1, 2)
-        assert cache.discard_flow(1) == 3
-        assert cache.discard_flow(1) == 0
-        assert len(cache) == 0
-
     def test_reinsert_does_not_double_count(self):
         cache = PacketCache(capacity=10)
         cache.insert(data_packet(seq=1))
         cache.insert(data_packet(seq=1))
-        assert cache.occupancy_by_flow() == {0: 1}
+        assert len(cache) == 1
         assert cache.discard_up_to(0, 1) == 1
 
     def test_discard_up_to_unknown_flow(self):
@@ -166,25 +139,19 @@ class TestFlowIndexConsistency:
             elif action == 2:
                 cache.discard_up_to(flow_id, seq)
             else:
-                cache.discard_flow(flow_id)
+                cache.lookup(flow_id, seq)
         expected = {}
-        for key in cache._entries:
-            expected[key[0]] = expected.get(key[0], 0) + 1
-        assert cache.occupancy_by_flow() == expected
-        assert sum(expected.values()) == len(cache)
+        for flow_id, seq in cache._entries:
+            expected.setdefault(flow_id, set()).add(seq)
+        assert cache._flow_index == expected
 
 
 class TestSnackRetrieval:
     def test_retrieve_for_snack(self):
+        """iJTP serves a SNACK by looking up each listed seq in turn."""
         cache = PacketCache(capacity=10)
         for seq in (1, 3, 5):
             cache.insert(data_packet(seq=seq))
-        found = cache.retrieve_for_snack(0, (1, 2, 5))
-        assert sorted(p.seq for p in found) == [1, 5]
-
-    def test_occupancy_by_flow(self):
-        cache = PacketCache(capacity=10)
-        cache.insert(data_packet(flow_id=0, seq=0))
-        cache.insert(data_packet(flow_id=0, seq=1))
-        cache.insert(data_packet(flow_id=1, seq=0))
-        assert cache.occupancy_by_flow() == {0: 2, 1: 1}
+        found = [cache.lookup(0, seq) for seq in (1, 2, 5)]
+        assert [p.seq for p in found if p is not None] == [1, 5]
+        assert cache.hits == 2 and cache.misses == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import FeedbackMode, JTPConfig
+from repro.transport.jnc import JNCProtocol
 
 
 def test_table1_defaults():
@@ -17,8 +18,6 @@ def test_prototype_header_sizes():
     config = JTPConfig()
     assert config.header_bytes == 28.0
     assert config.ack_header_bytes == 200.0
-    assert config.data_packet_bytes == 828.0
-    assert config.ack_packet_bytes == 228.0
 
 
 def test_variant_overrides_single_field():
@@ -33,11 +32,11 @@ def test_named_constructors():
     assert JTPConfig.jtp0().loss_tolerance == 0.0
     assert JTPConfig.jtp10().loss_tolerance == pytest.approx(0.10)
     assert JTPConfig.jtp20().loss_tolerance == pytest.approx(0.20)
-    assert JTPConfig.no_caching().caching_enabled is False
 
 
 def test_no_caching_accepts_overrides():
-    config = JTPConfig.no_caching(loss_tolerance=0.2)
+    """JNC is JTP with caching off; every other field passes through."""
+    config = JNCProtocol(JTPConfig(loss_tolerance=0.2)).config
     assert not config.caching_enabled
     assert config.loss_tolerance == 0.2
 

@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.routing.dijkstra import next_hop_table, path_length, shortest_path, shortest_path_tree
+from repro.routing.dijkstra import routing_tree, shortest_path_tree
 from repro.sim.topology import connectivity_graph, random_positions
 
 
@@ -16,25 +16,28 @@ SQUARE = {0: {1, 2}, 1: {0, 3}, 2: {0, 3}, 3: {1, 2}}
 
 
 def test_path_on_line():
-    assert shortest_path(LINE, 0, 3) == [0, 1, 2, 3]
-    assert path_length(LINE, 0, 3) == 3
+    dist, first_hop = routing_tree(LINE, 0)
+    assert dist == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
+    assert first_hop == {1: 1, 2: 1, 3: 1}
 
 
 def test_path_to_self():
-    assert shortest_path(LINE, 2, 2) == [2]
-    assert path_length(LINE, 2, 2) == 0
+    dist, first_hop = routing_tree(LINE, 2)
+    assert dist[2] == 0
+    assert 2 not in first_hop
 
 
 def test_unreachable_returns_none():
     graph = {0: {1}, 1: {0}, 2: set()}
-    assert shortest_path(graph, 0, 2) is None
-    assert path_length(graph, 0, 2) is None
+    dist, first_hop = routing_tree(graph, 0)
+    assert dist.get(2) is None
+    assert first_hop.get(2) is None
 
 
 def test_square_has_two_hop_diagonal():
-    assert path_length(SQUARE, 0, 3) == 2
-    path = shortest_path(SQUARE, 0, 3)
-    assert path[0] == 0 and path[-1] == 3 and len(path) == 3
+    dist, first_hop = routing_tree(SQUARE, 0)
+    assert dist[3] == 2
+    assert first_hop[3] == 1  # the lowest-id parent on the previous level
 
 
 def test_shortest_path_tree_distances():
@@ -59,14 +62,14 @@ def test_tree_unknown_source_rejected():
 
 
 def test_next_hop_table_on_line():
-    table = next_hop_table(LINE, 0)
+    table = routing_tree(LINE, 0)[1]
     assert table == {1: 1, 2: 1, 3: 1}
-    table = next_hop_table(LINE, 2)
+    table = routing_tree(LINE, 2)[1]
     assert table[0] == 1 and table[3] == 3
 
 
 def test_next_hop_never_self_and_is_neighbor():
-    table = next_hop_table(SQUARE, 0)
+    table = routing_tree(SQUARE, 0)[1]
     for hop in table.values():
         assert hop != 0
         assert hop in SQUARE[0]
@@ -83,21 +86,18 @@ def test_path_lengths_match_networkx(num_nodes, seed):
         for v in neighbors:
             reference.add_edge(u, v)
     lengths = dict(nx.shortest_path_length(reference, source=0))
+    dist, _ = routing_tree(graph, 0)
     for destination in graph:
-        ours = path_length(graph, 0, destination)
-        theirs = lengths.get(destination)
-        assert ours == theirs or (ours is None and theirs is None)
+        assert dist.get(destination) == lengths.get(destination)
 
 
 def test_next_hop_leads_along_a_shortest_path():
     rng = random.Random(5)
     positions = random_positions(10, 100.0, rng)
     graph = connectivity_graph(positions, radio_range=55.0)
-    table = next_hop_table(graph, 0)
+    dist, table = routing_tree(graph, 0)
     for destination, hop in table.items():
-        full = path_length(graph, 0, destination)
-        via_hop = path_length(graph, hop, destination)
-        assert via_hop == full - 1
+        assert routing_tree(graph, hop)[0][destination] == dist[destination] - 1
 
 
 def heap_dijkstra(graph, source):
@@ -144,7 +144,7 @@ def reversed_sets(graph):
 
 
 def walked_first_hops(dist, prev, source):
-    """The predecessor walk next_hop_table used before it shared routing_tree's."""
+    """First hops found by walking each predecessor chain back to the source."""
     table = {}
     for destination in dist:
         if destination == source:
@@ -174,6 +174,6 @@ def test_tree_matches_heap_dijkstra_in_any_set_order():
         assert shortest_path_tree(reversed_sets(graph), source) == expected
         assert heap_dijkstra(reversed_sets(graph), source) == expected
         first_hops = walked_first_hops(*expected, source)
-        assert next_hop_table(graph, source) == first_hops
-        assert next_hop_table(reversed_sets(graph), source) == first_hops
+        assert routing_tree(graph, source)[1] == first_hops
+        assert routing_tree(reversed_sets(graph), source)[1] == first_hops
     assert unknown_sources > 0

@@ -35,17 +35,6 @@ def test_overhead_makes_small_packets_disproportionately_expensive():
     assert ack > 0.3 * data
 
 
-def test_scaled_preserves_rate_and_overhead():
-    radio = RadioEnergyModel()
-    scaled = radio.scaled(2.0)
-    assert scaled.tx_power_watts == pytest.approx(2 * radio.tx_power_watts)
-    assert scaled.datarate_bps == radio.datarate_bps
-    assert scaled.per_packet_overhead_s == radio.per_packet_overhead_s
-
-
-def test_scaled_rejects_non_positive_factor():
-    with pytest.raises(ValueError):
-        RadioEnergyModel().scaled(0.0)
 
 
 def test_invalid_parameters_rejected():

@@ -7,7 +7,6 @@ from repro.experiments.report import format_series, format_table
 from repro.experiments.runner import confidence_interval, summarize
 from repro.experiments.scenarios import (
     PAPER_LINK_QUALITY,
-    STABLE_LINK_QUALITY,
     linear_scenario,
     mobile_scenario,
     random_scenario,
@@ -70,12 +69,6 @@ class TestScenarios:
                                   mean_interarrival=150.0, mean_transfer_bytes=20_000, seed=1)
         assert result.metrics.num_flows >= 4
         assert result.metrics.delivered_bytes > 0
-
-    def test_metrics_row_shape(self):
-        result = linear_scenario(3, transfer_bytes=10_000, num_flows=1, duration=200, seed=1,
-                                 link_quality=STABLE_LINK_QUALITY)
-        row = result.metrics.as_row()
-        assert {"protocol", "netSize", "energy_per_bit_uJ", "goodput_kbps"} <= set(row)
 
 
 class TestRunner:

@@ -40,7 +40,7 @@ def test_cache_cap_bounds_the_variable_period():
 
 
 def test_no_cache_cap_when_caching_disabled():
-    scheduler = FeedbackScheduler(JTPConfig.no_caching())
+    scheduler = FeedbackScheduler(JTPConfig(caching_enabled=False))
     assert scheduler.cache_limited_period(2.0, 1.0) is None
 
 
@@ -62,7 +62,6 @@ def test_counters():
     scheduler.note_early_feedback()
     assert scheduler.regular_feedbacks == 2
     assert scheduler.early_feedbacks == 1
-    assert scheduler.total_feedbacks == 3
 
 
 def test_sender_timeout_equals_period():

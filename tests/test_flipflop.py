@@ -42,7 +42,7 @@ def test_stable_samples_are_not_outliers():
     rng = random.Random(1)
     readings = [flt.update(10.0 + rng.uniform(-0.5, 0.5)) for _ in range(100)]
     assert sum(1 for r in readings[5:] if r.is_outlier) == 0
-    assert not flt.is_agile
+    assert not readings[-1].agile
 
 
 def test_persistent_change_triggers_agile_filter():
@@ -81,9 +81,9 @@ def test_returns_to_stable_after_catching_up():
     flt = make_filter(alpha_agile=0.9, outlier_trigger_count=2)
     for _ in range(20):
         flt.update(10.0)
-    for _ in range(20):
-        flt.update(40.0)
-    assert not flt.is_agile  # mean caught up, samples back inside limits
+    readings = [flt.update(40.0) for _ in range(20)]
+    assert any(r.agile for r in readings)
+    assert not readings[-1].agile  # mean caught up, samples back inside limits
 
 
 def test_trigger_count_resets_on_in_control_sample():
@@ -95,14 +95,6 @@ def test_trigger_count_resets_on_in_control_sample():
     flt.update(10.0)   # breaks the run of outliers
     reading = flt.update(50.0)
     assert not reading.triggered
-
-
-def test_reset_forgets_history():
-    flt = make_filter()
-    flt.update(10.0)
-    flt.reset()
-    assert flt.mean is None
-    assert flt.upper_control_limit is None
 
 
 def test_invalid_parameters():

@@ -119,7 +119,7 @@ class TestPostReceive:
         assert len(module.cache) == 0
 
     def test_caching_disabled_by_config(self):
-        module, _, _ = make_module(config=JTPConfig.no_caching())
+        module, _, _ = make_module(config=JTPConfig(caching_enabled=False))
         assert module.cache is None
         assert module.post_receive(data_packet(seq=1), module.mac)
 

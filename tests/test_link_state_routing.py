@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import repro.routing.dijkstra as dijkstra
-from repro.routing.dijkstra import next_hop_table, shortest_path_tree
+from repro.routing.dijkstra import routing_tree, shortest_path_tree
 from repro.routing.link_state import LinkStateRouting
 from repro.sim.channel import Channel, LinkQuality
 from repro.sim.engine import Simulator
@@ -56,7 +56,10 @@ class TestLinkStateRouting:
     def test_route_full_path(self):
         sim, channel, routing = build()
         routing.start()
-        assert routing.route(0, 4) == [0, 1, 2, 3, 4]
+        path = [0]
+        while path[-1] != 4:
+            path.append(routing.next_hop(path[-1], 4))
+        assert path == [0, 1, 2, 3, 4]
 
     def test_unreachable_destination(self):
         sim, channel, routing = build()
@@ -64,7 +67,7 @@ class TestLinkStateRouting:
         channel.set_position(4, Position(10_000, 0))
         routing.refresh_all_views()
         assert routing.next_hop(0, 4) is None
-        assert not routing.is_reachable(0, 4)
+        assert routing.hops_to(0, 4) is None
 
     def test_view_is_the_channel_graph_at_refresh(self):
         sim, channel, routing = build()
@@ -82,7 +85,7 @@ class TestLinkStateRouting:
         # The stale view still routes towards the departed node...
         assert routing.next_hop(0, 4) == 1
         # ...but ground truth disagrees.
-        assert routing.true_hops(0, 4) is None
+        assert channel.connectivity()[4] == set()
         sim.run(until=11.0)
         assert routing.next_hop(0, 4) is None
 
@@ -132,7 +135,7 @@ class TestLazyTrees:
             view = routing.view_of(0)
             for node in self.QUERIERS:
                 counting[0] = False
-                table = next_hop_table(view, node)
+                table = routing_tree(view, node)[1]
                 counting[0] = True
                 for destination in range(channel.num_nodes):
                     expected = None if destination == node else table.get(destination)

@@ -1,9 +1,6 @@
-"""Packet model and binary codec."""
+"""Packet model."""
 
-import pytest
-from hypothesis import given, strategies as st
-
-from repro.core.packet import AckInfo, Packet, PacketCodec, PacketType
+from repro.core.packet import AckInfo, Packet, PacketType
 
 
 def make_data_packet(**overrides):
@@ -25,10 +22,6 @@ class TestPacketModel:
         assert make_data_packet().is_data
         ack = make_data_packet(packet_type=PacketType.ACK, ack=AckInfo())
         assert ack.is_ack and not ack.is_data
-
-    def test_remaining_energy_budget(self):
-        packet = make_data_packet(energy_budget=0.05, energy_used=0.02)
-        assert packet.remaining_energy_budget() == pytest.approx(0.03)
 
     def test_cache_key(self):
         assert make_data_packet(flow_id=3, seq=9).cache_key() == (3, 9)
@@ -58,80 +51,3 @@ class TestAckInfo:
     def test_outstanding_snack_empty(self):
         assert AckInfo().outstanding_snack() == ()
 
-
-class TestCodec:
-    def test_data_roundtrip(self):
-        packet = make_data_packet()
-        decoded = PacketCodec.decode(PacketCodec.encode(packet))
-        assert decoded.flow_id == packet.flow_id
-        assert decoded.seq == packet.seq
-        assert decoded.packet_type is PacketType.DATA
-        assert decoded.src == packet.src and decoded.dst == packet.dst
-        assert decoded.payload_bytes == packet.payload_bytes
-        assert decoded.loss_tolerance == pytest.approx(packet.loss_tolerance, abs=1e-6)
-        assert decoded.energy_budget == pytest.approx(packet.energy_budget, rel=1e-6)
-        assert decoded.available_rate_pps == pytest.approx(packet.available_rate_pps, rel=1e-6)
-        assert decoded.timestamp == pytest.approx(packet.timestamp)
-
-    def test_infinite_fields_survive_roundtrip(self):
-        packet = make_data_packet(energy_budget=float("inf"), available_rate_pps=float("inf"),
-                                  deadline=float("inf"))
-        decoded = PacketCodec.decode(PacketCodec.encode(packet))
-        assert decoded.energy_budget == float("inf")
-        assert decoded.available_rate_pps == float("inf")
-        assert decoded.deadline == float("inf")
-
-    def test_ack_roundtrip(self):
-        ack = AckInfo(cumulative_ack=41, highest_received=55, snack=(42, 45, 50),
-                      locally_recovered=(45,), rate_pps=2.75, energy_budget=0.031,
-                      sender_timeout=10.0, echo_timestamp=99.5, feedback_seq=6)
-        packet = make_data_packet(packet_type=PacketType.ACK, payload_bytes=0.0, ack=ack)
-        decoded = PacketCodec.decode(PacketCodec.encode(packet))
-        assert decoded.is_ack
-        assert decoded.ack.cumulative_ack == 41
-        assert decoded.ack.highest_received == 55
-        assert decoded.ack.snack == (42, 45, 50)
-        assert decoded.ack.locally_recovered == (45,)
-        assert decoded.ack.rate_pps == pytest.approx(2.75)
-        assert decoded.ack.sender_timeout == pytest.approx(10.0)
-        assert decoded.ack.feedback_seq == 6
-
-    def test_retransmission_flag_roundtrip(self):
-        packet = make_data_packet(is_retransmission=True)
-        assert PacketCodec.decode(PacketCodec.encode(packet)).is_retransmission
-
-    def test_truncated_blob_rejected(self):
-        blob = PacketCodec.encode(make_data_packet())
-        with pytest.raises(ValueError):
-            PacketCodec.decode(blob[:10])
-
-    def test_truncated_ack_rejected(self):
-        ack_packet = make_data_packet(packet_type=PacketType.ACK, ack=AckInfo(snack=(1, 2, 3)))
-        blob = PacketCodec.encode(ack_packet)
-        with pytest.raises(ValueError):
-            PacketCodec.decode(blob[:-4])
-
-    def test_encoded_size_matches_length(self):
-        data = make_data_packet()
-        assert PacketCodec.encoded_size(data) == len(PacketCodec.encode(data))
-        ack = make_data_packet(packet_type=PacketType.ACK, ack=AckInfo(snack=(1, 2), locally_recovered=(1,)))
-        assert PacketCodec.encoded_size(ack) == len(PacketCodec.encode(ack))
-
-    @given(
-        flow_id=st.integers(min_value=0, max_value=2**32 - 1),
-        seq=st.integers(min_value=0, max_value=2**31 - 1),
-        src=st.integers(min_value=0, max_value=65535),
-        dst=st.integers(min_value=0, max_value=65535),
-        payload=st.integers(min_value=0, max_value=65000),
-        tolerance=st.floats(min_value=0.0, max_value=1.0, width=32),
-        snack=st.lists(st.integers(min_value=0, max_value=2**31 - 1), max_size=20),
-    )
-    def test_codec_roundtrip_property(self, flow_id, seq, src, dst, payload, tolerance, snack):
-        ack = AckInfo(cumulative_ack=seq - 1, highest_received=seq, snack=tuple(snack))
-        packet = Packet(flow_id=flow_id, seq=seq, packet_type=PacketType.ACK, src=src, dst=dst,
-                        payload_bytes=float(payload), loss_tolerance=tolerance, ack=ack)
-        decoded = PacketCodec.decode(PacketCodec.encode(packet))
-        assert decoded.flow_id == flow_id
-        assert decoded.seq == seq
-        assert decoded.payload_bytes == payload
-        assert decoded.ack.snack == tuple(snack)

@@ -53,7 +53,7 @@ class TestScenarioRecord:
 
     def test_record_holds_no_simulator_state(self):
         spec = ScenarioSpec("linear", SMALL_LINEAR)
-        record = ScenarioRecord.from_result(spec(seed=1), 1)
+        record = ScenarioRecord.from_result(spec(seed=1), 1, spec.scenario, spec.params)
         assert not hasattr(record, "network")
 
 
@@ -87,13 +87,13 @@ class TestParallelRunner:
 
     def test_replicate_requires_seeds(self):
         with pytest.raises(ValueError):
-            ParallelRunner(workers=1).replicate(ScenarioSpec("linear", SMALL_LINEAR), [])
+            ParallelRunner(workers=1).run_grids([([ScenarioSpec("linear", SMALL_LINEAR)], [])])
 
     def test_parallel_matches_serial_bit_identically(self):
         spec = ScenarioSpec("linear", SMALL_LINEAR)
         seeds = [1, 2, 3, 4]
-        serial = ParallelRunner(workers=1).replicate(spec, seeds)
-        parallel = ParallelRunner(workers=4).replicate(spec, seeds)
+        [serial] = ParallelRunner(workers=1).run_grids([([spec], seeds)])[0]
+        [parallel] = ParallelRunner(workers=4).run_grids([([spec], seeds)])[0]
         assert parallel == serial
         for attribute in ("energy_per_bit_microjoules", "goodput_kbps", "delivered_fraction"):
             assert summarize(parallel, attribute) == summarize(serial, attribute)
@@ -103,7 +103,7 @@ class TestParallelRunner:
             ScenarioSpec("linear", dict(SMALL_LINEAR, num_nodes=size))
             for size in (3, 4)
         ]
-        per_spec = ParallelRunner(workers=2).run_grid(specs, [1, 2])
+        per_spec = ParallelRunner(workers=2).run_grids([(specs, [1, 2])])[0]
         assert len(per_spec) == 2
         for spec, records in zip(specs, per_spec, strict=True):
             assert [r.seed for r in records] == [1, 2]
@@ -124,8 +124,8 @@ class TestRunGrids:
             reference = None
             for runner in runners:
                 batched = runner.run_grids([(self.GRID_A, [1, 2]), (self.GRID_B, [3])])
-                assert batched[0] == runner.run_grid(self.GRID_A, [1, 2])
-                assert batched[1] == runner.run_grid(self.GRID_B, [3])
+                assert batched[0] == runner.run_grids([(self.GRID_A, [1, 2])])[0]
+                assert batched[1] == runner.run_grids([(self.GRID_B, [3])])[0]
                 if reference is None:
                     reference = batched
                 assert batched == reference
@@ -202,10 +202,10 @@ class TestProgress:
 
     def test_run_grid_progress_counts_cells(self):
         events = []
-        ParallelRunner(workers=1).run_grid(
-            self.GRID_A, [1, 2], progress=lambda done, total: events.append((done, total))
+        ParallelRunner(workers=1).run_grids(
+            [(self.GRID_A, [1, 2])], progress=lambda grid, done, total: events.append((grid, done, total))
         )
-        assert events == [(1, 4), (2, 4), (3, 4), (4, 4)]
+        assert events == [(0, 1, 4), (0, 2, 4), (0, 3, 4), (0, 4, 4)]
 
     def test_progress_exception_aborts_the_run(self):
         def explode(grid, done, total):
@@ -276,7 +276,7 @@ class TestSharedCells:
     def test_groups_equal_per_grid_runs(self):
         runner = ParallelRunner(workers=1)
         grouped = runner.run_grids(self.GRIDS)
-        assert grouped == [runner.run_grid(specs, seeds) for specs, seeds in self.GRIDS]
+        assert grouped == [runner.run_grids([grid])[0] for grid in self.GRIDS]
 
     def test_progress_sequence_is_unchanged_on_every_backend(self):
         reference = ParallelRunner(workers=1).run_grids(self.GRIDS)
@@ -300,7 +300,7 @@ class TestSharedCells:
         assert len(built) == 7
 
     def test_a_reused_member_spares_the_whole_group(self, built):
-        cached = ParallelRunner(workers=1).run_grid([self.GRID_A[1]], [2])[0][0]
+        cached = ParallelRunner(workers=1).run_grids([([self.GRID_A[1]], [2])])[0][0][0]
         built.clear()
         events, persisted = [], []
 
@@ -330,16 +330,6 @@ class TestSharedCells:
         assert len({cell_content(spec.scenario, spec.params, 1) for spec in specs}) == 1
         ParallelRunner(workers=1).run_grids([([specs[0]], [1]), ([specs[1]], [1])])
         assert built == [(3, 1), (3, 1)]
-
-    def test_plain_callables_are_never_shared(self):
-        calls = []
-
-        def builder(seed):
-            calls.append(seed)
-            return linear_scenario(seed=seed, **SMALL_LINEAR)
-
-        ParallelRunner(workers=1).run_grids([([builder], [1]), ([builder], [1])])
-        assert calls == [1, 1]
 
     @pytest.mark.parametrize(
         ("jobs", "smoke", "count", "slots", "distinct"),

@@ -55,17 +55,16 @@ def test_significant_change_detected_on_rate_collapse():
 
 def test_stable_path_flag():
     monitor = PathMonitor()
-    for seq in range(20):
-        monitor.observe_packet(data_packet(), now=float(seq))
-    assert monitor.path_is_stable
+    samples = [monitor.observe_packet(data_packet(), now=float(seq)) for seq in range(20)]
+    assert not samples[-1].available_rate.agile
+    assert not samples[-1].energy_used.agile
 
 
 def test_rtt_smoothing():
     monitor = PathMonitor()
-    assert monitor.smoothed_rtt is None
     assert monitor.rtt_or(1.5) == 1.5
     monitor.observe_rtt(2.0)
     monitor.observe_rtt(2.0)
-    assert monitor.smoothed_rtt == pytest.approx(2.0)
+    assert monitor.rtt_or(1.5) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         monitor.observe_rtt(-1.0)

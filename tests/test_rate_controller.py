@@ -48,11 +48,6 @@ class TestPIMDController:
         rate = controller.update(available_rate=6.0, delivery_limit=1.5)
         assert rate <= 1.5
 
-    def test_multiplicative_backoff_method(self):
-        config = JTPConfig(kd=0.8)
-        controller = PIMDRateController(config, initial_rate=2.0)
-        assert controller.multiplicative_backoff() == pytest.approx(1.6)
-
 
 class TestEnergyBudgetController:
     def test_budget_is_beta_times_ucl(self):
@@ -63,8 +58,8 @@ class TestEnergyBudgetController:
     def test_no_samples_keeps_previous_budget(self):
         controller = EnergyBudgetController()
         assert controller.update(None) is None
-        controller.update(0.01)
-        assert controller.update(None) == pytest.approx(controller.budget)
+        budget = controller.update(0.01)
+        assert controller.update(None) == pytest.approx(budget)
 
     def test_budget_or_default(self):
         controller = EnergyBudgetController()

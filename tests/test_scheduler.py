@@ -200,10 +200,10 @@ class TestBitIdentityAcrossWorkerCounts:
     def test_run_grid_matches_serial(self):
         specs = [ScenarioSpec("linear", dict(SMALL_LINEAR, num_nodes=size)) for size in (3, 4)]
         seeds = [1, 2, 3]
-        serial = ParallelRunner(workers=0).run_grid(specs, seeds)
+        serial = ParallelRunner(workers=0).run_grids([(specs, seeds)])[0]
         for workers in (1, 2, 4):
             with ProcessBackend(workers=workers) as backend:
-                assert ParallelRunner(backend=backend).run_grid(specs, seeds) == serial, (
+                assert ParallelRunner(backend=backend).run_grids([(specs, seeds)])[0] == serial, (
                     f"process workers={workers} diverged from serial"
                 )
 

@@ -15,13 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.channel import Channel, LinkQuality
 from repro.sim.spatial import SpatialGrid
-from repro.sim.topology import (
-    GRID_THRESHOLD,
-    Position,
-    _connectivity_graph_grid,
-    connectivity_graph,
-    random_positions,
-)
+from repro.sim.topology import Position, connectivity_graph, random_positions
 
 
 def brute_neighbors(positions, node_id, radio_range):
@@ -35,6 +29,13 @@ def brute_neighbors(positions, node_id, radio_range):
 
 def brute_graph(positions, radio_range):
     return {i: brute_neighbors(positions, i, radio_range) for i in range(len(positions))}
+
+
+def grid_graph(positions, radio_range):
+    grid = SpatialGrid(radio_range)
+    for node_id, position in enumerate(positions):
+        grid.insert(node_id, position.x, position.y)
+    return {node_id: grid.neighbors_within(node_id, positions, radio_range) for node_id in range(len(positions))}
 
 
 class TestSpatialGrid:
@@ -140,28 +141,23 @@ class TestChannelGridMatchesBruteForce:
 
 
 class TestConnectivityGraphGridPath:
+    """A graph built from ``SpatialGrid.neighbors_within`` equals the
+    pair scan of ``connectivity_graph``, set iteration order included."""
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=5.0, max_value=80.0))
     def test_grid_connectivity_graph_matches_pair_scan(self, seed, radio_range):
         rng = random.Random(seed)
         positions = random_positions(40, 200.0, rng)
-        assert _connectivity_graph_grid(positions, radio_range) == brute_graph(positions, radio_range)
-
-    def test_public_function_uses_grid_above_threshold(self):
-        rng = random.Random(11)
-        positions = random_positions(GRID_THRESHOLD + 5, 300.0, rng)
-        assert connectivity_graph(positions, 60.0) == brute_graph(positions, 60.0)
+        assert grid_graph(positions, radio_range) == connectivity_graph(positions, radio_range)
 
     def test_set_iteration_order_identical_between_paths(self):
-        # Bit-identity guard: downstream consumers iterate these sets,
-        # so the grid path must produce sets whose iteration order
-        # matches the brute-force construction exactly.
         rng = random.Random(7)
         positions = random_positions(40, 250.0, rng)
-        grid_graph = _connectivity_graph_grid(positions, 60.0)
-        brute = brute_graph(positions, 60.0)
-        for node in brute:
-            assert list(grid_graph[node]) == list(brute[node])
+        grid = grid_graph(positions, 60.0)
+        pairs = connectivity_graph(positions, 60.0)
+        for node in pairs:
+            assert list(grid[node]) == list(pairs[node])
 
 
 def _border_positions(rng, n, radio_range):
@@ -224,26 +220,23 @@ class TestWholeGraphPass:
     def test_down_nodes_and_blocked_links_match_per_node_sets(self, n, seed):
         rng = random.Random(seed)
         channel = self._channel(random_positions(n, 120.0, rng))
-        for node in rng.sample(range(n), rng.randrange(n // 3 + 1)):
+        downed = rng.sample(range(n), rng.randrange(n // 3 + 1))
+        for node in downed:
             channel.set_node_down(node, True)
         for _ in range(rng.randrange(2 * n)):
             src, dst = rng.sample(range(n), 2)
             channel.block_link(src, dst, symmetric=rng.random() < 0.5)
         self._assert_matches_per_node(channel)
-        assert not any(channel.connectivity()[node] for node in channel.down_nodes)
+        assert not any(channel.connectivity()[node] for node in downed)
 
     def test_grid_pass_equals_neighbors_within(self):
         rng = random.Random(3)
         positions = _border_positions(rng, 30, self.RANGE) + random_positions(30, 200.0, rng)
-        for subset in (positions, positions[: GRID_THRESHOLD - 1]):  # grid path, then pair scan
-            grid = SpatialGrid(self.RANGE)
-            for node_id, position in enumerate(subset):
-                grid.insert(node_id, position.x, position.y)
-            graph = connectivity_graph(subset, self.RANGE)
-            for node_id in range(len(subset)):
-                expected = grid.neighbors_within(node_id, subset, self.RANGE)
-                assert list(graph[node_id]) == list(expected)
-                assert graph[node_id] == brute_neighbors(subset, node_id, self.RANGE)
+        grid = grid_graph(positions, self.RANGE)
+        graph = connectivity_graph(positions, self.RANGE)
+        for node_id in range(len(positions)):
+            assert list(graph[node_id]) == list(grid[node_id])
+            assert graph[node_id] == brute_neighbors(positions, node_id, self.RANGE)
 
     def test_pass_fills_the_per_node_cache(self):
         channel = self._channel(random_positions(12, 100.0, random.Random(5)))

@@ -173,7 +173,7 @@ def test_link_estimator_learns_loss():
     for _ in range(40):
         macs[0].enqueue(FramePacket(), 1)
     sim.run(until=200.0)
-    assert 0.25 <= macs[0].link_loss_rate(1) <= 0.75
+    assert 0.25 <= macs[0].link_estimator(1).loss_rate <= 0.75
 
 
 def test_nominal_rate_positive_and_finite():

@@ -9,10 +9,8 @@ from repro.sim.topology import (
     Position,
     connectivity_graph,
     field_size_for,
-    grid_positions,
     is_connected,
     linear_positions,
-    links_of,
     random_positions,
 )
 
@@ -45,12 +43,8 @@ class TestLinearPositions:
 
 
 class TestGridPositions:
-    def test_grid_size(self):
-        positions = grid_positions(3, 4, spacing=10)
-        assert len(positions) == 12
-
     def test_grid_connected(self):
-        positions = grid_positions(3, 3, spacing=10)
+        positions = [Position(c * 10, r * 10) for r in range(3) for c in range(3)]
         assert is_connected(connectivity_graph(positions, radio_range=12))
 
 
@@ -81,9 +75,7 @@ class TestConnectivity:
     def test_links_are_directed_pairs(self):
         positions = linear_positions(3, spacing=10)
         graph = connectivity_graph(positions, radio_range=15)
-        links = links_of(graph)
-        assert (0, 1) in links and (1, 0) in links
-        assert len(links) == 4
+        assert graph == {0: {1}, 1: {0, 2}, 2: {1}}
 
     def test_field_size_scales_with_nodes(self):
         assert field_size_for(40, 50) > field_size_for(10, 50)
@@ -111,4 +103,5 @@ class TestConnectivity:
                 if positions[i].distance_to(positions[j]) <= 50.0:
                     reference.add_edge(i, j)
         assert is_connected(graph) == nx.is_connected(reference)
-        assert {frozenset((u, v)) for u, v in links_of(graph)} == {frozenset(e) for e in reference.edges}
+        edges = {frozenset((u, v)) for u, neighbors in graph.items() for v in neighbors}
+        assert edges == {frozenset(e) for e in reference.edges}

@@ -8,7 +8,7 @@ from repro.sim.trace import TraceRecorder
 def test_disabled_recorder_records_nothing():
     trace = TraceRecorder()
     trace.record("x", 1.0, a=1)
-    assert len(trace) == 0
+    assert len(trace.events()) == 0
     assert trace.kinds == frozenset()
 
 
@@ -16,7 +16,7 @@ def test_enabled_recorder_records():
     trace = TraceRecorder({"x", "y"})
     trace.record("x", 1.0, a=1)
     trace.record("y", 2.0, a=2)
-    assert len(trace) == 2
+    assert len(trace.events()) == 2
 
 
 def test_empty_enabled_recorder_is_still_usable_in_boolean_context():
@@ -24,7 +24,7 @@ def test_empty_enabled_recorder_is_still_usable_in_boolean_context():
     trace = TraceRecorder({"x"})
     chosen = trace if trace is not None else TraceRecorder()
     chosen.record("x", 0.0)
-    assert len(trace) == 1
+    assert len(trace.events()) == 1
 
 
 def test_kind_filter():
@@ -73,7 +73,8 @@ def test_event_get_and_getitem():
     trace.record("k", 0.0, field=5)
     event = trace.events("k")[0]
     assert event["field"] == 5
-    assert event.get("missing", "default") == "default"
+    with pytest.raises(KeyError):
+        event["missing"]
 
 
 #: Every kind a JTP run over the TDMA MAC can emit.
@@ -108,7 +109,7 @@ def test_untraced_run_never_calls_record(monkeypatch):
     # The spy sees the sites the untraced run skipped, including the
     # formerly unguarded per-packet and cache-recovery ones ...
     assert {"jtp_receive", "jtp_send", "cache_recovery", "mac_attempt", "ijtp_attempts"} <= set(calls)
-    assert len(traced.network.trace) == len(calls)
+    assert len(traced.network.trace.events()) == len(calls)
     # ... and tracing them changes nothing the run computes.
     assert traced.metrics == untraced.metrics
     assert traced.network.sim.events_processed == untraced.network.sim.events_processed

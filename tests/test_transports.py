@@ -57,7 +57,7 @@ class TestTcpSack:
     def test_sender_rate_bounded(self):
         config = TcpConfig(max_rate_pps=4.0)
         network, flow = run_protocol(TcpSackProtocol(config))
-        assert flow.sender.rate_pps <= 4.0
+        assert flow.sender._rate_pps <= 4.0
 
     def test_rto_has_floor(self):
         config = TcpConfig(min_rto=1.0)
@@ -75,7 +75,7 @@ class TestTcpSack:
             sender = flow.sender
             return (
                 flow.delivered_fraction,
-                sender.rate_pps,
+                sender._rate_pps,
                 sender.rto,
                 sender.loss_events,
                 flow.stats.acks_sent,
@@ -100,7 +100,7 @@ class TestAtp:
     def test_sender_follows_explicit_rate_feedback(self):
         network, flow = run_protocol(AtpProtocol(), transfer=60_000)
         # After feedback the sender must not still sit at its initial rate.
-        assert flow.sender.rate_pps != AtpConfig().initial_rate_pps
+        assert flow.sender._rate_pps != AtpConfig().initial_rate_pps
 
     def test_receiver_stops_acking_after_completion(self):
         network, flow = run_protocol(AtpProtocol(), transfer=20_000, duration=900)

@@ -1,17 +1,8 @@
 """Unit conversions used by the energy accounting."""
 
-
 import pytest
 
-from repro.util.units import (
-    BITS_PER_BYTE,
-    bits_from_bytes,
-    bytes_from_bits,
-    joules_to_microjoules,
-    joules_to_millijoules,
-    transmission_energy,
-    transmission_time,
-)
+from repro.util.units import BITS_PER_BYTE, bits_from_bytes, joules_to_microjoules, transmission_time
 
 
 def test_bits_per_byte_constant():
@@ -20,15 +11,10 @@ def test_bits_per_byte_constant():
 
 def test_bits_from_bytes_roundtrip():
     assert bits_from_bytes(100) == 800
-    assert bytes_from_bits(bits_from_bytes(123.5)) == pytest.approx(123.5)
-
-
-def test_bytes_from_bits():
-    assert bytes_from_bits(800) == 100
+    assert bits_from_bytes(123.5) / BITS_PER_BYTE == pytest.approx(123.5)
 
 
 def test_joule_conversions():
-    assert joules_to_millijoules(1.5) == pytest.approx(1500.0)
     assert joules_to_microjoules(2e-6) == pytest.approx(2.0)
 
 
@@ -52,18 +38,3 @@ def test_transmission_time_rejects_negative_bits():
     with pytest.raises(ValueError):
         transmission_time(-1, 250_000)
 
-
-def test_transmission_energy_scales_with_power():
-    low = transmission_energy(6400, 0.1, 250_000)
-    high = transmission_energy(6400, 0.2, 250_000)
-    assert high == pytest.approx(2 * low)
-
-
-def test_transmission_energy_rejects_negative_power():
-    with pytest.raises(ValueError):
-        transmission_energy(100, -0.1, 250_000)
-
-
-def test_transmission_energy_value():
-    # 25.6 ms at 120 mW is about 3.07 mJ.
-    assert transmission_energy(6400, 0.12, 250_000) == pytest.approx(0.0256 * 0.12)

@@ -281,8 +281,8 @@ class TestRandomPlanBitIdentity:
         # depend on where the simulation runs.
         plan, workers, seed = case
         specs = [_property_spec(plan), _property_spec(None)]
-        serial = ParallelRunner(workers=0).run_grid(specs, [seed])
-        pooled = ParallelRunner(workers=workers).run_grid(specs, [seed])
+        serial = ParallelRunner(workers=0).run_grids([(specs, [seed])])[0]
+        pooled = ParallelRunner(workers=workers).run_grids([(specs, [seed])])[0]
         assert serial == pooled
         # The pooled records crossed a process boundary: they must also
         # survive a pickle round-trip unchanged, and canonical JSON of
