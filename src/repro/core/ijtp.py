@@ -37,7 +37,7 @@ from repro.core.cache import PacketCache
 from repro.core.config import JTPConfig
 from repro.core.packet import AckInfo, Packet
 from repro.core.reliability import plan_link_attempts
-from repro.mac.tdma import LinkContext, TdmaMac
+from repro.mac.tdma import TdmaMac
 from repro.sim.stats import NetworkStats
 from repro.sim.trace import TraceRecorder
 
@@ -101,12 +101,14 @@ class IntermediateJTP:
 
     # -- Algorithm 1: PreXmit ------------------------------------------------------------------
 
-    def pre_transmit(self, packet: object, context: LinkContext) -> bool:
-        """Per-hop soft-state operations run just before transmission.
+    def pre_transmit(self, packet: object, mac: TdmaMac, next_hop: int) -> bool:
+        """Per-hop soft-state operations run just before transmission to ``next_hop``.
 
         Returns False to make the MAC drop the packet (energy budget
         exceeded).  Non-JTP packets pass through untouched so baseline
-        protocols can share the same MAC.
+        protocols can share the same MAC.  Link state (loss rate,
+        available rate, average attempts, remaining hops) is read from
+        ``mac`` only for data frames, the one branch that uses it.
         """
         if not isinstance(packet, Packet):
             return True
@@ -119,7 +121,7 @@ class IntermediateJTP:
             self._count_flow(packet, "energy_budget_drops")
             if "energy_budget_drop" in self.trace.kinds:
                 self.trace.record(
-                    "energy_budget_drop", context.now, node=self.node_id,
+                    "energy_budget_drop", mac.sim.now, node=self.node_id,
                     flow=packet.flow_id, seq=packet.seq,
                     used=packet.energy_used, budget=packet.energy_budget,
                 )
@@ -130,23 +132,26 @@ class IntermediateJTP:
             # loss tolerance carried forward ("firstDataTransmission" is
             # per hop — the hook runs once per packet service, retries
             # reuse the bound installed here).
-            remaining_hops = context.remaining_hops
+            hops_fn = mac.remaining_hops_fn
+            remaining_hops = None if hops_fn is None else hops_fn(packet)
             if remaining_hops is None or remaining_hops < 1:
                 remaining_hops = 1
+            estimator = mac.link_estimator(next_hop)
+            loss_rate = estimator.loss_rate
             attempts, packet.loss_tolerance = plan_link_attempts(
-                packet.loss_tolerance, context.loss_rate, remaining_hops,
+                packet.loss_tolerance, loss_rate, remaining_hops,
                 self.config.max_attempts,
             )
             packet.max_link_attempts = attempts
             if "ijtp_attempts" in self.trace.kinds:
                 self.trace.record(
-                    "ijtp_attempts", context.now, node=self.node_id, flow=packet.flow_id,
-                    seq=packet.seq, attempts=attempts, loss_rate=context.loss_rate,
+                    "ijtp_attempts", mac.sim.now, node=self.node_id, flow=packet.flow_id,
+                    seq=packet.seq, attempts=attempts, loss_rate=loss_rate,
                     remaining_hops=remaining_hops,
                 )
 
             # Lines 10-12: stamp the minimum effective available rate.
-            effective_rate = context.available_rate_pps / max(1.0, context.average_attempts)
+            effective_rate = mac.available_rate_pps(next_hop) / max(1.0, estimator.average_attempts)
             packet.available_rate_pps = min(packet.available_rate_pps, effective_rate)
 
         return True

@@ -20,7 +20,7 @@ link loss.
 from repro.mac.energy import RadioEnergyModel
 from repro.mac.link_estimator import LinkEstimator
 from repro.mac.arq import ArqPolicy
-from repro.mac.tdma import MacConfig, TdmaMac, LinkContext
+from repro.mac.tdma import MacConfig, TdmaMac
 from repro.mac.csma import CsmaMac
 
 __all__ = [
@@ -30,5 +30,4 @@ __all__ = [
     "MacConfig",
     "TdmaMac",
     "CsmaMac",
-    "LinkContext",
 ]

@@ -20,18 +20,21 @@ Upper layers hook into the MAC through two hook lists mirroring the
 paper's Algorithms 1 and 2:
 
 * ``pre_transmit_hooks`` run exactly before a packet's first
-  transmission on a link (iJTP's ``PreXmit``); returning ``False``
-  drops the packet;
+  transmission on a link (iJTP's ``PreXmit``) as
+  ``hook(packet, mac, next_hop)``; a hook reads the link state it needs
+  on demand (:meth:`TdmaMac.link_estimator`,
+  :meth:`TdmaMac.available_rate_pps`, ``mac.remaining_hops_fn``), and
+  returning ``False`` drops the packet;
 * ``post_receive_hooks`` run exactly after a packet is received from
-  the physical layer (iJTP's ``PostRcv``); returning ``False`` consumes
-  the packet.
+  the physical layer (iJTP's ``PostRcv``) as ``hook(packet, mac)``;
+  returning ``False`` consumes the packet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.mac.arq import ArqPolicy
 from repro.mac.energy import RadioEnergyModel
@@ -79,28 +82,10 @@ class MacConfig:
         return self.slot_share / (airtime + self.guard_time)
 
 
-@dataclass(slots=True)
-class LinkContext:
-    """Snapshot of link state handed to pre-transmit hooks (iJTP PreXmit).
-
-    Built once per packet service; hooks must treat it as read-only.
-    (A frozen dataclass would enforce that, but its ``__init__`` routes
-    every field through ``object.__setattr__`` — measurable at this call
-    rate — so the contract is documentation instead.)
-    """
-
-    neighbor: int
-    now: float
-    loss_rate: float
-    available_rate_pps: float
-    average_attempts: float
-    remaining_hops: Optional[int] = None
-
-
 # Hook signatures:
-#   pre-transmit:  hook(packet, LinkContext) -> bool   (False drops the packet)
+#   pre-transmit:  hook(packet, mac, next_hop) -> bool  (False drops the packet)
 #   post-receive:  hook(packet, mac) -> bool            (False consumes the packet)
-PreTransmitHook = Callable[[object, LinkContext], bool]
+PreTransmitHook = Callable[[object, "TdmaMac", int], bool]
 PostReceiveHook = Callable[[object, "TdmaMac"], bool]
 
 
@@ -129,9 +114,9 @@ class TdmaMac:
         self.pre_transmit_hooks: List[PreTransmitHook] = []
         self.post_receive_hooks: List[PostReceiveHook] = []
 
-        # Set by the Node / Network wiring.
+        # Set by the Node / Network wiring: ``peers[i]`` is node i's MAC.
+        self.peers: Sequence[TdmaMac] = ()
         self.deliver_upstream: Optional[Callable[[object, int], None]] = None
-        self.deliver_to_peer: Optional[Callable[[int, object, int], None]] = None
         self.on_packet_dropped: Optional[Callable[[object, str], None]] = None
         self.remaining_hops_fn: Optional[Callable[[object], Optional[int]]] = None
 
@@ -182,18 +167,6 @@ class TdmaMac:
         backlog_fraction = len(self.queue) / self.queue.capacity
         available *= max(0.0, 1.0 - backlog_fraction)
         return max(self.config.min_available_rate_pps, available)
-
-    def link_context(self, neighbor: int, remaining_hops: Optional[int] = None) -> LinkContext:
-        """Build the link-state snapshot handed to pre-transmit hooks."""
-        estimator = self.link_estimator(neighbor)
-        return LinkContext(
-            neighbor=neighbor,
-            now=self.sim.now,
-            loss_rate=estimator.loss_rate,
-            available_rate_pps=self.available_rate_pps(neighbor),
-            average_attempts=estimator.average_attempts,
-            remaining_hops=remaining_hops,
-        )
 
     # -- transmit path ----------------------------------------------------------------
 
@@ -249,17 +222,14 @@ class TdmaMac:
             self._busy = False
             return
         packet, next_hop = entry
-        hooks = self.pre_transmit_hooks
-        if hooks:
-            # Only hooked MACs (iJTP, ATP) need the snapshot; building it for
-            # the rest changes nothing (docs/performance.md, "MAC service path").
-            hops_fn = self.remaining_hops_fn
-            context = self.link_context(next_hop, None if hops_fn is None else hops_fn(packet))
-            for hook in hooks:
-                if not hook(packet, context):
-                    self._dropped(packet, "pre_transmit_hook")
-                    self.sim.schedule(0.0, self._service_next)
-                    return
+        # Hooks read link state on demand, so frames that need none (an
+        # unhooked MAC, an ACK) read none (docs/performance.md, "MAC
+        # service path").
+        for hook in self.pre_transmit_hooks:
+            if not hook(packet, self, next_hop):
+                self._dropped(packet, "pre_transmit_hook")
+                self.sim.schedule(0.0, self._service_next)
+                return
         attempts_allowed = self.config.arq.attempts_for(getattr(packet, "max_link_attempts", None))
         self._attempt(packet, next_hop, 1, attempts_allowed)
 
@@ -302,13 +272,20 @@ class TdmaMac:
         meter.tx_joules += tx_energy
         per_flow = meter.per_flow
         per_flow[flow_id] = per_flow.get(flow_id, 0.0) + tx_energy
-        self._charge_packet_energy(packet, tx_energy)
+        # Inline twin of _charge_packet_energy; nothing reads the field
+        # before the reception charge below adds to ``energy_used``.
+        try:
+            energy_used = packet.energy_used  # type: ignore[attr-defined]
+        except AttributeError:
+            energy_used = None
+        else:
+            energy_used = packet.energy_used = energy_used + tx_energy  # type: ignore[attr-defined]
         self._node_tx_rate.record(now, 1.0)
 
         estimator = self._estimators.get(next_hop) or self.link_estimator(next_hop)
         success = self.channel.transmission_succeeds(self.node_id, next_hop, now)
-        # Inline twins of LinkEstimator.record_attempt and
-        # NetworkStats.record_link_attempt.
+        # Inline twins of LinkEstimator.record_attempt and .record_packet
+        # (``attempt_no >= 1``) and NetworkStats.record_link_attempt.
         stats.link_transmissions += 1
         if success:
             stats.link_successes += 1
@@ -318,19 +295,20 @@ class TdmaMac:
                               attempt=attempt_no, allowed=attempts_allowed, success=success)
 
         if success:
-            estimator.record_packet(attempt_no)
+            estimator._attempts.update(attempt_no)
             # Charge the reception to the receiving node and flow.
             receiver = stats.energy.get(next_hop) or stats.register_node(next_hop)
             receiver.rx_joules += rx_energy
             per_flow = receiver.per_flow
             per_flow[flow_id] = per_flow.get(flow_id, 0.0) + rx_energy
-            self._charge_packet_energy(packet, rx_energy)
+            if energy_used is not None:
+                packet.energy_used = energy_used + rx_energy  # type: ignore[attr-defined]
             self.sim.schedule(service_time, self._deliver_and_continue, next_hop, packet)
         elif attempt_no < attempts_allowed:
             self.sim.schedule(service_time + retry_delay, self._retry,
                               self._epoch, packet, next_hop, attempt_no + 1, attempts_allowed)
         else:
-            estimator.record_packet(attempt_no)
+            estimator._attempts.update(attempt_no)
             self._dropped(packet, "link_exhausted")
             self.sim.schedule(service_time, self._service_next)
 
@@ -375,10 +353,7 @@ class TdmaMac:
         One event where a delivery and a ``_service_next`` at the same
         instant would hold adjacent sequence numbers anyway.
         """
-        deliver = self.deliver_to_peer
-        if deliver is None:
-            raise RuntimeError("MAC is not wired to the network (deliver_to_peer is None)")
-        deliver(next_hop, packet, self.node_id)
+        self.peers[next_hop].receive(packet, self.node_id)
         self._service_next()
 
     def _dropped(self, packet: object, reason: str) -> None:

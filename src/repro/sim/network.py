@@ -87,6 +87,9 @@ class Network:
         else:
             self._medium = None
         self.nodes: List[Node] = [self._build_node(i) for i in range(len(config.positions))]
+        peers = [node.mac for node in self.nodes]
+        for mac in peers:
+            mac.peers = peers
         self.mobility = None
         self.fault_injector: Optional["FaultInjector"] = None
         self._started = False
@@ -119,11 +122,7 @@ class Network:
                 config=self.config.mac_config,
                 trace=self.trace,
             )
-        mac.deliver_to_peer = self._deliver_to_peer
         return Node(node_id, self.sim, mac, self.routing, self.stats, trace=self.trace)
-
-    def _deliver_to_peer(self, next_hop: int, packet: object, from_node: int) -> None:
-        self.nodes[next_hop].mac.receive(packet, from_node)
 
     @classmethod
     def linear(

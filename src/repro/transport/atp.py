@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Set
 
 from repro.core.packet import AckInfo, Packet, PacketType
-from repro.mac.tdma import LinkContext
+from repro.mac.tdma import TdmaMac
 from repro.sim.network import Network
 from repro.sim.stats import FlowStats
 from repro.transport.base import FlowHandle, TransportProtocol
@@ -55,9 +55,10 @@ class AtpRateStamper:
     def __init__(self) -> None:
         self.packets_stamped = 0
 
-    def pre_transmit(self, packet: object, context: LinkContext) -> bool:
+    def pre_transmit(self, packet: object, mac: TdmaMac, next_hop: int) -> bool:
         if isinstance(packet, Packet) and packet.is_data:
-            effective = context.available_rate_pps / max(1.0, context.average_attempts)
+            estimator = mac.link_estimator(next_hop)
+            effective = mac.available_rate_pps(next_hop) / max(1.0, estimator.average_attempts)
             packet.available_rate_pps = min(packet.available_rate_pps, effective)
             self.packets_stamped += 1
         return True

@@ -47,7 +47,7 @@ def build_csma_pair(**mac_kwargs):
     macs = [CsmaMac(i, sim, channel, stats, medium=medium, rng=random.Random(i), **mac_kwargs) for i in range(2)]
     received = []
     for mac in macs:
-        mac.deliver_to_peer = lambda nh, p, f: macs[nh].receive(p, f)
+        mac.peers = macs
         mac.deliver_upstream = lambda p, f, _m=mac: received.append((_m.node_id, sim.now))
     return sim, macs, received
 

@@ -1,13 +1,14 @@
 """iJTP hop-by-hop module (Algorithms 1 and 2)."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.config import JTPConfig
 from repro.core.ijtp import IntermediateJTP, install_ijtp_everywhere
 from repro.core.packet import AckInfo, Packet, PacketType
-from repro.mac.tdma import LinkContext, TdmaMac
+from repro.mac.tdma import TdmaMac
 from repro.sim.channel import Channel, LinkQuality
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -42,52 +43,71 @@ def ack_packet(snack=(), recovered=(), cumulative=-1):
                               locally_recovered=tuple(recovered)))
 
 
+class StubLink:
+    """The link state a PreXmit hook reads, as a stand-in for its MAC."""
+
+    def __init__(self, loss, available, attempts, hops, now):
+        self.sim = SimpleNamespace(now=now)
+        self.loss_rate = loss
+        self.average_attempts = attempts
+        self._available = available
+        self.remaining_hops_fn = lambda packet: hops
+
+    def link_estimator(self, neighbor):
+        assert neighbor == 2
+        return self
+
+    def available_rate_pps(self, neighbor):
+        assert neighbor == 2
+        return self._available
+
+
 def context(loss=0.2, available=4.0, attempts=1.2, hops=2, now=0.0):
-    return LinkContext(neighbor=2, now=now, loss_rate=loss, available_rate_pps=available,
-                       average_attempts=attempts, remaining_hops=hops)
+    """``(mac, next_hop)`` arguments of a PreXmit call over a link to node 2."""
+    return StubLink(loss, available, attempts, hops, now), 2
 
 
 class TestPreTransmit:
     def test_non_jtp_packets_pass_through(self):
         module, _, _ = make_module()
-        assert module.pre_transmit(object(), context())
+        assert module.pre_transmit(object(), *context())
 
     def test_energy_budget_enforced(self):
         module, _, stats = make_module()
         stats.register_flow(FlowStats(0, 0, 2))
         packet = data_packet(energy_budget=0.01, energy_used=0.02)
-        assert not module.pre_transmit(packet, context())
+        assert not module.pre_transmit(packet, *context())
         assert module.energy_budget_drops == 1
         assert stats.flows[0].energy_budget_drops == 1
 
     def test_within_budget_passes(self):
         module, _, _ = make_module()
-        assert module.pre_transmit(data_packet(energy_budget=1.0, energy_used=0.5), context())
+        assert module.pre_transmit(data_packet(energy_budget=1.0, energy_used=0.5), *context())
 
     def test_attempt_bound_installed_from_loss_and_tolerance(self):
         module, _, _ = make_module()
         packet = data_packet(loss_tolerance=0.0)
-        module.pre_transmit(packet, context(loss=0.5, hops=3))
+        module.pre_transmit(packet, *context(loss=0.5, hops=3))
         assert packet.max_link_attempts == JTPConfig().max_attempts
         relaxed = data_packet(loss_tolerance=0.4)
-        module.pre_transmit(relaxed, context(loss=0.5, hops=3))
+        module.pre_transmit(relaxed, *context(loss=0.5, hops=3))
         assert relaxed.max_link_attempts < JTPConfig().max_attempts
 
     def test_loss_tolerance_field_updated_for_downstream(self):
         module, _, _ = make_module()
         packet = data_packet(loss_tolerance=0.3)
         before = packet.loss_tolerance
-        module.pre_transmit(packet, context(loss=0.2, hops=4))
+        module.pre_transmit(packet, *context(loss=0.2, hops=4))
         assert packet.loss_tolerance != before
         assert 0.0 <= packet.loss_tolerance <= 1.0
 
     def test_available_rate_stamped_with_minimum(self):
         module, _, _ = make_module()
         packet = data_packet()
-        module.pre_transmit(packet, context(available=4.0, attempts=2.0))
+        module.pre_transmit(packet, *context(available=4.0, attempts=2.0))
         assert packet.available_rate_pps == pytest.approx(2.0)
         # A later hop with more capacity must not raise the stamp.
-        module.pre_transmit(packet, context(available=10.0, attempts=1.0))
+        module.pre_transmit(packet, *context(available=10.0, attempts=1.0))
         assert packet.available_rate_pps == pytest.approx(2.0)
 
     def test_ack_packets_not_stamped_but_budget_checked(self):
@@ -95,15 +115,14 @@ class TestPreTransmit:
         ack = ack_packet()
         ack.energy_budget = 0.5
         ack.energy_used = 0.0
-        assert module.pre_transmit(ack, context())
+        assert module.pre_transmit(ack, *context())
         assert ack.available_rate_pps == float("inf")
 
     def test_missing_remaining_hops_defaults_to_one(self):
         module, _, _ = make_module()
         packet = data_packet(loss_tolerance=0.2)
-        ctx = LinkContext(neighbor=2, now=0.0, loss_rate=0.3, available_rate_pps=3.0,
-                          average_attempts=1.0, remaining_hops=None)
-        assert module.pre_transmit(packet, ctx)
+        mac, next_hop = context(loss=0.3, available=3.0, attempts=1.0, hops=None)
+        assert module.pre_transmit(packet, mac, next_hop)
         assert packet.max_link_attempts >= 1
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.scenarios import linear_scenario, random_scenario
 from repro.mac.arq import ArqPolicy
-from repro.mac.tdma import LinkContext, MacConfig, TdmaMac
+from repro.mac.tdma import MacConfig, TdmaMac
 from repro.routing.link_state import LinkStateRouting
 from repro.sim.channel import Channel, LinkQuality
 from repro.sim.engine import Simulator
@@ -37,12 +37,8 @@ def build_pair(quality=None, mac_config=None, mac_class=TdmaMac):
     config = mac_config or MacConfig()
     macs = [mac_class(i, sim, channel, stats, config=config) for i in range(2)]
     received = []
-
-    def deliver(next_hop, packet, from_node):
-        macs[next_hop].receive(packet, from_node)
-
     for mac in macs:
-        mac.deliver_to_peer = deliver
+        mac.peers = macs
         mac.deliver_upstream = lambda packet, frm, _m=mac: received.append((_m.node_id, packet))
     return sim, stats, macs, received
 
@@ -72,6 +68,25 @@ def test_packet_energy_used_accumulates():
     macs[0].enqueue(packet, 1)
     sim.run(until=5.0)
     assert packet.energy_used > 0
+
+
+def test_packet_without_an_energy_field_is_sent_and_a_read_only_one_raises():
+    class Unmetered:
+        flow_id = 0
+        size_bits = 6624.0
+        max_link_attempts = None
+        dst = 1
+
+    class ReadOnly(Unmetered):
+        energy_used = property(lambda self: 0.0)
+
+    sim, stats, macs, received = build_pair()
+    macs[0].enqueue(Unmetered(), 1)
+    sim.run(until=5.0)
+    assert len(received) == 1
+    macs[0].enqueue(ReadOnly(), 1)
+    with pytest.raises(AttributeError):
+        sim.run(until=10.0)
 
 
 def test_retries_until_attempt_bound():
@@ -105,28 +120,28 @@ def test_queue_overflow_drops_and_counts():
 
 def test_pre_transmit_hook_can_drop():
     sim, stats, macs, received = build_pair()
-    macs[0].pre_transmit_hooks.append(lambda packet, ctx: False)
+    macs[0].pre_transmit_hooks.append(lambda packet, mac, next_hop: False)
     macs[0].enqueue(FramePacket(), 1)
     sim.run(until=5.0)
     assert received == []
     assert stats.link_transmissions == 0
 
 
-def test_pre_transmit_hook_receives_link_context():
+def test_pre_transmit_hook_receives_the_mac_and_next_hop():
     sim, stats, macs, received = build_pair()
-    contexts = []
+    calls = []
 
-    def hook(packet, context):
-        contexts.append(context)
+    def hook(packet, mac, next_hop):
+        calls.append((packet, mac, next_hop, mac.available_rate_pps(next_hop)))
         return True
 
     macs[0].pre_transmit_hooks.append(hook)
-    macs[0].enqueue(FramePacket(), 1)
+    packet = FramePacket()
+    macs[0].enqueue(packet, 1)
     sim.run(until=5.0)
-    assert len(contexts) == 1
-    assert isinstance(contexts[0], LinkContext)
-    assert contexts[0].neighbor == 1
-    assert contexts[0].available_rate_pps > 0
+    assert len(calls) == 1
+    assert calls[0][:3] == (packet, macs[0], 1)
+    assert calls[0][3] > 0
 
 
 def test_post_receive_hook_can_consume():
@@ -229,7 +244,7 @@ def _with_noop_hook(name):
     def install_hooked(network):
         install(network)
         for node in network.nodes:
-            node.mac.pre_transmit_hooks.append(lambda packet, context: True)
+            node.mac.pre_transmit_hooks.append(lambda packet, mac, next_hop: True)
 
     protocol.install = install_hooked
     return protocol
@@ -254,9 +269,11 @@ def test_skipping_the_link_context_changes_no_metric(scenario):
     assert hooked.network.sim.events_processed == plain.network.sim.events_processed
 
 
-def test_unhooked_macs_never_build_a_link_context(monkeypatch):
+def _count_link_state_reads(monkeypatch):
+    """Record the name of every call that reads link state PreXmit uses."""
     calls = []
-    for owner, name in ((TdmaMac, "link_context"), (LinkStateRouting, "hops_to")):
+    for owner, name in ((TdmaMac, "available_rate_pps"), (TdmaMac, "link_estimator"),
+                        (LinkStateRouting, "hops_to")):
         original = getattr(owner, name)
 
         def counted(self, *args, _original=original, _name=name, **kwargs):
@@ -264,10 +281,75 @@ def test_unhooked_macs_never_build_a_link_context(monkeypatch):
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_unhooked_macs_never_read_available_rate_or_remaining_hops(monkeypatch):
+    calls = _count_link_state_reads(monkeypatch)
     linear_scenario(5, "tcp", transfer_bytes=40_000.0, duration=200.0, seed=1)
-    assert calls == []
+    assert "available_rate_pps" not in calls
+    assert "hops_to" not in calls
     linear_scenario(5, "jtp", transfer_bytes=40_000.0, duration=200.0, seed=1)
-    assert {"link_context", "hops_to"} <= set(calls)
+    assert {"available_rate_pps", "hops_to"} <= set(calls)
+
+
+def _ijtp_pair(packet_type):
+    from repro.core.ijtp import IntermediateJTP
+    from repro.core.packet import AckInfo, Packet, PacketType
+
+    sim, stats, macs, received = build_pair()
+    module = IntermediateJTP(0, macs[0])
+    module.install()
+    macs[0].remaining_hops_fn = lambda packet: 1
+    packet = Packet(flow_id=0, seq=0, packet_type=packet_type, src=0, dst=1, payload_bytes=800.0,
+                    ack=AckInfo() if packet_type is PacketType.ACK else None)
+    return sim, macs, packet
+
+
+def test_an_ack_prexmit_reads_no_link_state(monkeypatch):
+    from repro.core.packet import PacketType
+
+    sim, macs, packet = _ijtp_pair(PacketType.ACK)
+    calls = _count_link_state_reads(monkeypatch)
+    hops = []
+    macs[0].remaining_hops_fn = lambda packet: hops.append(packet) or 1
+    macs[0].enqueue(packet, 1)
+    sim.run(until=0.001)  # the frame is in service, its first attempt made
+    assert macs[0]._busy and len(macs[0].queue) == 0
+    assert "available_rate_pps" not in calls
+    assert hops == []
+    # The attempt itself creates the link's estimator, as it does for any frame.
+    assert calls == ["link_estimator"]
+
+
+def test_a_data_prexmit_reads_each_value_once_at_service_time(monkeypatch):
+    from repro.core.packet import PacketType
+
+    sim, macs, packet = _ijtp_pair(PacketType.DATA)
+    mac = macs[0]
+    reads = []
+    original_rate = TdmaMac.available_rate_pps
+    original_estimator = TdmaMac.link_estimator
+
+    def rate(self, neighbor):
+        reads.append(("available_rate_pps", neighbor, self.sim.now, len(self.queue)))
+        return original_rate(self, neighbor)
+
+    def estimator(self, neighbor):
+        reads.append(("link_estimator", neighbor, self.sim.now, len(self.queue)))
+        return original_estimator(self, neighbor)
+
+    monkeypatch.setattr(TdmaMac, "available_rate_pps", rate)
+    monkeypatch.setattr(TdmaMac, "link_estimator", estimator)
+    mac.remaining_hops_fn = lambda packet: reads.append(("hops", packet.seq, mac.sim.now, len(mac.queue))) or 2
+    mac.enqueue(packet, 1)
+    mac.enqueue(FramePacket(), 1)  # queued behind it: PreXmit runs with it still waiting
+    sim.run(until=0.001)
+    # One read of each value, all at service time: the queue already
+    # popped the data frame and still holds the one behind it.
+    assert sorted(reads) == [("available_rate_pps", 1, 0.0, 1), ("hops", 0, 0.0, 1), ("link_estimator", 1, 0.0, 1)]
+    assert packet.max_link_attempts is not None
+    assert packet.available_rate_pps < float("inf")
 
 
 def test_delivery_and_next_service_run_before_callbacks_the_delivery_schedules():
@@ -290,7 +372,7 @@ class SplitDeliveryMac(TdmaMac):
     """Delivers and then schedules the next service as a separate event."""
 
     def _deliver_and_continue(self, next_hop, packet):
-        self.deliver_to_peer(next_hop, packet, self.node_id)
+        self.peers[next_hop].receive(packet, self.node_id)
         self.sim.schedule(0.0, self._service_next)
 
 
