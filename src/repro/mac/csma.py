@@ -28,7 +28,7 @@ class SharedMedium:
     """Tracks how many CSMA transmitters are active at any instant.
 
     One instance is shared by all :class:`CsmaMac` objects in a network;
-    each attempt registers itself for its airtime so that concurrent
+    each attempt registers itself for its on-air time so that concurrent
     attempts can collide with each other.
     """
 
@@ -99,15 +99,17 @@ class CsmaMac(TdmaMac):
             self._dropped(packet, "node_down")
             self._busy = False
             return
+        # The attempt, collided or not, holds the medium for its on-air
+        # time (the backoff is not on air).  The end is its own event, so
+        # it fires even if this node goes down in between.
         others = self.medium.begin_transmission()
-        try:
-            collision_probability = 1.0 - (1.0 - self.collision_base) ** others
-            if others > 0 and self._rng.random() < collision_probability:
-                self._attempt_collided(packet, next_hop, attempt_no, attempts_allowed)
-                return
-            super()._attempt(packet, next_hop, attempt_no, attempts_allowed)
-        finally:
-            self.medium.end_transmission()
+        on_air = self.config.energy.airtime(self._packet_bits(packet)) + self.config.guard_time
+        self.sim.schedule(on_air, self.medium.end_transmission)
+        collision_probability = 1.0 - (1.0 - self.collision_base) ** others
+        if others > 0 and self._rng.random() < collision_probability:
+            self._attempt_collided(packet, next_hop, attempt_no, attempts_allowed)
+            return
+        super()._attempt(packet, next_hop, attempt_no, attempts_allowed)
 
     def _attempt_collided(self, packet: object, next_hop: int, attempt_no: int, attempts_allowed: int) -> None:
         """Handle an attempt destroyed by a collision: energy is still spent."""

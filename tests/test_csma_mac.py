@@ -81,11 +81,14 @@ def test_attempt_against_an_open_transmission_collides_and_retries():
     packet = FramePacket()
     mac._attempt(packet, 1, 1, 3)
     assert mac.collisions == 1
-    assert mac.medium.active_transmitters == 1  # the attempt released the medium
+    assert mac.medium.active_transmitters == 2  # the collided frame is on air too
     tx_energy = mac.config.energy.transmit_energy(packet.size_bits)
     assert packet.energy_used == tx_energy
     assert mac.stats.energy[0].tx_joules == tx_energy
-    assert sim.live_events == 1  # the retry
+    assert sim.live_events == 2  # the end of its on-air time, and the retry
+    sim.run(until=mac.config.energy.airtime(packet.size_bits) + mac.config.guard_time)
+    assert mac.medium.active_transmitters == 1  # the attempt released the medium
+    assert sim.live_events == 1  # the retry, after the backoff
     mac.medium.end_transmission()  # the other station finishes
     sim.run(until=5.0)
     assert mac.collisions == 1
@@ -100,6 +103,30 @@ def test_attempt_against_an_open_transmission_delivers_without_collisions():
     sim.run(until=5.0)
     assert mac.collisions == 0
     assert [node for node, _ in received] == [1]
+
+
+def test_backlogged_macs_collide_and_release_the_medium():
+    sim, macs, received = build_csma_pair(collision_base=1.0)
+    for _ in range(10):
+        macs[0].enqueue(FramePacket(), 1)
+        macs[1].enqueue(FramePacket(), 0)
+    sim.run(until=60.0)
+    assert macs[0].collisions + macs[1].collisions > 0
+    assert macs[0].medium.peak_active == 2
+    assert macs[0].medium.active_transmitters == 0
+    assert sim.live_events == 0
+    assert len(received) > 0
+
+
+def test_a_node_going_down_mid_frame_still_releases_the_medium():
+    sim, macs, received = build_csma_pair()
+    mac = macs[0]
+    mac.enqueue(FramePacket(), 1)
+    sim.run(until=0.001)
+    assert mac.medium.active_transmitters == 1
+    mac.deactivate()
+    sim.run(until=5.0)
+    assert mac.medium.active_transmitters == 0
 
 
 def test_invalid_collision_base_rejected():
