@@ -5,8 +5,8 @@ the simulator itself is dependency-free and CI environments without the
 extra still need figure images — the acceptance path ``run_paper(out_dir)
 → python -m repro.plots`` must work everywhere.  This module is the
 fallback renderer's drawing surface: an RGB byte buffer with just enough
-primitives for line charts and grouped bars (pixels, Bresenham lines,
-filled rectangles, a 5×7 bitmap font) and a minimal, valid PNG encoder
+primitives for line charts and grouped bars (Bresenham lines, filled
+rectangles, markers, a 5×7 bitmap font) and a minimal, valid PNG encoder
 (8-bit RGB, no interlace) built on :mod:`zlib` and :mod:`struct`.
 
 It is deliberately not a drawing library: no anti-aliasing, no alpha,
@@ -198,11 +198,6 @@ class Canvas:
         self._pixels = bytearray((b"\x00" + bytes(background) * self.width) * self.height)
 
     # -- primitives -------------------------------------------------------------------
-
-    def set_pixel(self, x: int, y: int, color: Color) -> None:
-        if 0 <= x < self.width and 0 <= y < self.height:
-            offset = y * self._stride + 1 + 3 * x
-            self._pixels[offset:offset + 3] = bytes(color)
 
     def fill_rect(self, x: int, y: int, w: int, h: int, color: Color) -> None:
         x0, x1 = max(0, x), min(self.width, x + w)

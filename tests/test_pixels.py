@@ -108,8 +108,8 @@ def synthetic_canvas() -> mini_png.Canvas:
     canvas.draw_rect(74, 76, 30, 30, mini_png.tint(green, 0.6))
     canvas.draw_marker(80, 55, blue)
     canvas.draw_marker(96, 82, blue)
-    canvas.set_pixel(48, 62, mini_png.BLACK)
-    canvas.set_pixel(-1, 62, mini_png.BLACK)
+    canvas.fill_rect(48, 62, 1, 1, mini_png.BLACK)
+    canvas.fill_rect(-1, 62, 1, 1, mini_png.BLACK)
     return canvas
 
 
@@ -142,7 +142,8 @@ def test_rendered_pixels_match_the_pinned_digests(tiny_run, tmp_path, monkeypatc
 @pytest.mark.parametrize("scale", [1, 2])
 def test_text_clipped_at_any_offset_equals_pixel_by_pixel_drawing(scale):
     # The glyph fast path writes rows as slices; a glyph box straddling
-    # an edge must still set exactly the in-bounds pixels.
+    # an edge must still set exactly the in-bounds pixels of one
+    # scale x scale square per lit bitmap pixel.
     for x in range(-7 * scale, 12, 3):
         for y in range(-8 * scale, 12, 3):
             fast = mini_png.Canvas(11, 10)
@@ -154,15 +155,13 @@ def test_text_clipped_at_any_offset_equals_pixel_by_pixel_drawing(scale):
                 for row, bits in enumerate(glyph):
                     for col in range(mini_png.GLYPH_WIDTH):
                         if bits & (1 << (mini_png.GLYPH_WIDTH - 1 - col)):
-                            for dy in range(scale):
-                                for dx in range(scale):
-                                    slow.set_pixel(cursor + col * scale + dx, y + row * scale + dy, mini_png.BLACK)
+                            slow.fill_rect(cursor + col * scale, y + row * scale, scale, scale, mini_png.BLACK)
                 cursor += mini_png.CHAR_ADVANCE * scale
             assert idat_payload(fast.to_png()) == idat_payload(slow.to_png()), (x, y)
 
 
 def reference_line(canvas, x0, y0, x1, y1, color, thickness=1):
-    """Bresenham, one ``set_pixel`` per pixel: the reference ``draw_line`` must match."""
+    """Bresenham, one 1x1 ``fill_rect`` per pixel: the reference ``draw_line`` must match."""
     dx, dy = abs(x1 - x0), -abs(y1 - y0)
     sx = 1 if x0 < x1 else -1
     sy = 1 if y0 < y1 else -1
@@ -172,9 +171,9 @@ def reference_line(canvas, x0, y0, x1, y1, color, thickness=1):
     while True:
         for offset in pad:
             if steep:
-                canvas.set_pixel(x0 + offset, y0, color)
+                canvas.fill_rect(x0 + offset, y0, 1, 1, color)
             else:
-                canvas.set_pixel(x0, y0 + offset, color)
+                canvas.fill_rect(x0, y0 + offset, 1, 1, color)
         if x0 == x1 and y0 == y1:
             return
         doubled = 2 * err
