@@ -161,6 +161,7 @@ GLYPH_HEIGHT = 7
 #: Horizontal advance per character (glyph plus one pixel of spacing).
 CHAR_ADVANCE = GLYPH_WIDTH + 1
 
+
 def _glyph_runs(glyph: Tuple[int, ...]) -> Tuple[Tuple[int, int, int], ...]:
     """The lit pixels of ``glyph`` as ``(row, first column, length)`` horizontal runs."""
     return tuple(

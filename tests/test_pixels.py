@@ -92,7 +92,7 @@ def synthetic_canvas() -> mini_png.Canvas:
     canvas.draw_line(200, 200, 300, 300, green)
     # A solid and a dashed polyline (the renderer's two line styles).
     points = [(25, 30), (45, 20), (65, 34), (85, 26)]
-    for start, end in zip(points, points[1:]):
+    for start, end in zip(points, points[1:], strict=False):
         canvas.draw_line(*start, *end, red)
     shifted = [(x, y + 5) for x, y in points]
     for x0, y0, x1, y1 in mini_png.dashed_segments(shifted, *mini_png.dash_pattern(1)):
@@ -190,7 +190,9 @@ def test_lines_equal_the_bresenham_reference():
     for thickness in (1, 2, 3):
         for x0 in ends:
             for y0 in ends:
-                for x1, y1 in [(x0, y) for y in ends] + [(x, y0) for x in ends] + [(x0 + 5, y0 + 2), (x0 - 2, y0 + 7)]:
+                vertical = [(x0, y) for y in ends]
+                horizontal = [(x, y0) for x in ends]
+                for x1, y1 in [*vertical, *horizontal, (x0 + 5, y0 + 2), (x0 - 2, y0 + 7)]:
                     fast = mini_png.Canvas(10, 9)
                     fast.draw_line(x0, y0, x1, y1, mini_png.BLACK, thickness=thickness)
                     slow = mini_png.Canvas(10, 9)

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro.core.ijtp import IntermediateJTP
+from repro.core.packet import AckInfo, Packet, PacketType
 from repro.experiments.scenarios import linear_scenario, random_scenario
 from repro.mac.arq import ArqPolicy
 from repro.mac.tdma import MacConfig, TdmaMac
@@ -294,21 +296,15 @@ def test_unhooked_macs_never_read_available_rate_or_remaining_hops(monkeypatch):
 
 
 def _ijtp_pair(packet_type):
-    from repro.core.ijtp import IntermediateJTP
-    from repro.core.packet import AckInfo, Packet, PacketType
-
+    """A wired pair with iJTP on node 0, and one JTP packet of ``packet_type`` for node 1."""
     sim, stats, macs, received = build_pair()
-    module = IntermediateJTP(0, macs[0])
-    module.install()
-    macs[0].remaining_hops_fn = lambda packet: 1
+    IntermediateJTP(0, macs[0]).install()
     packet = Packet(flow_id=0, seq=0, packet_type=packet_type, src=0, dst=1, payload_bytes=800.0,
                     ack=AckInfo() if packet_type is PacketType.ACK else None)
     return sim, macs, packet
 
 
 def test_an_ack_prexmit_reads_no_link_state(monkeypatch):
-    from repro.core.packet import PacketType
-
     sim, macs, packet = _ijtp_pair(PacketType.ACK)
     calls = _count_link_state_reads(monkeypatch)
     hops = []
@@ -316,15 +312,12 @@ def test_an_ack_prexmit_reads_no_link_state(monkeypatch):
     macs[0].enqueue(packet, 1)
     sim.run(until=0.001)  # the frame is in service, its first attempt made
     assert macs[0]._busy and len(macs[0].queue) == 0
-    assert "available_rate_pps" not in calls
     assert hops == []
     # The attempt itself creates the link's estimator, as it does for any frame.
     assert calls == ["link_estimator"]
 
 
 def test_a_data_prexmit_reads_each_value_once_at_service_time(monkeypatch):
-    from repro.core.packet import PacketType
-
     sim, macs, packet = _ijtp_pair(PacketType.DATA)
     mac = macs[0]
     reads = []
