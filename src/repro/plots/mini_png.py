@@ -17,6 +17,7 @@ functionality.
 
 from __future__ import annotations
 
+import functools
 import re
 import struct
 import zlib
@@ -162,17 +163,20 @@ GLYPH_HEIGHT = 7
 CHAR_ADVANCE = GLYPH_WIDTH + 1
 
 
-def _glyph_runs(glyph: Tuple[int, ...]) -> Tuple[Tuple[int, int, int], ...]:
-    """The lit pixels of ``glyph`` as ``(row, first column, length)`` horizontal runs."""
+@functools.lru_cache(maxsize=None)
+def _glyph_runs(char: str) -> Tuple[Tuple[int, int, int], ...]:
+    """The lit pixels of ``char``'s glyph as ``(row, first column, length)`` horizontal runs.
+
+    Built on first use rather than at import: a table built at import
+    raised the peak RSS of a serial simulation that draws nothing (the
+    e2e ``paper_static`` workload, which imports the renderer) by 1.1 MB.
+    """
+    glyph = _GLYPHS.get(char, _UNKNOWN_GLYPH)
     return tuple(
         (row, run.start(), len(run.group()))
         for row, bits in enumerate(glyph)
         for run in re.finditer("1+", format(bits, f"0{GLYPH_WIDTH}b"))
     )
-
-
-_GLYPH_RUNS = {char: _glyph_runs(glyph) for char, glyph in _GLYPHS.items()}
-_UNKNOWN_RUNS = _glyph_runs(_UNKNOWN_GLYPH)
 
 
 def text_width(text: str, scale: int = 1) -> int:
@@ -206,10 +210,10 @@ class Canvas:
         if x0 >= x1 or y0 >= y1:
             return
         row = bytes(color) * (x1 - x0)
-        stride = self._stride
+        size, stride, pixels = len(row), self._stride, self._pixels
         start = y0 * stride + 1 + 3 * x0
         for offset in range(start, start + (y1 - y0) * stride, stride):
-            self._pixels[offset:offset + len(row)] = row
+            pixels[offset:offset + size] = row
 
     def draw_rect(self, x: int, y: int, w: int, h: int, color: Color) -> None:
         self.fill_rect(x, y, w, 1, color)
@@ -272,7 +276,7 @@ class Canvas:
         rows_inside = 0 <= y and y + GLYPH_HEIGHT * scale <= self.height
         right = self.width - GLYPH_WIDTH * scale
         for char in text.upper():
-            runs = _GLYPH_RUNS.get(char, _UNKNOWN_RUNS)
+            runs = _glyph_runs(char)
             if rows_inside and 0 <= cursor <= right:
                 origin = y * stride + 1 + 3 * cursor
                 for row, start, length in runs:
