@@ -3,8 +3,9 @@
 Serial-vs-process identity (``test_backends.py``) only proves that two
 executors agree with each other.  This test proves that the current code
 computes the *same* results as the code that pinned ``golden/smoke.json``:
-every figure of ``run_paper(seeds="smoke")`` and every fault-injection
-family at ``seeds="smoke"``, serial, hashed with the canonical rule of
+every figure of ``run_paper(seeds="smoke")``, every fault-injection
+family at ``seeds="smoke"`` and the paper-default runs of
+:data:`PAPER_RUNS`, serial, hashed with the canonical rule of
 ``benchmarks/e2e/child.py`` (sha256 of ``json.dumps(rows, sort_keys=True,
 default=str)``).
 
@@ -24,17 +25,29 @@ from typing import Dict
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "smoke.json"
 
+#: Golden key -> (job, replication count) run at the job's paper defaults.
+#: The smoke parameters never crash a node mid-frame; node churn at paper
+#: defaults over three spawned seeds reaches every fault path of the
+#: per-hop stack that the e2e ``faults`` workload reaches
+#: (docs/performance.md, "Fault-path line sets").
+PAPER_RUNS = {"churn@paper": ("churn", 3)}
+
+
+def _digest(rows: object) -> str:
+    return hashlib.sha256(json.dumps(rows, sort_keys=True, default=str).encode("utf-8")).hexdigest()
+
 
 def smoke_digests() -> Dict[str, str]:
-    """Digest of every figure and fault family at the smoke preset, serially."""
+    """Digest of every figure and fault family at the smoke preset and of
+    every :data:`PAPER_RUNS` entry, serially."""
     from repro.experiments import ALL_FIGURES, WORKLOAD_JOBS, run_paper
 
     names = [job.name for job in ALL_FIGURES + WORKLOAD_JOBS]
     rows = run_paper(figures=names, seeds="smoke", workers=0)
-    return {
-        name: hashlib.sha256(json.dumps(figure_rows, sort_keys=True, default=str).encode("utf-8")).hexdigest()
-        for name, figure_rows in rows.items()
-    }
+    digests = {name: _digest(figure_rows) for name, figure_rows in rows.items()}
+    for key, (job, count) in PAPER_RUNS.items():
+        digests[key] = _digest(run_paper(figures=[job], seeds=count, workers=0)[job])
+    return digests
 
 
 def test_smoke_digests_match_the_pinned_golden_file():
