@@ -8,7 +8,7 @@ The package provides:
 * :mod:`repro.sim` — the discrete-event wireless network simulator the
   evaluation runs on (the substitute for the paper's OPNET environment);
 * :mod:`repro.mac` — the JAVeLEN-like TDMA MAC with link estimators,
-  bounded ARQ and a radio energy model, plus a CSMA/CA variant;
+  bounded ARQ and a radio energy model;
 * :mod:`repro.routing` — link-state routing with possibly stale views;
 * :mod:`repro.transport` — the comparison baselines (TCP-SACK, ATP-like,
   UDP-like, JTP-without-caching) behind a common protocol interface;

@@ -10,18 +10,14 @@ The paper runs JTP over the JAVeLEN system, whose TDMA MAC provides:
 
 This package reproduces that interface with a slot-based TDMA MAC
 (:mod:`repro.mac.tdma`), a radio energy model (:mod:`repro.mac.energy`),
-per-neighbour link estimators (:mod:`repro.mac.link_estimator`), an ARQ
-policy (:mod:`repro.mac.arq`) and a CSMA/CA variant
-(:mod:`repro.mac.csma`) for the paper's remark that JTP also operates
-over contention-based MACs, where collisions simply show up as extra
-link loss.
+per-neighbour link estimators (:mod:`repro.mac.link_estimator`) and an
+ARQ policy (:mod:`repro.mac.arq`).
 """
 
 from repro.mac.energy import RadioEnergyModel
 from repro.mac.link_estimator import LinkEstimator
 from repro.mac.arq import ArqPolicy
 from repro.mac.tdma import MacConfig, TdmaMac
-from repro.mac.csma import CsmaMac
 
 __all__ = [
     "RadioEnergyModel",
@@ -29,5 +25,4 @@ __all__ = [
     "ArqPolicy",
     "MacConfig",
     "TdmaMac",
-    "CsmaMac",
 ]

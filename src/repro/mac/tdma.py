@@ -188,20 +188,6 @@ class TdmaMac:
             self.sim.schedule(0.0, self._service_next)
         return True
 
-    #: Whether :meth:`_service_time` depends on the frame size alone, so
-    #: :meth:`_price_attempt` may cache it (False in CsmaMac).
-    _fixed_service_time = True
-
-    def _service_time(self, nbits: float) -> float:
-        """Wall-clock time one transmission attempt of ``nbits`` occupies for this node.
-
-        The airtime is scaled by the inverse of the node's slot share:
-        a node owning 25% of the slots needs four slot periods of wall
-        clock to get one packet's worth of airtime.
-        """
-        airtime = self.config.energy.airtime(nbits) + self.config.guard_time
-        return airtime / self.config.slot_share
-
     @staticmethod
     def _packet_bits(packet: object) -> float:
         try:
@@ -272,8 +258,10 @@ class TdmaMac:
         meter.tx_joules += tx_energy
         per_flow = meter.per_flow
         per_flow[flow_id] = per_flow.get(flow_id, 0.0) + tx_energy
-        # Inline twin of _charge_packet_energy; nothing reads the field
-        # before the reception charge below adds to ``energy_used``.
+        # Charge the header's energy-used field, if the packet has one.
+        # Only a missing attribute is tolerated: a read-only one raises,
+        # so energy is never silently undercounted.  Nothing reads the
+        # field before the reception charge below adds to it.
         try:
             energy_used = packet.energy_used  # type: ignore[attr-defined]
         except AttributeError:
@@ -316,36 +304,24 @@ class TdmaMac:
         """Tx energy, rx energy, service time and retry delay of one attempt.
 
         The same floating-point expressions the energy model and the ARQ
-        policy evaluate, cached per frame size for :meth:`_attempt`.
+        policy evaluate, cached per frame size for :meth:`_attempt`.  The
+        service time scales the airtime by the inverse of the node's slot
+        share: a node owning 25% of the slots needs four slot periods of
+        wall clock to get one packet's worth of airtime.
         """
         nbits = self._packet_bits(packet)
         config = self.config
         energy_model = config.energy
         airtime = energy_model.airtime(nbits)
-        service_time = self._service_time(nbits)
+        service_time = (airtime + config.guard_time) / config.slot_share
         costs = (
             energy_model.tx_power_watts * airtime,
             energy_model.rx_power_watts * airtime,
             service_time,
             service_time + config.arq.retry_delay(service_time) - service_time,
         )
-        if self._fixed_service_time:
-            self._attempt_costs[nbits] = costs
+        self._attempt_costs[nbits] = costs
         return costs
-
-    @staticmethod
-    def _charge_packet_energy(packet: object, joules: float) -> None:
-        """Accumulate energy into the packet header's energy-used field, if present.
-
-        Only a missing attribute is tolerated; a failing *assignment*
-        (read-only property) still raises, so silent undercounting is
-        impossible.
-        """
-        try:
-            current = packet.energy_used  # type: ignore[attr-defined]
-        except AttributeError:
-            return
-        packet.energy_used = current + joules  # type: ignore[attr-defined]
 
     def _deliver_and_continue(self, next_hop: int, packet: object) -> None:
         """End of a successful attempt: hand the frame over, then serve the next one.

@@ -28,7 +28,7 @@ from repro.sim.trace import TraceRecorder
 from repro.util.validation import require_positive
 
 if TYPE_CHECKING:  # imported for annotations only, to avoid a sim <-> mac import cycle
-    from repro.mac.tdma import MacConfig, TdmaMac
+    from repro.mac.tdma import MacConfig
     from repro.sim.faults import FaultInjector, FaultPlan
 
 
@@ -46,7 +46,6 @@ class NetworkConfig:
     radio_range: float = 50.0
     link_quality: LinkQuality = field(default_factory=LinkQuality)
     mac_config: "MacConfig" = field(default_factory=_default_mac_config)
-    mac_type: str = "tdma"
     routing_update_period: float = 10.0
     seed: int = 0
     #: Trace event kinds to record (``repro.sim.trace``); empty records none.
@@ -54,8 +53,6 @@ class NetworkConfig:
 
     def __post_init__(self) -> None:
         require_positive(self.radio_range, "radio_range")
-        if self.mac_type not in ("tdma", "csma"):
-            raise ValueError(f"mac_type must be 'tdma' or 'csma', got {self.mac_type!r}")
 
 
 class Network:
@@ -80,12 +77,6 @@ class Network:
             self.sim,
             update_period=config.routing_update_period,
         )
-        if config.mac_type == "csma":
-            from repro.mac.csma import SharedMedium
-
-            self._medium = SharedMedium()
-        else:
-            self._medium = None
         self.nodes: List[Node] = [self._build_node(i) for i in range(len(config.positions))]
         peers = [node.mac for node in self.nodes]
         for mac in peers:
@@ -98,30 +89,16 @@ class Network:
     # -- construction helpers -----------------------------------------------------------
 
     def _build_node(self, node_id: int) -> Node:
-        from repro.mac.csma import CsmaMac
         from repro.mac.tdma import TdmaMac
 
-        if self.config.mac_type == "csma":
-            assert self._medium is not None
-            mac: "TdmaMac" = CsmaMac(
-                node_id,
-                self.sim,
-                self.channel,
-                self.stats,
-                medium=self._medium,
-                config=self.config.mac_config,
-                trace=self.trace,
-                rng=self.streams.stream(f"csma-{node_id}"),
-            )
-        else:
-            mac = TdmaMac(
-                node_id,
-                self.sim,
-                self.channel,
-                self.stats,
-                config=self.config.mac_config,
-                trace=self.trace,
-            )
+        mac = TdmaMac(
+            node_id,
+            self.sim,
+            self.channel,
+            self.stats,
+            config=self.config.mac_config,
+            trace=self.trace,
+        )
         return Node(node_id, self.sim, mac, self.routing, self.stats, trace=self.trace)
 
     @classmethod
@@ -134,7 +111,6 @@ class Network:
         mac_config: Optional["MacConfig"] = None,
         seed: int = 0,
         trace_kinds: AbstractSet[str] = frozenset(),
-        mac_type: str = "tdma",
     ) -> "Network":
         """A chain of ``num_nodes`` nodes, each hearing only its neighbours."""
         config = NetworkConfig(
@@ -144,7 +120,6 @@ class Network:
             mac_config=mac_config or _default_mac_config(),
             seed=seed,
             trace_kinds=trace_kinds,
-            mac_type=mac_type,
         )
         return cls(config)
 
@@ -158,7 +133,6 @@ class Network:
         mac_config: Optional["MacConfig"] = None,
         seed: int = 0,
         trace_kinds: AbstractSet[str] = frozenset(),
-        mac_type: str = "tdma",
     ) -> "Network":
         """A connected random topology in a square field."""
         streams = RandomStreams(seed)
@@ -171,7 +145,6 @@ class Network:
             mac_config=mac_config or _default_mac_config(),
             seed=seed,
             trace_kinds=trace_kinds,
-            mac_type=mac_type,
         )
         network = cls(config)
         network.field_size = size  # type: ignore[attr-defined]
