@@ -17,8 +17,7 @@ count.
 ``figure9.json``/``figure9.csv`` plus a manifest recording the seeds,
 backend and git provenance — reload it with ``load_run(DIR)`` or render
 it with ``python -m repro.experiments DIR``.  Adding ``--plots`` also
-renders the run to ``DIR/plots/figure9.png`` through :mod:`repro.plots`
-(matplotlib if installed, the stdlib fallback otherwise).
+renders the run to ``DIR/plots/figure9.png`` through :mod:`repro.plots`.
 
 Run with::
 

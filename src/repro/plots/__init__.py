@@ -19,10 +19,8 @@ run directories into overlay/delta regression plots —
 * ``python -m repro.plots <run_dir>`` — the CLI
   (:mod:`repro.plots.cli`).
 
-matplotlib is an *optional* dependency (``pip install -e '.[plots]'``,
-always driven through the Agg canvas); without it a pure-stdlib
-fallback renderer (:mod:`repro.plots.mini_png`) still produces valid
-PNGs, so the pipeline never needs a third-party package to function.
+Rendering is pure standard library (:mod:`repro.plots.mini_png`), so
+the pipeline needs no third-party package.
 
 This ``__init__`` re-exports lazily (PEP 562): the experiments package
 imports :mod:`repro.plots.spec` for the spec dataclasses, and an eager
@@ -36,22 +34,14 @@ from repro.plots.spec import AxesSpec, PlotSpec
 
 if TYPE_CHECKING:  # pragma: no cover - static names for type checkers
     from repro.plots.compare import RunMismatchError, compare_runs, manifest_mismatches
-    from repro.plots.render import (
-        active_backend,
-        matplotlib_available,
-        prepare_figure,
-        render_figure,
-        render_run,
-    )
+    from repro.plots.render import prepare_figure, render_figure, render_run
 
 __all__ = [
     "AxesSpec",
     "PlotSpec",
     "RunMismatchError",
-    "active_backend",
     "compare_runs",
     "manifest_mismatches",
-    "matplotlib_available",
     "prepare_figure",
     "render_figure",
     "render_run",
@@ -61,8 +51,6 @@ _LAZY = {
     "render_figure": "repro.plots.render",
     "render_run": "repro.plots.render",
     "prepare_figure": "repro.plots.render",
-    "active_backend": "repro.plots.render",
-    "matplotlib_available": "repro.plots.render",
     "compare_runs": "repro.plots.compare",
     "manifest_mismatches": "repro.plots.compare",
     "RunMismatchError": "repro.plots.compare",

@@ -10,9 +10,9 @@ Regression-compare two runs (overlay + delta images)::
 
 The run directory is whatever ``run_paper(out_dir=…)`` or
 ``protocol_shootout.py --out`` wrote (both through ``save_run``).
-With matplotlib installed (``pip install -e '.[plots]'``) figures render
-through the Agg canvas; otherwise the pure-stdlib fallback renderer is
-used, so the command works in a dependency-free checkout too.
+Figures render through the pure-stdlib canvas of
+:mod:`repro.plots.mini_png`, so the command works in a dependency-free
+checkout.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.plots.compare import RunMismatchError, compare_runs
-    from repro.plots.render import DEFAULT_DPI, active_backend, matplotlib_available, render_run
+    from repro.plots.render import render_run
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.plots",
@@ -40,24 +40,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "of OTHER_DIR against run_dir instead of plain figures")
     parser.add_argument("--force", action="store_true",
                         help="compare runs even when their manifests disagree on seeds/params")
-    parser.add_argument("--dpi", type=int, default=DEFAULT_DPI,
-                        help=f"matplotlib output resolution (default: {DEFAULT_DPI}; "
-                             "ignored by the fallback renderer)")
     args = parser.parse_args(argv)
-
-    backend = active_backend()
-    if backend == "fallback":
-        if matplotlib_available():
-            print("# REPRO_PLOTS_BACKEND=fallback - using the stdlib fallback renderer")
-        else:
-            print("# matplotlib not installed - using the stdlib fallback renderer "
-                  "(pip install -e '.[plots]' for publication-quality figures)")
 
     if args.compare is not None:
         try:
             written = compare_runs(
                 args.run_dir, args.compare,
-                out_dir=args.out, figures=args.figures, force=args.force, dpi=args.dpi,
+                out_dir=args.out, figures=args.figures, force=args.force,
             )
         except RunMismatchError as error:
             parser.exit(2, f"error: {error}\n")
@@ -66,7 +55,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"{name} [{kind}]: {path}")
         return 0
 
-    written_paths = render_run(args.run_dir, out_dir=args.out, figures=args.figures, dpi=args.dpi)
+    written_paths = render_run(args.run_dir, out_dir=args.out, figures=args.figures)
     if not written_paths:
         print("(no stored figure has a registered PlotSpec; nothing rendered)")
     for name, path in written_paths.items():

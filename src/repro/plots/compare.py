@@ -29,7 +29,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.plots.render import DEFAULT_DPI, render_figure
+from repro.plots.render import render_figure
 from repro.plots.spec import AxesSpec, PlotSpec, is_plottable_number
 
 PathLike = Union[str, Path]
@@ -171,7 +171,6 @@ def compare_runs(
     figures: Optional[Sequence[str]] = None,
     force: bool = False,
     specs: Optional[Mapping[str, PlotSpec]] = None,
-    dpi: int = DEFAULT_DPI,
 ) -> Dict[str, Dict[str, Path]]:
     """Render overlay and delta regression plots for two stored runs.
 
@@ -219,14 +218,10 @@ def compare_runs(
             {**row, RUN_COLUMN: label} for rows, label in ((rows_a, label_a), (rows_b, label_b)) for row in rows
         ]
         paths = {
-            "overlay": render_figure(
-                overlay_rows, _overlay_spec(spec, label_a, label_b), out / f"{name}.overlay.png", dpi=dpi
-            ),
+            "overlay": render_figure(overlay_rows, _overlay_spec(spec, label_a, label_b), out / f"{name}.overlay.png"),
         }
         deltas = _delta_rows(rows_a, rows_b, spec)
         if deltas:
-            paths["delta"] = render_figure(
-                deltas, _delta_spec(spec, label_a, label_b), out / f"{name}.delta.png", dpi=dpi
-            )
+            paths["delta"] = render_figure(deltas, _delta_spec(spec, label_a, label_b), out / f"{name}.delta.png")
         written[name] = paths
     return written

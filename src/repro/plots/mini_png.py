@@ -1,18 +1,15 @@
 """A tiny pure-stdlib raster canvas with a PNG encoder.
 
-The plotting subsystem prefers matplotlib (the ``[plots]`` extra), but
-the simulator itself is dependency-free and CI environments without the
-extra still need figure images — the acceptance path ``run_paper(out_dir)
-→ python -m repro.plots`` must work everywhere.  This module is the
-fallback renderer's drawing surface: an RGB byte buffer with just enough
-primitives for line charts and grouped bars (Bresenham lines, filled
-rectangles, markers, a 5×7 bitmap font) and a minimal, valid PNG encoder
-(8-bit RGB, no interlace) built on :mod:`zlib` and :mod:`struct`.
+The simulator is dependency-free, and so is its figure pipeline: the
+acceptance path ``run_paper(out_dir) → python -m repro.plots`` must
+work everywhere.  This module is the renderer's drawing surface: an RGB
+byte buffer with just enough primitives for line charts and grouped
+bars (Bresenham lines, filled rectangles, markers, a 5×7 bitmap font)
+and a minimal, valid PNG encoder (8-bit RGB, no interlace) built on
+:mod:`zlib` and :mod:`struct`.
 
 It is deliberately not a drawing library: no anti-aliasing, no alpha,
-uppercase-only text.  Rendering fidelity belongs to matplotlib; this
-exists so a missing optional dependency degrades output quality, never
-functionality.
+uppercase-only text.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ BLACK: Color = (0, 0, 0)
 GREY: Color = (130, 130, 130)
 LIGHT_GREY: Color = (220, 220, 220)
 
-#: Categorical series palette (matplotlib's tab10, re-ordered so the
+#: Categorical series palette (the tab10 colours, re-ordered so the
 #: first few series are maximally distinct on white).
 PALETTE: Tuple[Color, ...] = (
     (31, 119, 180),   # blue

@@ -5,27 +5,18 @@ One code path turns *any* figure's tidy rows plus its declarative
 
 * :func:`prepare_figure` groups rows into series, resolves the x axis
   (numeric or categorical) and extracts per-panel ``(x, y, ci)``
-  points — pure data shaping, shared by every renderer.
-* :func:`render_figure` draws one prepared figure to a PNG.  With
-  matplotlib installed (the ``[plots]`` extra) it renders through the
-  Agg canvas — the import never touches an interactive backend, so it
-  is safe on headless CI; without it, the pure-stdlib fallback in
-  :mod:`repro.plots.mini_png` produces a simpler but complete chart, so
-  the pipeline degrades in fidelity, never in function.
+  points — pure data shaping.
+* :func:`render_figure` draws one prepared figure to a PNG through the
+  pure-stdlib canvas of :mod:`repro.plots.mini_png`, so rendering
+  needs no third-party package.
 * :func:`render_run` maps a stored run directory (written by
   ``run_paper(out_dir=…)`` or the benchmark harness) to one PNG per
   figure, re-simulating nothing.
-
-Backend selection is automatic; set ``REPRO_PLOTS_BACKEND=matplotlib``
-or ``=fallback`` to force one (the tests pin the fallback this way even
-on machines with matplotlib installed).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -36,54 +27,9 @@ from repro.plots.spec import AxesSpec, PlotSpec, is_plottable_number
 PathLike = Union[str, Path]
 Row = Mapping[str, object]
 
-#: Default pixel size of one panel (fallback renderer) and the matching
-#: matplotlib panel size in inches at ``DEFAULT_DPI``.
+#: Pixel size of one panel.
 PANEL_WIDTH = 880
 PANEL_HEIGHT = 300
-DEFAULT_DPI = 100
-
-
-def matplotlib_available() -> bool:
-    """Whether the optional matplotlib dependency is importable."""
-    try:
-        import matplotlib  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def backend_from_env() -> str:
-    """The ``REPRO_PLOTS_BACKEND`` override, normalised (empty = unset).
-
-    This is the single read of the variable — the documented config seam
-    (see the README env-var table); everything else asks
-    :func:`active_backend`.
-    """
-    return os.environ.get("REPRO_PLOTS_BACKEND", "").strip().lower()
-
-
-def active_backend() -> str:
-    """The renderer :func:`render_figure` will use: ``"matplotlib"`` or ``"fallback"``.
-
-    ``REPRO_PLOTS_BACKEND`` overrides the automatic choice; asking for
-    matplotlib when it is not installed raises rather than silently
-    downgrading.
-    """
-    forced = backend_from_env()
-    if forced in ("matplotlib", "mpl", "agg"):
-        if not matplotlib_available():
-            raise RuntimeError(
-                "REPRO_PLOTS_BACKEND requests matplotlib but it is not installed; "
-                "pip install -e '.[plots]'"
-            )
-        return "matplotlib"
-    if forced == "fallback":
-        return "fallback"
-    if forced and forced != "auto":
-        raise ValueError(
-            f"unknown REPRO_PLOTS_BACKEND {forced!r}; use 'auto', 'matplotlib' or 'fallback'"
-        )
-    return "matplotlib" if matplotlib_available() else "fallback"
 
 
 # -- data shaping ----------------------------------------------------------------------
@@ -116,7 +62,7 @@ class PanelData:
 
 @dataclass(frozen=True)
 class FigureData:
-    """A spec resolved against concrete rows, ready for any renderer."""
+    """A spec resolved against concrete rows, ready to draw."""
 
     spec: PlotSpec
     panels: Tuple[PanelData, ...]
@@ -217,72 +163,7 @@ def prepare_figure(rows: Sequence[Row], spec: PlotSpec) -> FigureData:
     )
 
 
-# -- matplotlib renderer ---------------------------------------------------------------
-
-#: Line styles / bar hatches by SeriesData.style_index (run overlays).
-_MPL_LINESTYLES = ("-", "--", "-.", ":")
-_MPL_HATCHES = (None, "//", "xx", "..")
-
-
-def _render_matplotlib(data: FigureData, path: Path, dpi: int) -> None:
-    import matplotlib
-
-    if "matplotlib.pyplot" not in sys.modules:
-        # Agg before the first pyplot import: never require a display.
-        matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    spec = data.spec
-    n_panels = len(data.panels)
-    figure, axes_array = plt.subplots(
-        n_panels,
-        1,
-        figsize=(PANEL_WIDTH / DEFAULT_DPI, n_panels * PANEL_HEIGHT / DEFAULT_DPI),
-        sharex=True,
-        squeeze=False,
-    )
-    axes_list = [axes for (axes,) in axes_array.reshape(n_panels, 1)]
-    try:
-        for axes, panel in zip(axes_list, data.panels, strict=True):
-            n_series = max(1, len(panel.series))
-            for series_index, series in enumerate(panel.series):
-                color = tuple(c / 255 for c in mini_png.palette_color(series.color_index))
-                label = series.label or None
-                if panel.axes.kind == "bar":
-                    width = 0.8 / n_series
-                    offsets = [x - 0.4 + width * (series_index + 0.5) for x in series.xs]
-                    axes.bar(
-                        offsets, series.ys, width=width,
-                        yerr=series.errs, capsize=3, color=color, label=label,
-                        hatch=_MPL_HATCHES[series.style_index % len(_MPL_HATCHES)],
-                    )
-                else:
-                    axes.errorbar(
-                        series.xs, series.ys, yerr=series.errs,
-                        marker="o", markersize=3.5, capsize=3, color=color, label=label,
-                        linestyle=_MPL_LINESTYLES[series.style_index % len(_MPL_LINESTYLES)],
-                        markerfacecolor=color if series.style_index == 0 else "white",
-                    )
-            axes.set_ylabel(panel.axes.label)
-            if panel.axes.logy:
-                axes.set_yscale("log")
-            if spec.logx and data.categories is None:
-                axes.set_xscale("log")
-            axes.grid(True, alpha=0.3)
-        if data.categories is not None:
-            axes_list[-1].set_xticks(range(len(data.categories)))
-            axes_list[-1].set_xticklabels(data.categories)
-        axes_list[-1].set_xlabel(spec.xlabel or spec.x)
-        if data.has_legend:
-            axes_list[0].legend(loc="best", fontsize="small")
-        axes_list[0].set_title(spec.heading)
-        figure.tight_layout()
-        figure.savefig(path, dpi=dpi)
-    finally:
-        plt.close(figure)
-
-
-# -- stdlib fallback renderer ----------------------------------------------------------
+# -- stdlib renderer -------------------------------------------------------------------
 
 
 _MARGIN_LEFT = 86
@@ -516,20 +397,10 @@ def render_figure(
     rows: Sequence[Row],
     spec: PlotSpec,
     path: PathLike,
-    dpi: int = DEFAULT_DPI,
 ) -> Path:
-    """Render one figure's rows to ``path`` (a PNG) and return the path.
-
-    Uses matplotlib's Agg canvas when the ``[plots]`` extra is
-    installed, the stdlib fallback otherwise (see :func:`active_backend`).
-    """
+    """Render one figure's rows to ``path`` (a PNG) and return the path."""
     path = Path(path)
-    data = prepare_figure(rows, spec)
-    if active_backend() == "matplotlib":
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _render_matplotlib(data, path, dpi)
-    else:
-        _render_fallback(data, path)
+    _render_fallback(prepare_figure(rows, spec), path)
     return path
 
 
@@ -553,7 +424,6 @@ def render_run(
     out_dir: Optional[PathLike] = None,
     figures: Optional[Sequence[str]] = None,
     specs: Optional[Mapping[str, PlotSpec]] = None,
-    dpi: int = DEFAULT_DPI,
 ) -> Dict[str, Path]:
     """Render a stored run directory into one PNG per figure.
 
@@ -581,5 +451,5 @@ def render_run(
     out = Path(out_dir) if out_dir is not None else run.directory / "plots"
     written: Dict[str, Path] = {}
     for name in selected:
-        written[name] = render_figure(run.rows[name], table[name], out / f"{name}.png", dpi=dpi)
+        written[name] = render_figure(run.rows[name], table[name], out / f"{name}.png")
     return written

@@ -6,9 +6,8 @@ columns hold the values and their 95% confidence half-widths, and where
 the paper uses log scales — without naming any rendering library.  The
 specs are plain frozen data, so every
 :class:`~repro.experiments.presets.FigureJob` record can declare one
-without importing matplotlib, and the generic engine in
-:mod:`repro.plots.render` can draw any spec with whichever backend is
-installed.
+without importing the renderer, and the generic engine in
+:mod:`repro.plots.render` can draw any spec.
 
 One spec may hold several :class:`AxesSpec` panels: the paper's figures
 frequently pair two quantities over the same x axis (Figure 3 plots

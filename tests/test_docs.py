@@ -63,11 +63,8 @@ class TestSnippets:
         [param for param in all_blocks() if param.values[2].startswith(RUNNABLE_MARKER)],
     )
     def test_runnable_snippet_executes(self, doc, index, block, tmp_path, monkeypatch):
-        # Run in a scratch cwd so out_dir-style snippets stay contained,
-        # and force the stdlib renderer so the snippet does not depend
-        # on the optional matplotlib extra.
+        # Run in a scratch cwd so out_dir-style snippets stay contained.
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("REPRO_PLOTS_BACKEND", "fallback")
         exec(compile(block, f"{doc}:block{index}", "exec"), {"__name__": "__doc_snippet__"})
 
 
@@ -96,10 +93,15 @@ class TestReadmeIndexes:
         assert documented == {name for name in mentioned if not name.endswith("_")}
 
     def test_install_command_matches_the_extras(self):
-        # tomllib is 3.11+; a text check keeps this 3.10-compatible.
-        assert 'pip install -e ".[dev,plots]"' in self.README
+        # Two-way: the README's install command names exactly the extras
+        # pyproject.toml defines.  tomllib is 3.11+; a text parse keeps
+        # this 3.10-compatible.
+        commands = re.findall(r'pip install -e "\.\[([a-z,]+)\]"', self.README)
+        assert len(commands) == 1, commands
         pyproject = (REPO_ROOT / "pyproject.toml").read_text()
-        assert "plots = [" in pyproject and "matplotlib" in pyproject
+        section = pyproject.split("[project.optional-dependencies]\n", 1)[1].split("\n[", 1)[0]
+        defined = re.findall(r"^([a-z]+) = \[", section, flags=re.MULTILINE)
+        assert sorted(commands[0].split(",")) == sorted(defined)
 
     def test_architecture_layers_section_names_the_real_layers(self):
         # The "Architecture layers" prose and the machine-checked DAG

@@ -1,6 +1,6 @@
-"""Pixel pins of the stdlib fallback renderer.
+"""Pixel pins of the stdlib renderer.
 
-Every PNG the fallback renderer writes stores its rows with filter 0,
+Every PNG the renderer writes stores its rows with filter 0,
 so the zlib-decompressed IDAT payload is the pixel buffer plus one
 filter byte per row, whatever the compression level.  This test pins
 the sha256 of that payload for
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 import sys
 import tempfile
@@ -129,8 +128,7 @@ def test_idat_payload_is_filter_zero_rows():
     assert payload[::stride] == bytes(canvas.height)
 
 
-def test_rendered_pixels_match_the_pinned_digests(tiny_run, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_PLOTS_BACKEND", "fallback")
+def test_rendered_pixels_match_the_pinned_digests(tiny_run, tmp_path):
     run_dir, _ = tiny_run
     pinned = json.loads(PIXELS_PATH.read_text())["digests"]
     current = current_digests(run_dir, tmp_path / "plots")
@@ -205,7 +203,6 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_pixels.py --write")
     from conftest import build_tiny_run
 
-    os.environ["REPRO_PLOTS_BACKEND"] = "fallback"
     with tempfile.TemporaryDirectory() as scratch:
         run_dir = Path(scratch) / "run"
         build_tiny_run(run_dir)

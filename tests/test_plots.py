@@ -1,20 +1,16 @@
-"""The plotting subsystem: specs, renderers, run rendering, comparison.
+"""The plotting subsystem: specs, the renderer, run rendering, comparison.
 
 The suite pins three layers:
 
 * the **PlotSpec registry** — every figure ``run_paper()`` regenerates
   has a spec, and every spec names only columns its figure's rows
   actually produce (schema pins, so a renamed row key breaks loudly);
-* the **renderers** — a tiny full-paper run (every figure, drastically
+* the **renderer** — a tiny full-paper run (every figure, drastically
   shrunk) persists to a run directory and renders to one valid PNG per
   figure, trace figures included, with nothing re-simulated;
 * **run comparison** — overlay/delta images for compatible runs, a
   :class:`RunMismatchError` for runs whose manifests disagree on what
   was simulated, and ``force=True`` to override.
-
-Everything renders through the deterministic stdlib fallback
-(``REPRO_PLOTS_BACKEND=fallback``) so the tests do not depend on the
-optional matplotlib extra being installed.
 """
 
 import json
@@ -28,17 +24,10 @@ from repro.plots import AxesSpec, PlotSpec, RunMismatchError, compare_runs, rend
 from repro.plots import mini_png
 from repro.plots.cli import main as plots_main
 from repro.plots.compare import manifest_mismatches
-from repro.plots.render import PANEL_WIDTH, active_backend, default_specs, prepare_figure, render_figure
+from repro.plots.render import PANEL_WIDTH, default_specs, prepare_figure, render_figure
 
 #: Figure name -> PlotSpec, read off the registry records.
 SPECS = default_specs()
-
-
-@pytest.fixture(autouse=True)
-def _fallback_renderer(monkeypatch):
-    # Deterministic renderer regardless of whether matplotlib happens to
-    # be installed; the matplotlib path is exercised by the CI plots job.
-    monkeypatch.setenv("REPRO_PLOTS_BACKEND", "fallback")
 
 
 def _assert_png(path):
@@ -175,6 +164,15 @@ class TestRenderRun:
             assert name in output
             _assert_png(tmp_path / "cli" / f"{name}.png")
 
+    def test_stored_run_round_trip_feeds_the_renderer(self, tiny_run, tmp_path):
+        # JSON round-trip (including figure7's None feedback rate and any
+        # non-finite smoke metric) must stay renderable.
+        run_dir, results = tiny_run
+        stored = load_run(run_dir)
+        assert stored.rows.keys() == results.keys()
+        path = render_figure(stored.rows["figure7"], SPECS["figure7"], tmp_path / "f7.png")
+        _assert_png(path)
+
 
 class TestCompareRuns:
     @pytest.fixture()
@@ -287,22 +285,3 @@ class TestMiniPng:
         assert mini_png.text_width("") == 0
         assert mini_png.text_width("AB") == 2 * mini_png.CHAR_ADVANCE - 1
         assert mini_png.text_width("AB", scale=2) == 2 * (2 * mini_png.CHAR_ADVANCE - 1)
-
-
-class TestBackendSelection:
-    def test_forced_fallback(self):
-        assert active_backend() == "fallback"
-
-    def test_unknown_override_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLOTS_BACKEND", "gnuplot")
-        with pytest.raises(ValueError):
-            active_backend()
-
-    def test_stored_run_round_trip_feeds_the_renderer(self, tiny_run, tmp_path):
-        # JSON round-trip (including figure7's None feedback rate and any
-        # non-finite smoke metric) must stay renderable.
-        run_dir, results = tiny_run
-        stored = load_run(run_dir)
-        assert stored.rows.keys() == results.keys()
-        path = render_figure(stored.rows["figure7"], SPECS["figure7"], tmp_path / "f7.png")
-        _assert_png(path)
