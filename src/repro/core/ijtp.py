@@ -66,6 +66,9 @@ class IntermediateJTP:
         self.config = config or JTPConfig()
         self.stats = stats
         self.trace = trace if trace is not None else TraceRecorder()
+        # Read once per PreXmit, so cached: one attribute load in untraced runs.
+        self._trace_budget_drops = "energy_budget_drop" in self.trace.kinds
+        self._trace_attempts = "ijtp_attempts" in self.trace.kinds
         self.send_fn = send_fn
         self.cache: Optional[PacketCache] = (
             PacketCache(self.config.cache_size)
@@ -119,7 +122,7 @@ class IntermediateJTP:
         if packet.energy_used > packet.energy_budget:
             self.energy_budget_drops += 1
             self._count_flow(packet, "energy_budget_drops")
-            if "energy_budget_drop" in self.trace.kinds:
+            if self._trace_budget_drops:
                 self.trace.record(
                     "energy_budget_drop", mac.sim.now, node=self.node_id,
                     flow=packet.flow_id, seq=packet.seq,
@@ -143,16 +146,18 @@ class IntermediateJTP:
                 self.config.max_attempts,
             )
             packet.max_link_attempts = attempts
-            if "ijtp_attempts" in self.trace.kinds:
+            if self._trace_attempts:
                 self.trace.record(
                     "ijtp_attempts", mac.sim.now, node=self.node_id, flow=packet.flow_id,
                     seq=packet.seq, attempts=attempts, loss_rate=loss_rate,
                     remaining_hops=remaining_hops,
                 )
 
-            # Lines 10-12: stamp the minimum effective available rate.
+            # Lines 10-12: stamp the minimum effective available rate
+            # (what ``min(stamped, effective_rate)`` would store).
             effective_rate = mac.available_rate_pps(next_hop) / max(1.0, estimator.average_attempts)
-            packet.available_rate_pps = min(packet.available_rate_pps, effective_rate)
+            if effective_rate < packet.available_rate_pps:
+                packet.available_rate_pps = effective_rate
 
         return True
 

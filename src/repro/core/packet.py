@@ -18,7 +18,7 @@ energy for :attr:`Packet.size_bits`, header plus payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -61,13 +61,16 @@ class AckInfo:
         return tuple(seq for seq in self.snack if seq not in recovered)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A JTP packet travelling through the simulated network.
 
     ``payload_bytes`` is application data only; ``header_bytes`` covers
     the JTP header and, for ACKs, the ACK header as well.  The MAC uses
     :attr:`size_bits` for airtime and energy accounting.
+
+    Slotted: caches, queues and senders hold thousands of packets at a
+    time, and the hop path reads their fields on every event.
     """
 
     flow_id: int
@@ -96,26 +99,25 @@ class Packet:
     recovered_by: Optional[int] = None
     hops_travelled: int = 0
 
+    # Derived in __post_init__ rather than read through properties: the
+    # MAC, iJTP and the caches read these for every packet event, and
+    # the fields they derive from never change after construction (no
+    # code assigns ``payload_bytes`` or ``header_bytes`` on an existing
+    # packet; tests/test_packet.py scans for one).
+    is_data: bool = field(init=False, repr=False, compare=False)
+    is_ack: bool = field(init=False, repr=False, compare=False)
+    #: Total on-air size in bits (what the MAC charges energy for).
+    size_bits: float = field(init=False, repr=False, compare=False)
+
     @property
     def size_bytes(self) -> float:
         """Total on-air size of the packet."""
         return self.payload_bytes + self.header_bytes
 
-    @property
-    def size_bits(self) -> float:
-        """Total on-air size in bits (what the MAC charges energy for).
-
-        Evaluates `bits_from_bytes(size_bytes)` without the extra
-        property hop — the MAC reads this on every transmission attempt.
-        """
-        return bits_from_bytes(self.payload_bytes + self.header_bytes)
-
     def __post_init__(self) -> None:
-        # Plain attributes rather than properties: the MAC, iJTP and the
-        # caches branch on these for every packet event, and
-        # ``packet_type`` never changes after construction.
         self.is_data = self.packet_type is PacketType.DATA
         self.is_ack = self.packet_type is PacketType.ACK
+        self.size_bits = bits_from_bytes(self.payload_bytes + self.header_bytes)
 
     def cache_key(self) -> Tuple[int, int]:
         """Key under which iJTP caches this packet."""

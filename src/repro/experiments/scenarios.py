@@ -37,6 +37,7 @@ from repro.sim.faults import FaultPlan
 from repro.sim.mobility import RandomWaypointMobility
 from repro.sim.network import Network
 from repro.sim.random import RandomStreams
+from repro.sim.trace import TraceRecorder
 from repro.transport.base import FlowHandle, TransportProtocol
 from repro.transport.registry import make_protocol
 from repro.transport.udp import UdpConfig, UdpProtocol
@@ -424,6 +425,9 @@ def rate_adaptation_scenario(
     flow1 = base.flows[0]
     flow2_bytes = 800.0 * 3.0 * flow2_duration  # roughly 3 pkt/s for its lifetime
     flow2 = protocol.create_flow(base.network, 0, num_nodes - 1, flow2_bytes, start_time=flow2_start)
+    # The figure reads only flow 1's monitor, so flow 2's receiver gets a
+    # recorder of its own that records nothing.
+    flow2.receiver.trace = TraceRecorder()  # type: ignore[attr-defined]
     result = _finish(base.network, protocol, [flow1, flow2], duration)
     end = result.network.sim.now
     monitor = result.network.trace.events("jtp_receive", flow=flow1.flow_id)

@@ -16,11 +16,18 @@ from this estimator:
 
 from __future__ import annotations
 
-from repro.util.ewma import EWMA
+from repro.util.validation import require_in_range
 
 
 class LinkEstimator:
-    """EWMA-based estimator of one directed link's loss and usage."""
+    """EWMA-based estimator of one directed link's loss and usage.
+
+    ``loss_average`` and ``attempts_average`` are the raw moving
+    averages, ``x̄ ← (1 - α)·x̄ + α·x`` (Eq. 7), as plain floats seeded at
+    construction.  The MAC folds every attempt into them inline
+    (``TdmaMac._attempt``) with the same expressions as
+    :meth:`record_attempt` and :meth:`record_packet`.
+    """
 
     def __init__(
         self,
@@ -30,27 +37,37 @@ class LinkEstimator:
         initial_loss: float = 0.1,
     ):
         self.neighbor_id = neighbor_id
-        self._loss = EWMA(loss_alpha, initial=initial_loss)
-        self._attempts = EWMA(attempts_alpha, initial=1.0)
+        self.loss_alpha = require_in_range(loss_alpha, 0.0, 1.0, "loss_alpha")
+        self.attempts_alpha = require_in_range(attempts_alpha, 0.0, 1.0, "attempts_alpha")
+        self.loss_average = initial_loss
+        self.attempts_average = 1.0
 
     # -- updates driven by the MAC ----------------------------------------------------
 
     def record_attempt(self, success: bool) -> None:
         """Record the outcome of one transmission attempt on this link."""
-        self._loss.update(0.0 if success else 1.0)
+        alpha = self.loss_alpha
+        self.loss_average = (1.0 - alpha) * self.loss_average + alpha * (0.0 if success else 1.0)
 
     def record_packet(self, attempts_used: int) -> None:
         """Record that a packet finished service after ``attempts_used`` attempts."""
-        self._attempts.update(float(max(1, attempts_used)))
+        alpha = self.attempts_alpha
+        self.attempts_average = (1.0 - alpha) * self.attempts_average + alpha * float(max(1, attempts_used))
 
     # -- estimates consumed by iJTP ----------------------------------------------------
 
     @property
     def loss_rate(self) -> float:
-        """Estimated per-attempt loss probability of this link."""
-        return min(0.999, max(0.0, self._loss.value_or(0.1)))
+        """Estimated per-attempt loss probability of this link, in [0, 0.999].
+
+        The conditional picks what ``min(0.999, max(0.0, loss))`` picks,
+        NaN included, without the two calls.
+        """
+        loss = self.loss_average
+        return 0.999 if loss > 0.999 else (loss if loss > 0.0 else 0.0)
 
     @property
     def average_attempts(self) -> float:
-        """Estimated average number of link-layer attempts per packet."""
-        return max(1.0, self._attempts.value_or(1.0))
+        """Estimated average number of link-layer attempts per packet (at least 1)."""
+        attempts = self.attempts_average
+        return attempts if attempts > 1.0 else 1.0

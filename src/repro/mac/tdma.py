@@ -107,8 +107,10 @@ class TdmaMac:
         self.stats = stats
         self.config = config or MacConfig()
         self.trace = trace if trace is not None else TraceRecorder()
-        # Read once per attempt, so cached: one attribute load in untraced runs.
+        # Read once per attempt or drop, so cached: one attribute load in
+        # untraced runs.
         self._trace_attempts = "mac_attempt" in self.trace.kinds
+        self._trace_drops = "mac_drop" in self.trace.kinds
 
         self.queue: DropTailQueue[Tuple[object, int]] = DropTailQueue(self.config.queue_capacity)
         self.pre_transmit_hooks: List[PreTransmitHook] = []
@@ -124,6 +126,15 @@ class TdmaMac:
         # Frame size in bits -> (tx energy, rx energy, service time,
         # retry delay) of one attempt; see _price_attempt.
         self._attempt_costs: Dict[float, Tuple[float, float, float, float]] = {}
+        # A frame's ``max_link_attempts`` -> the ARQ policy's attempt
+        # bound for it, for every request the policy passes through
+        # unclamped or replaces (None, 1..max_attempts); any other
+        # request is clamped by ``attempts_for`` itself.
+        arq = self.config.arq
+        self._attempts_allowed: Dict[Optional[int], int] = {
+            requested: arq.attempts_for(requested)
+            for requested in (None, *range(1, arq.max_attempts + 1))
+        }
         # The MAC observes from its construction time, so the meter's
         # warm-up span starts now rather than at the first transmission.
         self._node_tx_rate = WindowedRate(self.config.estimator_window, start=sim.now)
@@ -162,11 +173,16 @@ class TdmaMac:
         arithmetic says), and floored at a small positive value so the
         flow controller never receives a zero and stalls permanently.
         """
+        config = self.config
+        queue = self.queue
         used = self._node_tx_rate.rate(self.sim.now)
-        available = self.config.nominal_rate_pps - used
-        backlog_fraction = len(self.queue) / self.queue.capacity
-        available *= max(0.0, 1.0 - backlog_fraction)
-        return max(self.config.min_available_rate_pps, available)
+        available = config.nominal_rate_pps - used
+        free = 1.0 - len(queue.items) / queue.capacity
+        # The two conditionals pick what ``max(0.0, free)`` and
+        # ``max(min_available_rate_pps, available)`` pick.
+        available *= free if free > 0.0 else 0.0
+        floor = config.min_available_rate_pps
+        return available if available > floor else floor
 
     # -- transmit path ----------------------------------------------------------------
 
@@ -178,11 +194,14 @@ class TdmaMac:
         if not self.active:
             self._dropped(packet, "node_down")
             return False
-        accepted = self.queue.push((packet, next_hop))
-        if not accepted:
-            self.stats.record_queue_drop()
+        # DropTailQueue.push, inline.
+        queue = self.queue
+        items = queue.items
+        if len(items) >= queue.capacity:
+            queue.drops += 1
             self._dropped(packet, "queue_full")
             return False
+        items.append((packet, next_hop))
         if not self._busy:
             self._busy = True
             self.sim.schedule(0.0, self._service_next)
@@ -203,11 +222,11 @@ class TdmaMac:
             # service loop dies here and restarts on reactivation.
             self._busy = False
             return
-        entry = self.queue.pop()
-        if entry is None:
+        items = self.queue.items
+        if not items:
             self._busy = False
             return
-        packet, next_hop = entry
+        packet, next_hop = items.popleft()
         # Hooks read link state on demand, so frames that need none (an
         # unhooked MAC, an ACK) read none (docs/performance.md, "MAC
         # service path").
@@ -216,7 +235,10 @@ class TdmaMac:
                 self._dropped(packet, "pre_transmit_hook")
                 self.sim.schedule(0.0, self._service_next)
                 return
-        attempts_allowed = self.config.arq.attempts_for(getattr(packet, "max_link_attempts", None))
+        requested = getattr(packet, "max_link_attempts", None)
+        attempts_allowed = self._attempts_allowed.get(requested)
+        if attempts_allowed is None:
+            attempts_allowed = self.config.arq.attempts_for(requested)
         self._attempt(packet, next_hop, 1, attempts_allowed)
 
     def _retry(self, epoch: int, packet: object, next_hop: int, attempt_no: int, attempts_allowed: int) -> None:
@@ -244,9 +266,11 @@ class TdmaMac:
             return
         # Hot path: one call per MAC transmission attempt.  A hit in the
         # per-size cost cache skips re-validating the frame size: only a
-        # valid size was ever stored.
-        costs = self._attempt_costs.get(getattr(packet, "size_bits", None))
-        if costs is None:
+        # valid size was ever stored.  A missing, unhashable or unpriced
+        # size goes to _price_attempt, which prices it or raises.
+        try:
+            costs = self._attempt_costs[packet.size_bits]  # type: ignore[attr-defined]
+        except (AttributeError, KeyError, TypeError):
             costs = self._price_attempt(packet)
         tx_energy, rx_energy, service_time, retry_delay = costs
         now = self.sim.now
@@ -273,17 +297,20 @@ class TdmaMac:
         estimator = self._estimators.get(next_hop) or self.link_estimator(next_hop)
         success = self.channel.transmission_succeeds(self.node_id, next_hop, now)
         # Inline twins of LinkEstimator.record_attempt and .record_packet
-        # (``attempt_no >= 1``) and NetworkStats.record_link_attempt.
+        # (``attempt_no >= 1``; ``alpha * attempt_no`` converts the int
+        # exactly, as ``float()`` would) and NetworkStats.record_link_attempt.
         stats.link_transmissions += 1
         if success:
             stats.link_successes += 1
-        estimator._loss.update(0.0 if success else 1.0)
+        alpha = estimator.loss_alpha
+        estimator.loss_average = (1.0 - alpha) * estimator.loss_average + alpha * (0.0 if success else 1.0)
         if self._trace_attempts:
             self.trace.record("mac_attempt", now, node=self.node_id, neighbor=next_hop, flow=flow_id,
                               attempt=attempt_no, allowed=attempts_allowed, success=success)
 
         if success:
-            estimator._attempts.update(attempt_no)
+            alpha = estimator.attempts_alpha
+            estimator.attempts_average = (1.0 - alpha) * estimator.attempts_average + alpha * attempt_no
             # Charge the reception to the receiving node and flow.
             receiver = stats.energy.get(next_hop) or stats.register_node(next_hop)
             receiver.rx_joules += rx_energy
@@ -296,7 +323,8 @@ class TdmaMac:
             self.sim.schedule(service_time + retry_delay, self._retry,
                               self._epoch, packet, next_hop, attempt_no + 1, attempts_allowed)
         else:
-            estimator._attempts.update(attempt_no)
+            alpha = estimator.attempts_alpha
+            estimator.attempts_average = (1.0 - alpha) * estimator.attempts_average + alpha * attempt_no
             self._dropped(packet, "link_exhausted")
             self.sim.schedule(service_time, self._service_next)
 
@@ -333,7 +361,7 @@ class TdmaMac:
         self._service_next()
 
     def _dropped(self, packet: object, reason: str) -> None:
-        if "mac_drop" in self.trace.kinds:
+        if self._trace_drops:
             self.trace.record("mac_drop", self.sim.now, node=self.node_id, reason=reason,
                               flow=getattr(packet, "flow_id", -1))
         if self.on_packet_dropped is not None:

@@ -264,7 +264,7 @@ def _panel_y_range(panel: PanelData, log: bool) -> Tuple[float, float]:
     return low - pad if low != 0.0 else 0.0, high + pad
 
 
-def _render_fallback(data: FigureData, path: Path) -> None:
+def _render(data: FigureData, path: Path) -> None:
     spec = data.spec
     n_panels = len(data.panels)
     width = PANEL_WIDTH
@@ -400,7 +400,7 @@ def render_figure(
 ) -> Path:
     """Render one figure's rows to ``path`` (a PNG) and return the path."""
     path = Path(path)
-    _render_fallback(prepare_figure(rows, spec), path)
+    _render(prepare_figure(rows, spec), path)
     return path
 
 

@@ -128,8 +128,7 @@ class GilbertElliottLink:
         return self._rng.expovariate(1.0 / mean)
 
     def _advance(self, now: float) -> None:
-        if now < self._state_until:
-            return
+        """Step the chain through every dwell that ended by ``now`` (one is due)."""
         transitions = 0
         while now >= self._state_until:
             transitions += 1
@@ -157,7 +156,8 @@ class GilbertElliottLink:
         untouched.
         """
         draw = self._rng.random()
-        self._advance(now)
+        if now >= self._state_until:
+            self._advance(now)
         state = self._state if forced_state is None else forced_state
         loss = self.quality.bad_loss if state == self.BAD else self.quality.good_loss
         return draw >= loss
@@ -435,12 +435,13 @@ class Channel:
     # -- link quality ----------------------------------------------------------------
 
     def _link(self, src: int, dst: int, now: float) -> GilbertElliottLink:
-        key = (src, dst)
-        link = self._links.get(key)
-        if link is None:
-            stream = random.Random(self._rng.getrandbits(64))
-            link = GilbertElliottLink(self.default_quality, stream, start_time=now)
-            self._links[key] = link
+        """Create the directed link's loss process on its first attempt.
+
+        Links are created lazily, so each one's stream is seeded by the
+        channel stream in first-use order.
+        """
+        stream = random.Random(self._rng.getrandbits(64))
+        link = self._links[(src, dst)] = GilbertElliottLink(self.default_quality, stream, start_time=now)
         return link
 
     def average_loss_probability(self, src: int, dst: int) -> float:
@@ -462,4 +463,7 @@ class Channel:
             if not 0 <= dst < len(self._positions):
                 raise KeyError(f"unknown node {dst}")
             return False
-        return self._link(src, dst, now).transmission_succeeds(now, self._forced_regime)
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._link(src, dst, now)
+        return link.transmission_succeeds(now, self._forced_regime)

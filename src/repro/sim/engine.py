@@ -104,6 +104,10 @@ class Event:
 #: Heap entry shape: ``(time, seq, event)``.
 _Entry = Tuple[float, int, Event]
 
+#: Bound once for :meth:`Simulator.schedule`: one global load per event
+#: instead of a global load plus an attribute lookup.
+_heappush = heapq.heappush
+
 
 class Simulator:
     """The simulation clock and event queue.
@@ -116,7 +120,10 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulation time in seconds.  A plain attribute, not a
+        #: property: it is read several times per frame.  Only the run
+        #: loop writes it.
+        self.now = 0.0
         self._queue: List[_Entry] = []
         self._seq = itertools.count()
         self._events_processed = 0
@@ -124,11 +131,6 @@ class Simulator:
         self._compactions = 0
         self._running = False
         self._stopped = False
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -174,14 +176,14 @@ class Simulator:
                 raise ValueError(f"cannot schedule an event in the past (delay={delay})")
             delay = 0.0
         event = Event.__new__(Event)
-        time = event.time = self._now + delay
+        time = event.time = self.now + delay
         seq = event.seq = next(self._seq)
         event.callback = callback
         event.args = args or None
         event.kwargs = kwargs or None
         event.cancelled = False
         event._sim = self
-        heapq.heappush(self._queue, (time, seq, event))
+        _heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
@@ -191,7 +193,7 @@ class Simulator:
         ULPs of the clock, i.e. genuine ``now + delay`` round-off, never
         real deadline-arithmetic bugs — are clamped to ``now``.
         """
-        now = self._now
+        now = self.now
         if time < now:
             if now - time > NEGATIVE_DELAY_TOLERANCE + now * 4e-16:
                 raise ValueError(f"cannot schedule at {time} which is before now={now}")
@@ -204,7 +206,7 @@ class Simulator:
         event.kwargs = kwargs or None
         event.cancelled = False
         event._sim = self
-        heapq.heappush(self._queue, (time, seq, event))
+        _heappush(self._queue, (time, seq, event))
         return event
 
     def stop(self) -> None:
@@ -265,7 +267,7 @@ class Simulator:
         # repository — every attribute lookup in it is paid per event.
         queue = self._queue
         pop = heapq.heappop
-        now = self._now
+        now = self.now
         bound = float("inf") if until is None else until
         limit = float("inf") if max_events is None else max_events
         try:
@@ -285,7 +287,7 @@ class Simulator:
                     continue
                 if time != now:
                     now = time
-                    self._now = time
+                    self.now = time
                 args = event.args
                 if args is None:
                     kwargs = event.kwargs
@@ -302,11 +304,11 @@ class Simulator:
                     break
             if (
                 until is not None
-                and self._now < until
+                and self.now < until
                 and not self._stopped
                 and (not queue or queue[0][0] >= until)
             ):
-                self._now = until
+                self.now = until
         finally:
             self._events_processed += processed
             self._running = False
@@ -327,7 +329,7 @@ class Simulator:
         processed = 0
         queue = self._queue
         pop = heapq.heappop
-        now = self._now
+        now = self.now
         bound = float("inf") if until is None else until
         limit = float("inf") if max_events is None else max_events
         compactions_before = self._compactions
@@ -346,7 +348,7 @@ class Simulator:
                     continue
                 if time != now:
                     now = time
-                    self._now = time
+                    self.now = time
                 callback = event.callback
                 t0 = perf_counter()
                 if event.args is None and event.kwargs is None:
@@ -362,11 +364,11 @@ class Simulator:
                     break
             if (
                 until is not None
-                and self._now < until
+                and self.now < until
                 and not self._stopped
                 and (not queue or queue[0][0] >= until)
             ):
-                self._now = until
+                self.now = until
         finally:
             self._events_processed += processed
             self._running = False

@@ -18,38 +18,40 @@ T = TypeVar("T")
 
 
 class DropTailQueue(Generic[T]):
-    """A bounded FIFO queue that drops arrivals when full."""
+    """A bounded FIFO queue that drops arrivals when full.
+
+    ``items`` (the FIFO, head on the left) and ``drops`` are plain
+    attributes: the MAC pushes and pops its queue once per frame, and
+    does it on ``items`` directly with the same capacity test as
+    :meth:`push` (``TdmaMac.enqueue`` and ``TdmaMac._service_next``).
+    """
 
     def __init__(self, capacity: int = 50):
         self.capacity = int(require_positive(capacity, "capacity"))
-        self._items: Deque[T] = deque()
-        self._drops = 0
+        self.items: Deque[T] = deque()
+        #: Number of arrivals rejected because the queue was full.
+        self.drops = 0
 
     def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def drops(self) -> int:
-        """Number of arrivals rejected because the queue was full."""
-        return self._drops
+        return len(self.items)
 
     def push(self, item: T) -> bool:
         """Append ``item``; returns False (and counts a drop) if full."""
-        items = self._items
+        items = self.items
         if len(items) >= self.capacity:
-            self._drops += 1
+            self.drops += 1
             return False
         items.append(item)
         return True
 
     def pop(self) -> Optional[T]:
         """Remove and return the head of the queue, or None if empty."""
-        if not self._items:
+        if not self.items:
             return None
-        return self._items.popleft()
+        return self.items.popleft()
 
     def drain(self) -> List[T]:
         """Remove and return all queued items in order."""
-        items = list(self._items)
-        self._items.clear()
+        items = list(self.items)
+        self.items.clear()
         return items

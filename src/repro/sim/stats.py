@@ -166,7 +166,6 @@ class NetworkStats:
         self.flows: Dict[int, FlowStats] = {}
         self.link_transmissions = 0
         self.link_successes = 0
-        self.queue_drops = 0
         self.routing_drops = 0
         self.control_bytes = 0.0
 
@@ -190,10 +189,6 @@ class NetworkStats:
         self.link_transmissions += 1
         if success:
             self.link_successes += 1
-
-    def record_queue_drop(self, count: int = 1) -> None:
-        """Count packets dropped from MAC queues."""
-        self.queue_drops += count
 
     def record_routing_drop(self, count: int = 1) -> None:
         """Count packets dropped because no route existed."""

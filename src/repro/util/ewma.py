@@ -77,8 +77,15 @@ class WindowedRate:
             self._expire(now)
 
     def rate(self, now: float) -> float:
-        """Amount per second over the trailing window ending at ``now``."""
-        self._expire(now)
+        """Amount per second over the trailing window ending at ``now``.
+
+        :meth:`_expire` runs only when the oldest event has left the
+        window: with nothing to expire it would change nothing (an empty
+        window already holds a zero total).
+        """
+        events = self._events
+        if events and events[0][0] < now - self.window:
+            self._expire(now)
         span = self.window
         if self._start is not None:
             observed = now - self._start

@@ -104,11 +104,9 @@ class TestNetworkStats:
         b = stats.register_flow(FlowStats(1, 1, 2))
         a.source_retransmissions = 3
         b.cache_recoveries = 4
-        stats.record_queue_drop(2)
         stats.record_routing_drop()
         assert stats.total_source_retransmissions() == 3
         assert stats.total_cache_recoveries() == 4
-        assert stats.queue_drops == 2
         assert stats.routing_drops == 1
 
     def test_per_node_energy(self):

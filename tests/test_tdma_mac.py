@@ -117,7 +117,7 @@ def test_queue_overflow_drops_and_counts():
     sim, stats, macs, received = build_pair(mac_config=config)
     outcomes = [macs[0].enqueue(FramePacket(), 1) for _ in range(5)]
     assert outcomes.count(False) >= 2
-    assert stats.queue_drops >= 2
+    assert macs[0].queue_drops >= 2
 
 
 def test_pre_transmit_hook_can_drop():

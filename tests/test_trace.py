@@ -133,3 +133,16 @@ def test_figure8_scenario_traces_only_receptions():
     assert trace.kinds == {"jtp_receive"}
     assert {event.kind for event in trace.events()} == {"jtp_receive"}
     assert any(row["series"] == "flow1_monitor_mean" for row in result.rows)
+
+
+def test_figure8_run_traces_only_flow1():
+    from repro.experiments.scenarios import rate_adaptation_scenario
+
+    result = rate_adaptation_scenario(4, duration=200.0, flow2_start=60.0, flow2_duration=60.0, window=30.0, seed=1)
+    flow1, flow2 = result.flows
+    # Flow 2 ran and delivered data, but its receiver recorded nothing:
+    # the figure reads only flow 1's monitor.
+    assert flow2.stats.data_packets_delivered > 0
+    events = result.network.trace.events()
+    assert events
+    assert {event["flow"] for event in events} == {flow1.flow_id}
